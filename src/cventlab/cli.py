@@ -136,6 +136,8 @@ def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
     except (itf.TruncationError, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(1)
+    except ValueError as exc:  # the library's domain checks on its arguments
+        raise click.BadParameter(str(exc)) from exc
     meta = {
         "command": command,
         "seed": seed,

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from cventlab.estimation import heterodyne_variance
 
@@ -90,7 +89,7 @@ def eve_error_gaussian_key(a: float, kappa_key: float) -> float:
         raise ValueError(f"a must be >= 0, got {a}")
     if kappa_key <= 0:
         raise ValueError(f"kappa_key must be > 0, got {kappa_key}")
-    return 0.5 * (1.0 - float(erf(a / math.sqrt(kappa_key))))
+    return 0.5 * (1.0 - math.erf(a / math.sqrt(kappa_key)))
 
 
 def eve_error_gaussian_key_asymptote(a: float, kappa_key: float) -> float:
@@ -109,7 +108,7 @@ def bob_heterodyne_error(x: float, a: float) -> float:
     """
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
-    return 0.5 * (1.0 - float(erf(a / math.sqrt(2.0 * receiver_variance(x)))))
+    return 0.5 * (1.0 - math.erf(a / math.sqrt(2.0 * receiver_variance(x))))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 
 @dataclass(frozen=True)
@@ -179,6 +178,8 @@ def _minimize_overlap_sq(
     Random Dirichlet candidates followed by an SLSQP polish; independent of
     the hull construction, so it serves as the brute-force oracle.
     """
+    from scipy.optimize import minimize
+
     verts = np.exp(1j * phases)
     n = len(verts)
     rng = np.random.default_rng(seed)
@@ -213,6 +214,8 @@ def brute_force_min_overlap(
     spectrum: EigenphaseSpectrum, n_samples: int = 100_000, seed: int = 0
 ) -> float:
     """Brute-force minimum of |sum w_j e^{i gamma_j}| over the simplex."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     val, _ = _minimize_overlap_sq(np.asarray(spectrum.phases), n_samples, seed)
     return math.sqrt(val)
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import bisect
-
 from cventlab import fock_oracle
 
 
@@ -151,6 +149,8 @@ def mz_min_phase_numeric(
     every |p, p> component invariant up to a phase, so the leakage returns
     to zero there and the first crossing lies in the rising half.
     """
+    from scipy.optimize import bisect
+
     if not 0.0 < target_q_phi < 1.0:
         raise ValueError(f"target_q_phi must be in (0, 1), got {target_q_phi}")
 

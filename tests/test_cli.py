@@ -152,6 +152,25 @@ class TestErrorHandling:
     def test_bad_phases(self):
         assert run_cli(["discriminate", "--phases", "a,b"]).exit_code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["fiber", "--m", "0.5", "--n", "0"], "N must be > 0"),
+        (["fiber", "--m", "-1", "--n", "2"], "M must be >= 0"),
+        (["estimate", "--x", "1.0"], "x must be in [0, 1)"),
+        (["estimate", "--x", "0.5", "--trials", "0"], "n_trials must be >= 1"),
+        (["crypto", "errors", "--x", "0.7", "--kappa", "0"], "kappa_key must be > 0"),
+        (["crypto", "simulate", "--x", "0.8", "--bits", "0"], "n_bits must be >= 1"),
+        (["interfere", "--x", "0.5", "--q0", "0.5", "--gamma-star", "10"],
+         "gamma_star * q0 = 5.0 > 1"),
+        (["discriminate", "--phases", "0,1", "--samples", "0"],
+         "n_samples must be >= 1"),
+    ])
+    def test_domain_error_exit_code(self, args, message):
+        # a library ValueError is a bad argument: exit 2 with one error line;
+        # run_cli does not catch exceptions, so a traceback would fail the test
+        out = run_cli(args)
+        assert out.exit_code == 2
+        assert f"Error: Invalid value: {message}" in out.output
+
 
 class TestConsistencyColumns:
     def test_interfere_oracle_agreement(self):

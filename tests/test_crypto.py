@@ -59,12 +59,27 @@ class TestEveBounds:
         assert maxima[0] > maxima[1] > maxima[2]
         assert maxima[2] < 0.2
 
+    # math.erf and scipy.special.erf agree to 2 ulp, at most 2**-52 below
+    # erf = 1, which (1 - erf)/2 halves.  A relative bound alone cannot hold:
+    # 1 - erf cancels as erf -> 1.
+    ERF_TOL = {"rel": 1e-15, "abs": 2.0**-53}
+
     def test_gaussian_key_erf_form(self):
-        a, kappa = 0.8, 1.5
-        expected = 0.5 * (1 - erf(a / math.sqrt(kappa)))
-        assert crypto.eve_error_gaussian_key(a, kappa) == pytest.approx(
-            expected, rel=1e-12
-        )
+        for a in np.linspace(0.0, 3.0, 31):
+            for kappa in np.linspace(0.05, 4.0, 40):
+                expected = 0.5 * (1.0 - float(erf(a / math.sqrt(kappa))))
+                assert crypto.eve_error_gaussian_key(a, kappa) == pytest.approx(
+                    expected, **self.ERF_TOL
+                )
+
+    def test_bob_heterodyne_erf_form(self):
+        for a in np.linspace(0.0, 3.0, 31):
+            for x in np.linspace(0.0, 0.99, 34):
+                sigma_sq = crypto.receiver_variance(x)
+                expected = 0.5 * (1.0 - float(erf(a / math.sqrt(2.0 * sigma_sq))))
+                assert crypto.bob_heterodyne_error(x, a) == pytest.approx(
+                    expected, **self.ERF_TOL
+                )
 
     def test_asymptote(self):
         a, kappa = 4.0, 1.0
