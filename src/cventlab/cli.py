@@ -235,10 +235,11 @@ def interfere(x, phi, q0, gamma_star, d_max, ranges, seed, fmt, output):
         n_mean = crypto_mod.mean_photons(g["x"])
         kappa_closed = itf.twin_beam_overlap_sq(n_mean, g["phi"])
         d = g["d_max"] if g["d_max"] is not None else fock_oracle.default_d_max(g["x"])
+        # first, so that a truncation tail above tolerance fails before any evolution
+        p_zero = itf.mz_zero_count_probability(g["x"], g["phi"], d)
         probe = fock_oracle.twin_beam_fock(g["x"], d)
         evolved = fock_oracle.apply_jx_evolution(probe, g["phi"])
         kappa_oracle = abs(fock_oracle.overlap(probe, evolved)) ** 2
-        p_zero = itf.mz_zero_count_probability(g["x"], g["phi"], d)
         ideal = (
             itf.min_detectable_phase_ideal(g["q0"], g["gamma_star"], n_mean)
             if n_mean > 0 else None

@@ -8,7 +8,7 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
-from cventlab import cli
+from cventlab import cli, fock_oracle
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -149,6 +149,18 @@ class TestErrorHandling:
         assert out.exit_code == 1
         assert "numerical failure" in out.output
 
+    def test_truncation_fails_before_any_evolution(self, monkeypatch):
+        # x = 0.95 needs d_max 224 > the cap of 200: the tail check must come
+        # before the row's own evolution, not after it
+        calls = []
+        monkeypatch.setattr(fock_oracle, "apply_jx_evolution",
+                            lambda *args: calls.append(args))
+        out = run_cli(["interfere", "--x", "0.95", "--phi", "0.3"])
+        assert out.exit_code == 1
+        assert out.output == ("numerical failure: truncation tail 1.109e-09 above "
+                              "1.0e-10; suggested d_max >= 224\n")
+        assert calls == []
+
     def test_bad_phases(self):
         assert run_cli(["discriminate", "--phases", "a,b"]).exit_code == 2
 
@@ -177,6 +189,24 @@ class TestConsistencyColumns:
         out = run_cli(["interfere", "--x", "0.5", "--phi", "0.3"])
         row = parse_csv(out.output)[0]
         assert abs(float(row["kappa_diff"])) < 1e-9
+
+    # (x, phi, kappa_sq_oracle, p_zero_count) as printed before the Fock blocks
+    # were split by swap symmetry; the split changes them by roundoff only
+    PINNED_INTERFERE = [
+        (0.5, 0.1, 0.9825898853837536, 0.9831183500714408),
+        (0.5, 0.3, 0.8656080853916376, 0.8910060542668223),
+        (0.8, 0.1, 0.8355103214592711, 0.8613247416063898),
+        (0.8, 0.3, 0.36696165719809226, 0.5728620279610337),
+        (0.9, 0.1, 0.5278384028334034, 0.6612405307939083),
+        (0.9, 0.3, 0.11314617377985974, 0.3624534378676622),
+    ]
+
+    @pytest.mark.parametrize("x, phi, kappa_oracle, p_zero", PINNED_INTERFERE)
+    def test_interfere_oracle_values_pinned(self, x, phi, kappa_oracle, p_zero):
+        out = run_cli(["interfere", "--x", str(x), "--phi", str(phi), "--format", "json"])
+        row = json.loads(out.output)["rows"][0]
+        assert row["kappa_sq_oracle"] == pytest.approx(kappa_oracle, rel=0, abs=1e-14)
+        assert row["p_zero_count"] == pytest.approx(p_zero, rel=0, abs=1e-14)
 
     def test_crypto_errors_oracle_agreement(self):
         out = run_cli(["crypto", "errors", "--x", "0.5"])

@@ -107,6 +107,72 @@ class TestJxEvolution:
         assert np.allclose(back.amps, s.amps, atol=1e-12)
 
 
+def dense_block_evolution(state, phi):
+    """Reference: eigh of the whole (n+1) x (n+1) J of each total-n block."""
+    d = state.d_max
+    out = np.zeros_like(state.amps)
+    for n in range(2 * d + 1):
+        lo, hi = max(0, n - d), min(n, d)
+        v = np.zeros(n + 1, dtype=complex)
+        for k in range(lo, hi + 1):
+            v[k] = state.amps[k, n - k]
+        if not np.any(v):
+            continue
+        j = np.zeros((n + 1, n + 1))
+        for k in range(n):
+            j[k, k + 1] = j[k + 1, k] = math.sqrt((k + 1) * (n - k))
+        w, u = np.linalg.eigh(j)
+        v = u @ (np.exp(1j * phi * w) * (u.conj().T @ v))
+        for k in range(lo, hi + 1):
+            out[k, n - k] = v[k]
+    return out
+
+
+def assert_matches_dense(state, phi):
+    got = fo.apply_jx_evolution(state, phi).amps
+    ref = dense_block_evolution(state, phi)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class TestSwapSectorKernel:
+    """The swap-split evolution against the dense full-block reference."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 8, 13])
+    def test_random_states_straddling_truncation(self, d):
+        # every entry of the (d+1)^2 square is filled, so blocks with n > d
+        # are cut by the truncation on both sides
+        rng = np.random.default_rng(100 + d)
+        amps = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+        state = fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+        for phi in (0.3, -1.1, 2.7):
+            assert_matches_dense(state, phi)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("p, q", [(1, 0), (3, 0), (4, 1), (2, 0), (5, 1), (3, 1)])
+    def test_pure_swap_sectors(self, p, q, sign):
+        # (|p,q> +- |q,p>)/sqrt(2) lies in one sector of the block n = p + q,
+        # for odd n (1, 3, 5) and even n (2, 4, 6)
+        amps = np.zeros((6, 6), dtype=complex)
+        amps[p, q] = 1 / math.sqrt(2)
+        amps[q, p] = sign / math.sqrt(2)
+        state = fo.FockTwoModeState(amps, 5)
+        out = fo.apply_jx_evolution(state, 0.45)
+        assert_matches_dense(state, 0.45)
+        assert np.allclose(out.amps.T, sign * out.amps, atol=1e-15)  # sector kept
+
+    @pytest.mark.parametrize("n", [4, 5, 10, 11])
+    def test_single_block_odd_and_even_n(self, n):
+        rng = np.random.default_rng(n)
+        amps = np.zeros((n + 1, n + 1), dtype=complex)
+        k = np.arange(n + 1)
+        amps[k, n - k] = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        assert_matches_dense(fo.FockTwoModeState(amps, n), 0.8)
+
+    def test_twin_beam(self):
+        x = 0.9
+        assert_matches_dense(fo.twin_beam_fock(x, fo.default_d_max(x)), 0.3)
+
+
 class TestOverlap:
     def test_self_overlap(self):
         s = fo.twin_beam_fock(0.5, 25)
