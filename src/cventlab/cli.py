@@ -25,6 +25,7 @@ from cventlab import discrimination as disc
 from cventlab import estimation as est
 from cventlab import fiber as fiber_mod
 from cventlab import fock_oracle
+from cventlab import gaussian_core
 from cventlab import interferometry as itf
 
 DEFAULT_SEED = 20020521  # documented default; override with --seed or CVENTLAB_SEED
@@ -59,14 +60,26 @@ def _parse_range(spec: str) -> tuple[str, np.ndarray]:
     return key.strip(), values
 
 
+def _grid_value(key: str, value: float, integer: bool):
+    """One grid point, as int for an integer option; a fraction there is rejected."""
+    if not integer:
+        return float(value)
+    if not float(value).is_integer():
+        raise click.BadParameter(f"{key} takes integers, got {float(value)}")
+    return int(value)
+
+
 def _expand_grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
     """Cartesian product of the swept parameters, in the order given."""
+    int_keys = {p.name for p in click.get_current_context().command.params
+                if isinstance(p.type, click.types.IntParamType)}
     grids = [params]
     for spec in ranges:
         key, values = _parse_range(spec)
         if key not in params:
             raise click.BadParameter(f"unknown sweep key {key!r}")
-        grids = [dict(g, **{key: float(v)}) for g in grids for v in values]
+        grid_values = [_grid_value(key, v, key in int_keys) for v in values]
+        grids = [dict(g, **{key: v}) for g in grids for v in grid_values]
     return grids
 
 
@@ -133,7 +146,8 @@ def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
     grid = _expand_grid(params, ranges)
     try:
         rows = [row_fn(g, seed) for g in grid]
-    except (itf.TruncationError, FloatingPointError) as exc:
+    except (itf.TruncationError, FloatingPointError,
+            gaussian_core.NonPhysicalStateError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(1)
     except ValueError as exc:  # the library's domain checks on its arguments
@@ -232,7 +246,7 @@ def interfere(x, phi, q0, gamma_star, d_max, ranges, seed, fmt, output):
     """Phase detection: ideal NP scheme and Mach-Zehnder zero-count scheme."""
 
     def row(g, seed_):
-        n_mean = crypto_mod.mean_photons(g["x"])
+        n_mean = gaussian_core.TwinBeamParams.from_x(g["x"]).N
         kappa_closed = itf.twin_beam_overlap_sq(n_mean, g["phi"])
         d = g["d_max"] if g["d_max"] is not None else fock_oracle.default_d_max(g["x"])
         # first, so that a truncation tail above tolerance fails before any evolution
@@ -279,7 +293,7 @@ def crypto_errors(x, a, kappa, ranges, seed, fmt, output):
     def row(g, seed_):
         margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
         splus = crypto_mod.splus_numeric(g["a"], g["kappa"])
-        eve = crypto_mod.eve_error_gaussian_key(g["a"], g["kappa"])
+        eve = margin.eve_err
         return {
             "x": g["x"],
             "a": g["a"],
@@ -347,11 +361,12 @@ def fiber(gamma_damp, thermal_m, n_photons, r0, ranges, seed, fmt, output):
 
     def row(g, seed_):
         if g["r0"] is not None:
-            r = g["r0"]
-            n_mean = 2.0 * math.sinh(r) ** 2
+            beam = gaussian_core.TwinBeamParams(g["r0"])
+            n_mean = beam.N
         else:
-            n_mean = g["n"]
-            r = math.asinh(math.sqrt(n_mean / 2.0))
+            beam = gaussian_core.TwinBeamParams.from_mean_photons(g["n"])
+            n_mean = g["n"]  # as given, not recomputed from r0
+        r = beam.r0
         t_s = fiber_mod.separability_time(g["gamma"], g["m"], n_mean)
         tau_s = fiber_mod.separability_time_rescaled(g["m"], r)
         if math.isinf(tau_s):

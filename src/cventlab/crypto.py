@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cventlab.discrimination import helstrom_error
 from cventlab.estimation import heterodyne_variance
+from cventlab.gaussian_core import TwinBeamParams, complex_gaussian_pdf
 
 
 @dataclass(frozen=True)
@@ -42,19 +44,11 @@ class ProtocolConfig:
             raise ValueError(f"nbar must be >= 0, got {self.nbar}")
 
 
-def mean_photons(x: float) -> float:
-    return 2.0 * x * x / (1.0 - x * x)
-
-
 def receiver_variance(x: float) -> float:
     """Per-quadrature heterodyne receiver variance sigma_x^2 = (1 - x^2)/2."""
     if not 0.0 <= x < 1.0:
         raise ValueError(f"x must be in [0, 1), got {x}")
     return 0.5 * (1.0 - x * x)
-
-
-def _helstrom(overlap_sq: float) -> float:
-    return 0.5 * (1.0 - math.sqrt(1.0 - overlap_sq))
 
 
 def bob_ideal_error(x: float, z0: complex, z1: complex) -> float:
@@ -64,13 +58,13 @@ def bob_ideal_error(x: float, z0: complex, z1: complex) -> float:
     error approaches exp(-|z0 - z1|^2 (1 + N)) / 4.
     """
     sep_sq = abs(complex(z0) - complex(z1)) ** 2
-    return _helstrom(math.exp(-sep_sq * (1.0 + mean_photons(x))))
+    return helstrom_error(math.exp(-sep_sq * (1.0 + TwinBeamParams.from_x(x).N)))
 
 
 def coherent_error(alpha0: complex, alpha1: complex) -> float:
     """Optimal-receiver error for the unentangled coherent-state encoding."""
     sep_sq = abs(complex(alpha0) - complex(alpha1)) ** 2
-    return _helstrom(math.exp(-sep_sq))
+    return helstrom_error(math.exp(-sep_sq))
 
 
 def eve_error_uniform() -> float:
@@ -141,12 +135,10 @@ class AlphabetPdfs:
     eve_variance: float  # Delta_x^2 + kappa_key
 
     def bob_pdf(self, z: complex) -> float:
-        v = self.bob_variance
-        return math.exp(-abs(complex(z) - self.z0) ** 2 / v) / (math.pi * v)
+        return complex_gaussian_pdf(z, self.z0, self.bob_variance)
 
     def eve_pdf(self, z: complex) -> float:
-        v = self.eve_variance
-        return math.exp(-abs(complex(z) - self.z0) ** 2 / v) / (math.pi * v)
+        return complex_gaussian_pdf(z, self.z0, self.eve_variance)
 
 
 def alphabet_pdfs(z0: complex, x: float, kappa_key: float) -> AlphabetPdfs:
@@ -161,7 +153,7 @@ def alphabet_pdfs(z0: complex, x: float, kappa_key: float) -> AlphabetPdfs:
 
 def key_pdf(alpha: complex, kappa_key: float) -> float:
     """Gaussian key density g_kappa(|alpha|^2) = exp(-|alpha|^2/kappa)/(kappa pi)."""
-    return math.exp(-abs(alpha) ** 2 / kappa_key) / (kappa_key * math.pi)
+    return complex_gaussian_pdf(alpha, 0.0, kappa_key)
 
 
 def splus_numeric(a: float, kappa_key: float, rel_tol: float = 1e-10) -> float:

@@ -48,14 +48,27 @@ def covering_arc(phases: tuple[float, ...]) -> float:
     return float(2.0 * math.pi - gaps.max())
 
 
-def _segment_distance(a: complex, b: complex) -> float:
-    """Distance from the origin to the segment [a, b]."""
+def _segment_point(a: complex, b: complex) -> tuple[float, float]:
+    """Point a + t (b - a) of segment [a, b] nearest the origin, as (distance, t)."""
     ab = b - a
     denom = abs(ab) ** 2
     if denom == 0.0:
-        return abs(a)
+        return abs(a), 0.0
     t = min(1.0, max(0.0, -(a.real * ab.real + a.imag * ab.imag) / denom))
-    return abs(a + t * ab)
+    return abs(a + t * ab), t
+
+
+def _nearest_edge_point(hull: tuple[complex, ...]) -> tuple[float, float, int, int]:
+    """Hull-edge point nearest the origin, as (distance, t, i, j).
+
+    The point is hull[i] + t (hull[j] - hull[i]).  The edges join angular
+    neighbours; a 2-point hull has the single chord (0, 1).  Ties go to the
+    first edge.
+    """
+    n = len(hull)
+    edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    return min(((*_segment_point(hull[i], hull[j]), i, j) for i, j in edges),
+               key=lambda point: point[0])
 
 
 def build_polygon(spectrum: EigenphaseSpectrum) -> PolygonK:
@@ -75,18 +88,19 @@ def build_polygon(spectrum: EigenphaseSpectrum) -> PolygonK:
     elif delta >= math.pi:
         r = 0.0
     else:
-        n = len(hull)
-        edges = [(hull[i], hull[(i + 1) % n]) for i in range(n)] if n > 2 else [
-            (hull[0], hull[1])
-        ]
-        r = min(_segment_distance(a, b) for a, b in edges)
+        r = _nearest_edge_point(hull)[0]
     return PolygonK(phases=phases, hull=hull, r=r, delta=delta)
+
+
+def helstrom_error(overlap_sq: float) -> float:
+    """Helstrom bound (1 - sqrt(1 - |<psi0|psi1>|^2)) / 2 for equiprobable states."""
+    return 0.5 * (1.0 - math.sqrt(1.0 - overlap_sq))
 
 
 def min_error_probability(polygon: PolygonK) -> float:
     """Helstrom bound at the optimal probe: P_E = (1 - sqrt(1 - r^2)) / 2."""
     r = min(polygon.r, 1.0)
-    return 0.5 * (1.0 - math.sqrt(1.0 - r * r))
+    return helstrom_error(r * r)
 
 
 def spread_formula_error(delta: float) -> float:
@@ -99,43 +113,27 @@ def spread_formula_error(delta: float) -> float:
     """
     if delta >= math.pi:
         return 0.0
-    c = math.cos(delta / 2.0)
-    return 0.5 * (1.0 - math.sqrt(1.0 - c ** 4))
+    return helstrom_error(math.cos(delta / 2.0) ** 4)
 
 
 def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:
     """Probability weights over eigenvectors reaching the optimal overlap.
 
     For r > 0 the nearest hull point lies on an edge, so at most two weights
-    are nonzero.  For r = 0 a convex combination summing to the origin is
-    found by minimizing |z|^2 over the simplex (any such point is optimal).
+    are nonzero.  For r = 0 any convex combination summing to the origin is
+    optimal; _origin_weights finds one.
     """
-    phases = np.asarray(polygon.phases)
-    verts = np.exp(1j * phases)
-    n = len(verts)
+    hull = polygon.hull
+    n = len(hull)
     if n == 1:
         return np.array([1.0])
     if polygon.r > 0.0:
-        best = None
-        for i in range(n):
-            j = (i + 1) % n
-            if n == 2 and i == 1:
-                break
-            a, b = verts[i], verts[j]
-            ab = b - a
-            denom = abs(ab) ** 2
-            t = 0.0 if denom == 0 else min(
-                1.0, max(0.0, -(a.real * ab.real + a.imag * ab.imag) / denom)
-            )
-            d = abs(a + t * ab)
-            if best is None or d < best[0]:
-                best = (d, i, j, t)
-        _, i, j, t = best
+        _, t, i, j = _nearest_edge_point(hull)
         w = np.zeros(n)
         w[i] = 1.0 - t
         w[j] = t
         return w
-    return _origin_weights(verts)
+    return _origin_weights(np.array(hull))
 
 
 def _origin_weights(verts: np.ndarray) -> np.ndarray:
@@ -218,22 +216,6 @@ def brute_force_min_overlap(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     val, _ = _minimize_overlap_sq(np.asarray(spectrum.phases), n_samples, seed)
     return math.sqrt(val)
-
-
-@dataclass(frozen=True)
-class SingleCopyComparison:
-    r_plain: float
-    r_extended: float
-
-
-def entanglement_no_single_copy_gain(
-    spectrum: EigenphaseSpectrum,
-) -> SingleCopyComparison:
-    """Ancilla extension U (x) I has the same eigenphases, hence the same r."""
-    r_plain = build_polygon(spectrum).r
-    # eigenphases of U2^dag U1 (x) I are the same set, multiplicities aside
-    r_extended = build_polygon(EigenphaseSpectrum(spectrum.phases)).r
-    return SingleCopyComparison(r_plain=r_plain, r_extended=r_extended)
 
 
 def copies_for_exact(spectrum: EigenphaseSpectrum) -> int | None:

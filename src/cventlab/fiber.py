@@ -21,6 +21,11 @@ import numpy as np
 from cventlab import gaussian_core
 
 
+def _drift(M: float) -> float:
+    """Drift coefficient gamma = 1/(2M+1) of the rescaled dynamics."""
+    return 1.0 / (2.0 * M + 1.0)
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Fiber channel parameters: damping rate Gamma and thermal photons M."""
@@ -36,8 +41,8 @@ class FiberParams:
 
     @property
     def gamma_drift(self) -> float:
-        """Drift coefficient gamma = 1/(2M+1) of the rescaled dynamics."""
-        return 1.0 / (2.0 * self.M + 1.0)
+        """Drift coefficient gamma of the rescaled dynamics."""
+        return _drift(self.M)
 
     def tau_from_t(self, t: float) -> float:
         return self.gamma_damp / self.gamma_drift * t
@@ -58,7 +63,7 @@ def evolve_variances(r0: float, M: float, tau: float) -> EvolvedVariances:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if r0 < 0:
         raise ValueError(f"r0 must be >= 0, got {r0}")
-    gamma = 1.0 / (2.0 * M + 1.0)
+    gamma = _drift(M)
     decay = math.exp(-gamma * tau)
     d_sq = (1.0 - decay) / (4.0 * gamma)
     return EvolvedVariances(
@@ -70,17 +75,10 @@ def evolve_variances(r0: float, M: float, tau: float) -> EvolvedVariances:
 def evolved_state(r0: float, M: float, tau: float) -> gaussian_core.GaussianTwoModeState:
     """Evolved twin-beam as a Gaussian two-mode state in the (x1,y1,x2,y2) basis."""
     v = evolve_variances(r0, M, tau)
-    diag = (v.Sigma_plus_sq + v.Sigma_minus_sq) / 2.0
-    cross = (v.Sigma_plus_sq - v.Sigma_minus_sq) / 2.0
-    cov = np.array(
-        [
-            [diag, 0.0, cross, 0.0],
-            [0.0, diag, 0.0, -cross],
-            [cross, 0.0, diag, 0.0],
-            [0.0, -cross, 0.0, diag],
-        ]
+    return gaussian_core.family_state(
+        (v.Sigma_plus_sq + v.Sigma_minus_sq) / 2.0,
+        (v.Sigma_plus_sq - v.Sigma_minus_sq) / 2.0,
     )
-    return gaussian_core.GaussianTwoModeState(np.zeros(4), cov)
 
 
 def separability_time_rescaled(M: float, r0: float) -> float:
@@ -96,7 +94,7 @@ def separability_time_rescaled(M: float, r0: float) -> float:
         raise ValueError(f"M must be >= 0, got {M}")
     if M == 0.0:
         return math.inf
-    gamma = 1.0 / (2.0 * M + 1.0)
+    gamma = _drift(M)
     return (1.0 / gamma) * math.log1p(
         gamma * (1.0 - math.exp(-2.0 * r0)) / (1.0 - gamma)
     )
@@ -175,7 +173,7 @@ def simulate_ou_variances(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    gamma = 1.0 / (2.0 * M + 1.0)
+    gamma = _drift(M)
     rng = np.random.default_rng(seed)
     decay_amp = math.exp(-gamma * tau / 2.0)
     kick_var = (1.0 - math.exp(-gamma * tau)) / (4.0 * gamma)

@@ -96,10 +96,6 @@ class TwinBeamParams:
         return 2.0 * math.sinh(self.r0) ** 2
 
     @classmethod
-    def from_r0(cls, r0: float) -> "TwinBeamParams":
-        return cls(r0)
-
-    @classmethod
     def from_x(cls, x: float) -> "TwinBeamParams":
         x = float(x)
         if not 0.0 <= x < 1.0:
@@ -131,25 +127,31 @@ class NoiseParams:
         object.__setattr__(self, "nbar", nbar)
 
 
-def make_twin_beam(params: TwinBeamParams) -> GaussianTwoModeState:
-    """Twin-beam state with EPR variances e^{+-2 r0}/4 on the rotated quadratures.
+def family_state(diag: float, cross: float) -> GaussianTwoModeState:
+    """Zero-mean twin-beam family state in the (x1, y1, x2, y2) basis.
 
-    In the (x1, y1, x2, y2) basis the covariance is diag-plus-cross with
-    cosh(2 r0)/4 on the diagonal and +-sinh(2 r0)/4 on the x1x2 / y1y2
-    cross terms.
+    The covariance has diag on the diagonal and +-cross on the x1x2 / y1y2
+    cross terms; the EPR variances are diag +- cross.
     """
-    r0 = params.r0
-    c = math.cosh(2.0 * r0) / 4.0
-    s = math.sinh(2.0 * r0) / 4.0
     cov = np.array(
         [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
+            [diag, 0.0, cross, 0.0],
+            [0.0, diag, 0.0, -cross],
+            [cross, 0.0, diag, 0.0],
+            [0.0, -cross, 0.0, diag],
         ]
     )
     return GaussianTwoModeState(np.zeros(4), cov)
+
+
+def make_twin_beam(params: TwinBeamParams) -> GaussianTwoModeState:
+    """Twin-beam state with EPR variances e^{+-2 r0}/4 on the rotated quadratures.
+
+    Its covariance has cosh(2 r0)/4 on the diagonal and sinh(2 r0)/4 as the
+    cross term of family_state.
+    """
+    two_r0 = 2.0 * params.r0
+    return family_state(math.cosh(two_r0) / 4.0, math.sinh(two_r0) / 4.0)
 
 
 def apply_displacement(
@@ -210,11 +212,15 @@ def heterodyne_mean_and_variance(
     return mu, var_re + var_im
 
 
+def complex_gaussian_pdf(z: complex, mu: complex, variance: float) -> float:
+    """Isotropic complex-Gaussian density exp(-|z - mu|^2 / v) / (pi v)."""
+    return math.exp(-abs(complex(z) - mu) ** 2 / variance) / (math.pi * variance)
+
+
 def heterodyne_pdf(state: GaussianTwoModeState, z: complex) -> float:
     """Probability density of heterodyne outcome z on a twin-beam family state."""
     mu, delta_sq = heterodyne_mean_and_variance(state)
-    z = complex(z)
-    return math.exp(-abs(z - mu) ** 2 / delta_sq) / (math.pi * delta_sq)
+    return complex_gaussian_pdf(z, mu, delta_sq)
 
 
 def sample_heterodyne(

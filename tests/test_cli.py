@@ -149,6 +149,19 @@ class TestErrorHandling:
         assert out.exit_code == 1
         assert "numerical failure" in out.output
 
+    @pytest.mark.parametrize("args", [
+        ["fiber", "--m", "0.5", "--n", "1e9"],
+        ["fiber", "--m", "0.5", "--r0", "10"],
+    ])
+    def test_ill_conditioned_covariance_is_numerical_failure(self, args):
+        # the dense covariance fails at large squeezing; the CLI never takes a
+        # covariance from the user, so this is not a bad argument
+        out = run_cli(args)
+        assert out.exit_code == 1
+        assert out.stdout == ""
+        assert out.stderr == ("numerical failure: covariance matrix must be "
+                              "positive definite\n")
+
     def test_truncation_fails_before_any_evolution(self, monkeypatch):
         # x = 0.95 needs d_max 224 > the cap of 200: the tail check must come
         # before the row's own evolution, not after it
@@ -175,6 +188,8 @@ class TestErrorHandling:
          "gamma_star * q0 = 5.0 > 1"),
         (["discriminate", "--phases", "0,1", "--samples", "0"],
          "n_samples must be >= 1"),
+        (["interfere", "--x", "1.0"], "Schmidt parameter must be in [0, 1)"),
+        (["interfere", "--x", "-0.5"], "Schmidt parameter must be in [0, 1)"),
     ])
     def test_domain_error_exit_code(self, args, message):
         # a library ValueError is a bad argument: exit 2 with one error line;
@@ -182,6 +197,31 @@ class TestErrorHandling:
         out = run_cli(args)
         assert out.exit_code == 2
         assert f"Error: Invalid value: {message}" in out.output
+
+    @pytest.mark.parametrize("args", [
+        ["estimate", "--x", "0.5", "--range", "trials=100:200:2"],
+        ["crypto", "simulate", "--x", "0.8", "--range", "bits=100:200:2"],
+        ["discriminate", "--phases", "0,1", "--range", "samples=100:200:2"],
+        ["interfere", "--x", "0.5", "--range", "d_max=20:30:2"],
+    ])
+    def test_integer_sweep(self, args):
+        # run_cli does not catch exceptions: a float reaching an integer
+        # argument would fail here with its TypeError
+        out = run_cli(args + ["--format", "json"])
+        assert out.exit_code == 0
+        assert json.loads(out.output)["meta"]["n_rows"] == 2
+
+    def test_integer_sweep_values_are_int(self):
+        out = run_cli(["crypto", "simulate", "--x", "0.8", "--range", "bits=100:200:2",
+                       "--format", "json"])
+        bits = [row["bits"] for row in json.loads(out.output)["rows"]]
+        assert bits == [100, 200]
+        assert all(type(b) is int for b in bits)  # JSON 100, not 100.0
+
+    def test_non_integral_sweep_of_integer_option(self):
+        out = run_cli(["estimate", "--x", "0.5", "--range", "trials=100:101:3"])
+        assert out.exit_code == 2
+        assert "Error: Invalid value: trials takes integers, got 100.5" in out.output
 
 
 class TestConsistencyColumns:

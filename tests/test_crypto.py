@@ -42,7 +42,7 @@ class TestIdealErrors:
 
     def test_exponent_includes_mean_photons(self):
         x, a = 0.6, 0.7
-        n = crypto.mean_photons(x)
+        n = 2 * x * x / (1 - x * x)
         overlap_sq = math.exp(-((2 * a) ** 2) * (1 + n))
         expected = 0.5 * (1 - math.sqrt(1 - overlap_sq))
         assert crypto.bob_ideal_error(x, -a, a) == pytest.approx(expected, rel=1e-12)
@@ -120,6 +120,15 @@ class TestAlphabetPdfs:
         p = crypto.alphabet_pdfs(1 + 1j, 0.5, 0.7)
         assert p.bob_variance == pytest.approx(1 / 3, rel=1e-12)
         assert p.eve_variance == pytest.approx(1 / 3 + 0.7, rel=1e-12)
+
+    def test_pdfs_match_direct_formula(self):
+        z0, x, kappa = 0.4 - 0.9j, 0.6, 0.7
+        p = crypto.alphabet_pdfs(z0, x, kappa)
+        delta_sq = (1 - x) / (1 + x)
+        for z in (0.0, z0, 1.5 + 0.2j, -2j):
+            for got, v in ((p.bob_pdf(z), delta_sq), (p.eve_pdf(z), delta_sq + kappa)):
+                expected = math.exp(-abs(z - z0) ** 2 / v) / (math.pi * v)
+                assert got == pytest.approx(expected, rel=1e-14)
 
     def test_pdf_peaks_at_symbol(self):
         p = crypto.alphabet_pdfs(1.0, 0.5, 0.7)

@@ -65,6 +65,13 @@ class TestBuildPolygon:
         assert p.r == 0.0
         assert disc.min_error_probability(p) == 0.0
 
+    def test_is_helstrom_of_r_squared(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            k = rng.integers(1, 6)
+            p = disc.build_polygon(spectrum(*rng.uniform(0, 2 * math.pi, k)))
+            assert disc.min_error_probability(p) == disc.helstrom_error(p.r ** 2)
+
     def test_spread_at_least_pi_exact(self):
         for phases in [(0.0, math.pi), (0.0, 1.0, math.pi + 0.2), (0.1, 3.5, 5.0)]:
             p = disc.build_polygon(spectrum(*phases))
@@ -131,11 +138,26 @@ class TestBruteForce:
             assert r_bf >= p.r - 1e-9  # hull value is the true minimum
 
 
+def random_unitary(rng, d):
+    """Haar-random unitary: QR of a complex Gaussian matrix, phases fixed."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 class TestAncillaExtension:
     def test_no_single_copy_gain(self):
-        s = spectrum(0.0, 1.0, 2.5)
-        cmp = disc.entanglement_no_single_copy_gain(s)
-        assert cmp.r_plain == cmp.r_extended
+        # an ancilla turns U2^dag U1 into (U2^dag U1) (x) I_k; its eigenphases,
+        # read off an independent eigensolver, give the same polygon
+        rng = np.random.default_rng(5)
+        for d, k in [(2, 2), (3, 2), (3, 4), (5, 3)]:
+            v = random_unitary(rng, d).conj().T @ random_unitary(rng, d)
+            phases = np.angle(np.linalg.eigvals(v))
+            phases_ext = np.angle(np.linalg.eigvals(np.kron(v, np.eye(k))))
+            plain = disc.build_polygon(disc.EigenphaseSpectrum(tuple(phases)))
+            ext = disc.build_polygon(disc.EigenphaseSpectrum(tuple(phases_ext)))
+            assert ext.r == pytest.approx(plain.r, rel=0, abs=1e-12)
+            assert ext.delta == pytest.approx(plain.delta, rel=0, abs=1e-12)
 
 
 class TestMultiCopy:

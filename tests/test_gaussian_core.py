@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cventlab import fiber
 from cventlab import gaussian_core as gc
 
 
@@ -29,6 +30,9 @@ class TestTwinBeamParams:
             p = gc.TwinBeamParams(r0)
             assert p.x == pytest.approx(math.tanh(r0), rel=1e-12)
             assert p.N == pytest.approx(2 * p.x**2 / (1 - p.x**2), rel=1e-12)
+        for x in np.linspace(0.0, 0.999, 2000):
+            expected = 2 * x * x / (1 - x * x)
+            assert gc.TwinBeamParams.from_x(x).N == pytest.approx(expected, rel=1e-12)
 
     def test_from_x_n1(self):
         # x = 1/sqrt(3) carries one mean photon
@@ -63,6 +67,16 @@ class TestMakeTwinBeam:
     def test_bona_fide(self):
         for r0 in (0.0, 0.5, 1.5):
             assert gc.make_twin_beam(gc.TwinBeamParams(r0)).is_bona_fide()
+
+    def test_same_covariance_as_unevolved_fiber_state(self):
+        # the fiber builds its states from the EPR variances e^{+-2 r0}/4 at
+        # tau = 0; both routes must give the twin-beam up to roundoff
+        for r0 in np.linspace(0.0, 3.0, 61):
+            cov = gc.make_twin_beam(gc.TwinBeamParams(r0)).cov
+            for m in (0.0, 0.5, 3.0):
+                fiber_cov = fiber.evolved_state(r0, m, 0.0).cov
+                ulp = np.spacing(np.abs(cov).max())
+                assert np.abs(cov - fiber_cov).max() <= 4 * ulp
 
 
 class TestDisplacement:
@@ -258,8 +272,6 @@ class TestPPT:
 
     def test_threshold_crossing(self):
         # states just either side of the fiber separability threshold
-        from cventlab import fiber
-
         r0, m = 1.0, 0.5
         tau_s = fiber.separability_time_rescaled(m, r0)
         below = fiber.evolved_state(r0, m, tau_s * (1 - 1e-6))
