@@ -356,10 +356,11 @@ def crypto_simulate(x, a, kappa, bits, ranges, seed, fmt, output):
 @_common
 def fiber(gamma_damp, thermal_m, n_photons, r0, ranges, seed, fmt, output):
     """Separability threshold of a twin-beam in noisy fibers."""
-    if (n_photons is None) == (r0 is None):
-        raise click.BadParameter("give exactly one of --n or --r0")
 
     def row(g, seed_):
+        # per grid point, so that sweeping the option not given is caught too
+        if (g["n"] is None) == (g["r0"] is None):
+            raise ValueError("give exactly one of --n or --r0")
         if g["r0"] is not None:
             beam = gaussian_core.TwinBeamParams(g["r0"])
             n_mean = beam.N

@@ -15,6 +15,7 @@ on a twin-beam probe:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from cventlab import fock_oracle
@@ -147,18 +148,30 @@ def mz_min_phase_numeric(
 
     The bracket stops at pi/4: phi = pi/2 swaps the two beams, which leaves
     every |p, p> component invariant up to a phase, so the leakage returns
-    to zero there and the first crossing lies in the rising half.
+    to zero there and the first crossing lies in the rising half.  The
+    steps and the stopping rule |step| < xtol + 4 eps |phi| are those of
+    scipy.optimize.bisect.
     """
-    from scipy.optimize import bisect
-
     if not 0.0 < target_q_phi < 1.0:
         raise ValueError(f"target_q_phi must be in (0, 1), got {target_q_phi}")
+    if not xtol > 0:
+        raise ValueError(f"xtol must be > 0, got {xtol}")
 
     def leak(phi):
         return (1.0 - mz_zero_count_probability(x, phi, d_max)) - target_q_phi
 
-    if leak(math.pi / 4.0) < 0:
+    lo, step = 0.0, math.pi / 4.0
+    if leak(step) < 0:
         raise ValueError(
             f"Q_phi = {target_q_phi} not reachable for x = {x} on [0, pi/4]"
         )
-    return float(bisect(leak, 0.0, math.pi / 4.0, xtol=xtol))
+    if leak(lo) > 0:
+        raise ValueError(f"Q_phi = {target_q_phi} below the leakage at phi = 0")
+    while True:
+        step *= 0.5
+        mid = lo + step
+        f_mid = leak(mid)
+        if f_mid <= 0:
+            lo = mid
+        if f_mid == 0 or step < xtol + 4.0 * sys.float_info.epsilon * mid:
+            return mid

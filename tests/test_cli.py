@@ -143,6 +143,17 @@ class TestErrorHandling:
         assert run_cli(["fiber", "--m", "0.5"]).exit_code == 2
         assert run_cli(["fiber", "--m", "0.5", "--n", "2", "--r0", "1"]).exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--r0", "1", "--range", "n=1:3:3"],
+        ["--n", "2", "--range", "r0=1:3:3"],
+    ])
+    def test_fiber_sweep_of_the_option_not_given(self, args):
+        # the swept option would be ignored, printing identical rows
+        out = run_cli(["fiber", "--m", "0.5", *args])
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert "give exactly one of --n or --r0" in out.stderr
+
     def test_numerical_failure_exit_code(self):
         # forced truncation failure maps to exit code 1
         out = run_cli(["interfere", "--x", "0.9", "--d-max", "5"])

@@ -6,7 +6,39 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from cventlab import crypto
+from cventlab import crypto, fock_oracle
+
+
+def dense_uniform_key_demo(x, a, radii=(1.5, 2.5, 3.5), grid_step=0.5, d_max=24):
+    """Reference for crypto.uniform_key_eigenvalue_demo: each D(alpha) by expm,
+    the averaged difference accumulated densely and diagonalized in full."""
+    from scipy.linalg import expm
+
+    dim = d_max + 1
+    adag = np.diag(np.sqrt(np.arange(1, dim)), -1)
+
+    def disp(alpha):
+        return expm(alpha * adag - np.conj(alpha) * adag.T)
+
+    tb = fock_oracle.twin_beam_fock(x, d_max).amps
+    maxima = []
+    for radius in radii:
+        pts = np.arange(-radius, radius + grid_step / 2.0, grid_step)
+        acc = np.zeros((dim * dim, dim * dim), dtype=complex)
+        count = 0
+        for re in pts:
+            for im in pts:
+                if re * re + im * im > radius * radius:
+                    continue
+                alpha = complex(re, im)
+                u1 = (disp(alpha + a) @ tb).reshape(-1)
+                u0 = (disp(alpha - a) @ tb).reshape(-1)
+                acc += np.outer(u1, u1.conj()) - np.outer(u0, u0.conj())
+                count += 1
+        acc /= count
+        acc = (acc + acc.conj().T) / 2.0
+        maxima.append(float(np.max(np.abs(np.linalg.eigvalsh(acc)))))
+    return maxima
 
 
 class TestReceiverVariance:
@@ -59,6 +91,17 @@ class TestEveBounds:
         assert maxima[0] > maxima[1] > maxima[2]
         assert maxima[2] < 0.2
 
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"radii": (1.0, 2.0, 3.0)},
+        {"d_max": 4},
+        {"d_max": 12},
+    ])
+    def test_uniform_key_demo_matches_dense_reference(self, kwargs):
+        got = crypto.uniform_key_eigenvalue_demo(0.3, 0.5, **kwargs)
+        expected = dense_uniform_key_demo(0.3, 0.5, **kwargs)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13)
+
     # math.erf and scipy.special.erf agree to 2 ulp, at most 2**-52 below
     # erf = 1, which (1 - erf)/2 halves.  A relative bound alone cannot hold:
     # 1 - erf cancels as erf -> 1.
@@ -88,13 +131,13 @@ class TestEveBounds:
         assert asym == pytest.approx(exact, rel=0.05)
 
     def test_splus_numeric_matches_erf(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            a = rng.uniform(0.1, 2.0)
-            kappa = rng.uniform(0.2, 3.0)
-            assert crypto.splus_numeric(a, kappa) == pytest.approx(
-                float(erf(a / math.sqrt(kappa))), abs=1e-8
-            )
+        # the grid reaches a / sqrt(kappa) = 0 ... 45, where the integrand is
+        # far narrower than a box scaled by a alone
+        for a in (0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0):
+            for kappa in (0.05, 0.2, 1.0, 3.0, 10.0):
+                assert crypto.splus_numeric(a, kappa) == pytest.approx(
+                    math.erf(a / math.sqrt(kappa)), rel=0, abs=1e-12
+                )
 
 
 class TestSecurity:

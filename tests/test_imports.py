@@ -35,11 +35,19 @@ SCIPY_FREE_COMMANDS = [
     ["estimate", "--x", "0.5", "--trials", "20000", "--format", "json"],
     ["estimate", "--x", "0.9", "--nbar-t", "0.5", "--range", "nbar_t=0:1.5:7"],
     ["interfere", "--x", "0.5", "--phi", "0.3", "--q0", "0.01", "--gamma-star", "10"],
+    ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"],
 ]
 
 SCIPY_COMMANDS = [
     ["discriminate", "--phases", "0,1.5708", "--samples", "20000"],
-    ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"],
+]
+
+# library oracles that no CLI command reaches
+SCIPY_FREE_CALLS = [
+    "from cventlab import crypto\n"
+    "crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=(1.0, 2.0), d_max=4)",
+    "from cventlab import interferometry\n"
+    "interferometry.mz_min_phase_numeric(0.01, 0.6)",
 ]
 
 
@@ -65,6 +73,11 @@ def test_import_loads_no_scipy(module):
 @pytest.mark.parametrize("args", SCIPY_FREE_COMMANDS, ids=" ".join)
 def test_command_loads_no_scipy(args):
     assert scipy_modules_after(RUN_CLI.format(args=args)) == []
+
+
+@pytest.mark.parametrize("body", SCIPY_FREE_CALLS, ids=lambda b: b.split("\n")[1])
+def test_oracle_call_loads_no_scipy(body):
+    assert scipy_modules_after(body) == []
 
 
 @pytest.mark.parametrize("args", SCIPY_COMMANDS, ids=" ".join)

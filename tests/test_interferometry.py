@@ -168,3 +168,22 @@ class TestMZMinPhase:
     def test_unreachable_target(self):
         with pytest.raises(ValueError):
             itf.mz_min_phase_numeric(0.9999, 0.1)
+        # below the truncation tail (5.8e-11 at x = 0.5) the bracket has no sign change
+        with pytest.raises(ValueError, match="below the leakage"):
+            itf.mz_min_phase_numeric(1e-12, 0.5)
+
+    @pytest.mark.parametrize("q_target, x", [
+        (1e-4, 0.3), (0.01, 0.6), (0.05, 0.5), (0.3, 0.7), (0.5, 0.8),
+    ])
+    def test_bisection_matches_scipy(self, q_target, x):
+        from scipy.optimize import bisect
+
+        def leak(phi):
+            return 1.0 - itf.mz_zero_count_probability(x, phi) - q_target
+
+        expected = bisect(leak, 0.0, math.pi / 4.0, xtol=1e-10)
+        assert abs(itf.mz_min_phase_numeric(q_target, x) - expected) <= 1e-10
+
+    def test_nonpositive_xtol(self):
+        with pytest.raises(ValueError, match="xtol"):
+            itf.mz_min_phase_numeric(0.01, 0.5, xtol=0.0)
