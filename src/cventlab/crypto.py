@@ -255,6 +255,9 @@ def uniform_key_eigenvalue_demo(
         pts = np.arange(-radius, radius + grid_step / 2.0, grid_step)
         re, im = np.meshgrid(pts, pts, indexing="ij")
         alpha = (re + 1j * im)[re * re + im * im <= radius * radius]
+        if len(alpha) == 0:
+            raise ValueError(f"radius {radius} holds no point of the grid of step "
+                             f"{grid_step}")
         # global phases of D(alpha) D(+-a) cancel in the projectors,
         # so the displaced bit states can be built in one step
         beta = np.concatenate([alpha + a, alpha - a])

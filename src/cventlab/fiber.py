@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cventlab import gaussian_core
+from cventlab.estimation import _correctly_rounded_mean
 
 
 def _drift(M: float) -> float:
@@ -51,34 +52,24 @@ class FiberParams:
         return self.gamma_drift / self.gamma_damp * tau
 
 
-@dataclass(frozen=True)
-class EvolvedVariances:
-    Sigma_plus_sq: float
-    Sigma_minus_sq: float
-
-
-def evolve_variances(r0: float, M: float, tau: float) -> EvolvedVariances:
-    """EPR variances of the twin-beam after rescaled time tau in the fibers."""
+def evolve_variances(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamFamilyState:
+    """The twin-beam after rescaled time tau in the fibers, as its EPR variances."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if r0 < 0:
         raise ValueError(f"r0 must be >= 0, got {r0}")
     gamma = _drift(M)
     decay = math.exp(-gamma * tau)
-    d_sq = (1.0 - decay) / (4.0 * gamma)
-    return EvolvedVariances(
+    d_sq = -math.expm1(-gamma * tau) / (4.0 * gamma)
+    return gaussian_core.TwinBeamFamilyState(
         Sigma_plus_sq=decay * math.exp(2.0 * r0) / 4.0 + d_sq,
         Sigma_minus_sq=decay * math.exp(-2.0 * r0) / 4.0 + d_sq,
     )
 
 
-def evolved_state(r0: float, M: float, tau: float) -> gaussian_core.GaussianTwoModeState:
-    """Evolved twin-beam as a Gaussian two-mode state in the (x1,y1,x2,y2) basis."""
-    v = evolve_variances(r0, M, tau)
-    return gaussian_core.family_state(
-        (v.Sigma_plus_sq + v.Sigma_minus_sq) / 2.0,
-        (v.Sigma_plus_sq - v.Sigma_minus_sq) / 2.0,
-    )
+def evolved_state(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamFamilyState:
+    """The state the PPT scan tests at each point; the same as evolve_variances."""
+    return evolve_variances(r0, M, tau)
 
 
 def separability_time_rescaled(M: float, r0: float) -> float:
@@ -114,7 +105,9 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
         raise ValueError(f"M must be >= 0, got {M}")
     if M == 0.0:
         return math.inf
-    return (1.0 / Gamma) * math.log1p(-(N - math.sqrt(N * (N + 2.0))) / (2.0 * M))
+    # N - sqrt(N(N+2)) without its cancellation and without overflow in N(N+2)
+    gap = -2.0 * N / (N + math.sqrt(N) * math.sqrt(N + 2.0))
+    return (1.0 / Gamma) * math.log1p(-gap / (2.0 * M))
 
 
 @dataclass(frozen=True)
@@ -128,8 +121,8 @@ def scan_separability(
 ) -> ScanResult:
     """Numeric separability threshold via PPT on a grid plus bisection.
 
-    Independent of the closed forms: evolves the covariance and applies the
-    general two-mode PPT test at each grid point, then bisects the first
+    Independent of the closed forms: evolves the EPR variances forward and
+    applies the PPT test at each grid point, then bisects the first
     entangled-to-separable transition.
     """
     if steps < 2:
@@ -169,7 +162,8 @@ def simulate_ou_variances(
     The Fokker-Planck dynamics is an Ornstein-Uhlenbeck process acting
     independently on each rotated EPR quadrature (drift gamma/2, diffusion
     1/8), so an exact one-step OU update of samples drawn from the initial
-    twin-beam Wigner function reproduces Sigma_pm^2(tau).
+    twin-beam Wigner function reproduces Sigma_pm^2(tau).  The mean of q^2 is
+    correctly rounded, so a seed gives the same result on every numpy build.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -182,5 +176,5 @@ def simulate_ou_variances(
         sigma0_sq = math.exp(2.0 * sign * r0) / 4.0
         q0 = rng.normal(0.0, math.sqrt(sigma0_sq), size=n_samples)
         q = decay_amp * q0 + rng.normal(0.0, math.sqrt(kick_var), size=n_samples)
-        out.append(float(np.mean(q * q)))
+        out.append(_correctly_rounded_mean(q * q))
     return OUSimulation(Sigma_plus_sq=out[0], Sigma_minus_sq=out[1], n_samples=n_samples)

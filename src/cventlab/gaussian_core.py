@@ -23,16 +23,6 @@ import numpy as np
 # Vacuum variance per quadrature in this convention.
 VACUUM_VAR = 0.25
 
-# Two-mode symplectic form for ordering (x1, y1, x2, y2).
-_OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
 
 class UnsupportedStateError(ValueError):
     """State lies outside the twin-beam family handled by heterodyne."""
@@ -62,11 +52,6 @@ class GaussianTwoModeState:
             raise NonPhysicalStateError("covariance matrix must be symmetric")
         if np.any(np.linalg.eigvalsh(cov) <= 0):
             raise NonPhysicalStateError("covariance matrix must be positive definite")
-
-    def is_bona_fide(self, tol: float = 1e-10) -> bool:
-        """Check the uncertainty condition cov + (i/4) Omega >= 0."""
-        m = self.cov + 0.25j * _OMEGA
-        return bool(np.linalg.eigvalsh(m).min() >= -tol)
 
 
 def vacuum_state() -> GaussianTwoModeState:
@@ -142,6 +127,30 @@ def family_state(diag: float, cross: float) -> GaussianTwoModeState:
         ]
     )
     return GaussianTwoModeState(np.zeros(4), cov)
+
+
+@dataclass(frozen=True)
+class TwinBeamFamilyState:
+    """Zero-mean twin-beam family state given by its EPR variances.
+
+    Sigma_plus_sq is the variance of (x1 + x2)/sqrt(2) and (y1 - y2)/sqrt(2),
+    Sigma_minus_sq that of (x1 - x2)/sqrt(2) and (y1 + y2)/sqrt(2); both modes
+    after a 50:50 beam splitter have symplectic eigenvalue sqrt(product).
+    """
+
+    Sigma_plus_sq: float
+    Sigma_minus_sq: float
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Dense (x1, y1, x2, y2) covariance, built on demand."""
+        plus, minus = self.Sigma_plus_sq, self.Sigma_minus_sq
+        return family_state((plus + minus) / 2.0, (plus - minus) / 2.0).cov
+
+    def is_bona_fide(self, tol: float = 1e-10) -> bool:
+        """Uncertainty condition: the symplectic eigenvalue is at least 1/4."""
+        plus, minus = self.Sigma_plus_sq, self.Sigma_minus_sq
+        return min(plus, minus) > 0.0 and plus * minus >= VACUUM_VAR**2 - tol
 
 
 def make_twin_beam(params: TwinBeamParams) -> GaussianTwoModeState:
@@ -245,28 +254,15 @@ class SeparabilityResult:
     witness: float  # smallest symplectic eigenvalue of the transposed covariance
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a two-mode covariance matrix (ascending).
+def ppt_separable(state: TwinBeamFamilyState, tol: float = 1e-12) -> SeparabilityResult:
+    """PPT criterion (Simon, PRL 84, 2726 (2000)) for a twin-beam family state.
 
-    The eigenvalues of i*Omega*cov come in +-nu pairs; the moduli, sorted,
-    are (nu1, nu1, nu2, nu2) and each pair is averaged to suppress roundoff.
-    """
-    mods = np.sort(np.abs(np.linalg.eigvals(1j * _OMEGA @ cov)))
-    return np.array([(mods[0] + mods[1]) / 2.0, (mods[2] + mods[3]) / 2.0])
-
-
-def ppt_separable(state: GaussianTwoModeState, tol: float = 1e-12) -> SeparabilityResult:
-    """PPT criterion for two-mode Gaussian states.
-
-    Partial transposition flips the sign of y2; the state is separable iff
-    both symplectic eigenvalues of the transposed covariance are >= 1/4
-    (vacuum level in this convention).  The smallest one is returned as a
-    witness so near-threshold states can be ranked.
+    Partial transposition flips the sign of y2, so the transposed covariance
+    has symplectic eigenvalues Sigma_plus_sq and Sigma_minus_sq.  The smaller
+    one is returned as a witness so near-threshold states can be ranked; the
+    state is separable iff it lies strictly above the vacuum level 1/4 - tol.
     """
     if not state.is_bona_fide():
         raise NonPhysicalStateError("covariance violates the uncertainty relation")
-    t = np.diag([1.0, 1.0, 1.0, -1.0])
-    cov_pt = t @ state.cov @ t
-    nu = symplectic_eigenvalues(cov_pt)
-    witness = float(nu.min())
-    return SeparabilityResult(separable=witness >= VACUUM_VAR - tol, witness=witness)
+    witness = min(state.Sigma_plus_sq, state.Sigma_minus_sq)
+    return SeparabilityResult(separable=witness > VACUUM_VAR - tol, witness=witness)

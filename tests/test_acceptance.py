@@ -252,6 +252,15 @@ class TestCriterion5Fiber:
                 fiber.separability_time_rescaled(m, r0)
             )
             ok &= abs(t_direct - t_rescaled) <= 1e-12 * t_direct
+        # ... and at large N, where N - sqrt(N(N+2)) cancels
+        for n in (1e4, 1e6, 1e9, 1e12, 1e300):
+            m = float(rng.uniform(0.05, 5.0))
+            r0 = math.asinh(math.sqrt(n / 2.0))
+            t_direct = fiber.separability_time(1.0, m, n)
+            t_rescaled = fiber.FiberParams(1.0, m).t_from_tau(
+                fiber.separability_time_rescaled(m, r0)
+            )
+            ok &= abs(t_direct - t_rescaled) <= 1e-12 * t_direct
 
         elapsed = time.monotonic() - start
         ok &= elapsed < 10.0

@@ -161,17 +161,28 @@ class TestErrorHandling:
         assert "numerical failure" in out.output
 
     @pytest.mark.parametrize("args", [
-        ["fiber", "--m", "0.5", "--n", "1e9"],
-        ["fiber", "--m", "0.5", "--r0", "10"],
+        ["estimate", "--x", "0.99999999", "--trials", "10"],
+        ["estimate", "--x", "0.999999999", "--trials", "10"],
     ])
     def test_ill_conditioned_covariance_is_numerical_failure(self, args):
-        # the dense covariance fails at large squeezing; the CLI never takes a
+        # the dense covariance fails as x -> 1; the CLI never takes a
         # covariance from the user, so this is not a bad argument
         out = run_cli(args)
         assert out.exit_code == 1
         assert out.stdout == ""
         assert out.stderr == ("numerical failure: covariance matrix must be "
                               "positive definite\n")
+
+    @pytest.mark.parametrize("args", [
+        ["--n", "1e4"], ["--n", "1e6"], ["--n", "1e8"], ["--n", "1e9"], ["--n", "1e12"],
+        ["--r0", "10"],
+    ])
+    def test_fiber_at_large_squeezing(self, args):
+        # the PPT scan works on the EPR variances, which stay well conditioned
+        out = run_cli(["fiber", "--m", "0.5", *args])
+        assert out.exit_code == 0
+        (row,) = parse_csv(out.stdout)
+        assert abs(float(row["tau_diff"])) <= 1e-12
 
     def test_truncation_fails_before_any_evolution(self, monkeypatch):
         # x = 0.95 needs d_max 224 > the cap of 200: the tail check must come

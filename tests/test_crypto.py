@@ -102,6 +102,10 @@ class TestEveBounds:
         expected = dense_uniform_key_demo(0.3, 0.5, **kwargs)
         assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
+    def test_uniform_key_demo_radius_below_grid_step(self):
+        with pytest.raises(ValueError, match="radius 0.1 holds no point of the grid"):
+            crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=(0.1,), d_max=4)
+
     # math.erf and scipy.special.erf agree to 2 ulp, at most 2**-52 below
     # erf = 1, which (1 - erf)/2 halves.  A relative bound alone cannot hold:
     # 1 - erf cancels as erf -> 1.

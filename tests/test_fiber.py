@@ -2,10 +2,20 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cventlab import fiber, gaussian_core
+
+
+def mp_sigma_minus_sq(r0, m, tau):
+    """Squeezed EPR variance of the evolved twin-beam at 50 digits."""
+    with mpmath.workdps(50):
+        gamma = 1 / (2 * mpmath.mpf(m) + 1)
+        decay = mpmath.exp(-gamma * tau)
+        return decay * mpmath.exp(-2 * mpmath.mpf(r0)) / 4 + (1 - decay) / (4 * gamma)
 
 
 class TestFiberParams:
@@ -82,6 +92,17 @@ class TestSeparabilityTime:
         assert vals[0] < vals[1] < vals[2] < limit
         assert vals[2] == pytest.approx(limit, rel=1e-3)
 
+    @pytest.mark.parametrize("n", [2.0, 1e4, 1e6, 1e9, 1e12, 1e300])
+    def test_matches_mpmath_at_large_n(self, n):
+        m, gamma_damp = 0.5, 1.0
+        # N - sqrt(N(N+2)) cancels log10(N) digits; 50 are left over
+        with mpmath.workdps(50 + int(math.log10(n))):
+            big_n = mpmath.mpf(n)
+            exact = mpmath.log1p(-(big_n - mpmath.sqrt(big_n * (big_n + 2))) / (2 * m))
+            exact = float(exact / gamma_damp)
+        got = fiber.separability_time(gamma_damp, m, n)
+        assert got == pytest.approx(exact, rel=1e-15, abs=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fiber.separability_time(1.0, 0.5, 0.0)
@@ -109,6 +130,17 @@ class TestScan:
         with pytest.raises(ValueError):
             fiber.scan_separability(1.0, 0.5, 1.0, steps=1)
 
+    def test_no_linalg_call(self, monkeypatch):
+        # the scan works on the EPR variances alone
+        calls = []
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name,
+                                    lambda *a, _name=name, **k: calls.append(_name))
+        scan = fiber.scan_separability(1.0, 0.5, tau_max=5.0, steps=64)
+        assert scan.found
+        assert calls == []
+
 
 class TestOUSimulation:
     def test_variances_within_3_sigma(self):
@@ -126,6 +158,32 @@ class TestOUSimulation:
         a = fiber.simulate_ou_variances(1.0, 0.5, 0.3, 1000, seed=2)
         b = fiber.simulate_ou_variances(1.0, 0.5, 0.3, 1000, seed=2)
         assert a == b
+
+    def test_mean_correctly_rounded(self):
+        # the same stream as the simulation, reduced by math.fsum
+        r0, m, tau, n, seed = 0.8, 0.5, 1.0, 30_000, 5
+        sim = fiber.simulate_ou_variances(r0, m, tau, n, seed)
+        gamma = 1.0 / (2.0 * m + 1.0)
+        kick_sd = math.sqrt((1.0 - math.exp(-gamma * tau)) / (4.0 * gamma))
+        rng = np.random.default_rng(seed)
+        expected = []
+        for sign in (+1.0, -1.0):
+            q0 = rng.normal(0.0, math.sqrt(math.exp(2.0 * sign * r0) / 4.0), size=n)
+            q = math.exp(-gamma * tau / 2.0) * q0 + rng.normal(0.0, kick_sd, size=n)
+            expected.append(math.fsum(q * q) / n)
+        got = [sim.Sigma_plus_sq, sim.Sigma_minus_sq]
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(r0=st.floats(0.0, 20.0), m=st.floats(0.0, 5.0), tau=st.floats(0.0, 50.0))
+@example(r0=20.0, m=0.0, tau=1e-10)  # 1 - e^{-tau} alone would lose 7 digits
+def test_witness_is_squeezed_variance(r0, m, tau):
+    exact = mp_sigma_minus_sq(r0, m, tau)
+    res = gaussian_core.ppt_separable(fiber.evolved_state(r0, m, tau), tol=0.0)
+    assert res.witness == pytest.approx(float(exact), rel=1e-14, abs=0)
+    if abs(exact - 0.25) > 1e-12:
+        assert res.separable == (exact > 0.25)
 
 
 class TestPPTConsistency:

@@ -20,6 +20,39 @@ def rotated_epr_variances(state):
     return {k: float(v @ state.cov @ v) for k, v in combos.items()}
 
 
+# Dense reference for the family-state PPT: the symplectic spectrum of a
+# general two-mode covariance from LAPACK eigensolves.
+OMEGA = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+    ]
+)
+
+
+def dense_is_bona_fide(cov, tol=1e-10):
+    """Uncertainty condition cov + (i/4) Omega >= 0."""
+    return bool(np.linalg.eigvalsh(cov + 0.25j * OMEGA).min() >= -tol)
+
+
+def symplectic_eigenvalues(cov):
+    """Symplectic eigenvalues (nu1, nu2) of a two-mode covariance, ascending.
+
+    The eigenvalues of i*Omega*cov come in +-nu pairs; each pair of moduli is
+    averaged to suppress roundoff.
+    """
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ cov)))
+    return np.array([(mods[0] + mods[1]) / 2.0, (mods[2] + mods[3]) / 2.0])
+
+
+def dense_ppt_witness(cov):
+    """Smallest symplectic eigenvalue of the covariance with y2 -> -y2."""
+    t = np.diag([1.0, 1.0, 1.0, -1.0])
+    return float(symplectic_eigenvalues(t @ cov @ t).min())
+
+
 class TestTwinBeamParams:
     def test_r0_zero(self):
         p = gc.TwinBeamParams(0.0)
@@ -66,7 +99,7 @@ class TestMakeTwinBeam:
 
     def test_bona_fide(self):
         for r0 in (0.0, 0.5, 1.5):
-            assert gc.make_twin_beam(gc.TwinBeamParams(r0)).is_bona_fide()
+            assert dense_is_bona_fide(gc.make_twin_beam(gc.TwinBeamParams(r0)).cov)
 
     def test_same_covariance_as_unevolved_fiber_state(self):
         # the fiber builds its states from the EPR variances e^{+-2 r0}/4 at
@@ -77,6 +110,30 @@ class TestMakeTwinBeam:
                 fiber_cov = fiber.evolved_state(r0, m, 0.0).cov
                 ulp = np.spacing(np.abs(cov).max())
                 assert np.abs(cov - fiber_cov).max() <= 4 * ulp
+
+
+class TestFamilyState:
+    def test_cov_is_family_state(self):
+        s = gc.TwinBeamFamilyState(1.5, 0.1)
+        assert np.array_equal(s.cov, gc.family_state(0.8, 0.7).cov)
+        v = rotated_epr_variances(s)
+        assert v["x_plus"] == pytest.approx(1.5, rel=1e-14, abs=0)
+        assert v["y_minus"] == pytest.approx(1.5, rel=1e-14, abs=0)
+        assert v["x_minus"] == pytest.approx(0.1, rel=1e-14, abs=0)
+        assert v["y_plus"] == pytest.approx(0.1, rel=1e-14, abs=0)
+
+    def test_bona_fide_matches_dense_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            plus = rng.uniform(0.01, 3.0)
+            minus = rng.uniform(0.01, 3.0)
+            s = gc.TwinBeamFamilyState(plus, minus)
+            if abs(plus * minus - 1 / 16) > 1e-9:
+                assert s.is_bona_fide() == dense_is_bona_fide(s.cov)
+
+    def test_negative_variances_not_bona_fide(self):
+        # the product alone is positive here
+        assert not gc.TwinBeamFamilyState(-1.0, -1.0).is_bona_fide()
 
 
 class TestDisplacement:
@@ -248,17 +305,28 @@ class TestSampling:
 
 class TestPPT:
     def test_vacuum_separable(self):
-        res = gc.ppt_separable(gc.vacuum_state())
+        res = gc.ppt_separable(gc.TwinBeamFamilyState(0.25, 0.25))
         assert res.separable
-        assert res.witness == pytest.approx(0.25, rel=1e-12)
+        assert res.witness == 0.25
+
+    def test_vacuum_level_is_not_above_it(self):
+        # separable means strictly above 1/4 - tol; at tol = 0 the vacuum
+        # level itself does not count, the next float up does
+        up = math.nextafter(0.25, 1.0)
+        assert not gc.ppt_separable(gc.TwinBeamFamilyState(0.25, 0.25), tol=0.0).separable
+        assert not gc.ppt_separable(gc.TwinBeamFamilyState(up, 0.25), tol=0.0).separable
+        assert gc.ppt_separable(gc.TwinBeamFamilyState(up, up), tol=0.0).separable
 
     def test_twin_beam_entangled(self):
-        res = gc.ppt_separable(gc.make_twin_beam(gc.TwinBeamParams(1.0)))
+        res = gc.ppt_separable(gc.TwinBeamFamilyState(math.e**2 / 4, math.e**-2 / 4))
         assert not res.separable
-        assert res.witness == pytest.approx(math.e**-2 / 4, rel=1e-9)
+        assert res.witness == pytest.approx(math.e**-2 / 4, rel=1e-15, abs=0)
+        dense = gc.make_twin_beam(gc.TwinBeamParams(1.0)).cov
+        assert res.witness == pytest.approx(dense_ppt_witness(dense), rel=1e-9, abs=0)
 
     def test_equivalence_with_two_variance_condition(self):
-        # general symplectic PPT vs the twin-beam-family variance condition
+        # family-state PPT vs the variance condition and vs the dense
+        # symplectic spectrum, on noisy twin-beams
         rng = np.random.default_rng(7)
         for _ in range(1000):
             r0 = rng.uniform(0.0, 2.0)
@@ -267,8 +335,10 @@ class TestPPT:
             if nbar > 0:
                 s = gc.apply_gaussian_noise(s, gc.NoiseParams(nbar), "both")
             v = rotated_epr_variances(s)
-            by_variances = v["x_minus"] >= 0.25 - 1e-12 and v["x_plus"] >= 0.25 - 1e-12
-            assert gc.ppt_separable(s).separable == by_variances
+            by_variances = v["x_minus"] > 0.25 - 1e-12 and v["x_plus"] > 0.25 - 1e-12
+            res = gc.ppt_separable(gc.TwinBeamFamilyState(v["x_plus"], v["x_minus"]))
+            assert res.separable == by_variances
+            assert res.witness == pytest.approx(dense_ppt_witness(s.cov), rel=1e-9, abs=0)
 
     def test_threshold_crossing(self):
         # states just either side of the fiber separability threshold
@@ -280,7 +350,7 @@ class TestPPT:
         assert gc.ppt_separable(above).separable
 
     def test_non_physical_rejected(self):
-        cov = 0.01 * np.eye(4)  # below the uncertainty bound
-        state = gc.GaussianTwoModeState(np.zeros(4), cov)
-        with pytest.raises(gc.NonPhysicalStateError):
-            gc.ppt_separable(state)
+        for state in (gc.TwinBeamFamilyState(0.1, 0.1),  # below the uncertainty bound
+                      gc.TwinBeamFamilyState(-1.0, -1.0)):
+            with pytest.raises(gc.NonPhysicalStateError):
+                gc.ppt_separable(state)
