@@ -1,6 +1,6 @@
 """Continuous-variable entanglement toolkit.
 
-Twin-beam (two-mode squeezed vacuum) states as Gaussian moments, a truncated
+Twin-beam (two-mode squeezed vacuum) states as EPR variances, a truncated
 Fock-space brute-force engine, and the closed-form results they support:
 displacement estimation with Gaussian noise, minimum-error discrimination of
 unitaries, Neyman-Pearson interferometry, twin-beam secret-key communication,
@@ -8,12 +8,10 @@ and entanglement degradation in active fibers.
 """
 
 from cventlab.gaussian_core import (
-    GaussianTwoModeState,
+    TwinBeamFamilyState,
     TwinBeamParams,
     NoiseParams,
     make_twin_beam,
-    apply_displacement,
-    apply_gaussian_noise,
     heterodyne_mean_and_variance,
     heterodyne_pdf,
     sample_heterodyne,
@@ -23,12 +21,10 @@ from cventlab.gaussian_core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GaussianTwoModeState",
+    "TwinBeamFamilyState",
     "TwinBeamParams",
     "NoiseParams",
     "make_twin_beam",
-    "apply_displacement",
-    "apply_gaussian_noise",
     "heterodyne_mean_and_variance",
     "heterodyne_pdf",
     "sample_heterodyne",

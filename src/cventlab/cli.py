@@ -46,11 +46,19 @@ def _resolve_seed(seed: int | None) -> int:
     return DEFAULT_SEED
 
 
+def _finite(name: str, value):
+    """The value itself, unless it is a float nan or +-inf (a bad argument)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise click.BadParameter(f"{name} must be finite, got {value}")
+    return value
+
+
 def _parse_range(spec: str) -> tuple[str, np.ndarray]:
     try:
         key, rng = spec.split("=", 1)
         start, stop, steps = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(steps))
+        with np.errstate(all="ignore"):  # _run rejects a non-finite grid point
+            values = np.linspace(float(start), float(stop), int(steps))
     except ValueError:
         raise click.BadParameter(
             f"range must look like key=start:stop:steps, got {spec!r}"
@@ -144,6 +152,9 @@ def _common(fn):
 def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
     seed = _resolve_seed(seed)
     grid = _expand_grid(params, ranges)
+    for g in grid:
+        for key, value in g.items():
+            _finite(key, value)
     try:
         rows = [row_fn(g, seed) for g in grid]
     except (itf.TruncationError, FloatingPointError,
@@ -209,7 +220,7 @@ def estimate(x, nbar_t, alpha, trials, ranges, seed, fmt, output):
 def discriminate(phases, samples, ranges, seed, fmt, output):
     """Minimum-error discrimination of two unitaries from their eigenphases."""
     try:
-        phase_list = tuple(float(p) for p in phases.split(","))
+        phase_list = tuple(_finite("--phases", float(p)) for p in phases.split(","))
     except ValueError:
         raise click.BadParameter(f"--phases must be comma-separated floats, got {phases!r}")
 

@@ -65,23 +65,22 @@ def convenience_threshold(x: float) -> float:
 
 
 def _probe_state(setting: EstimationSetting, entangled: bool):
-    """Displaced, noise-degraded probe as a Gaussian two-mode state.
+    """Displaced, noise-degraded probe as a twin-beam family state.
 
-    The twin-beam probe picks up noise on both beams; the vacuum probe is a
-    single-mode channel, so noise enters once (mode 1 only).
+    The vacuum probe is the r0 = 0 member of the family.  The twin-beam probe
+    picks up noise on both beams; the vacuum probe is a single-mode channel,
+    so noise enters once (mode 1 only).
     """
     if entangled:
         params = gaussian_core.TwinBeamParams.from_x(setting.x)
         state = gaussian_core.make_twin_beam(params)
-        noise_mode = "both"
     else:
-        state = gaussian_core.vacuum_state()
-        noise_mode = 1
-    state = gaussian_core.apply_displacement(state, setting.alpha, mode=1)
+        vac = gaussian_core.VACUUM_VAR
+        state = gaussian_core.TwinBeamFamilyState(vac, vac)
+    state = state.displaced(setting.alpha)
     if setting.nbar_T > 0:
-        state = gaussian_core.apply_gaussian_noise(
-            state, gaussian_core.NoiseParams(setting.nbar_T), mode=noise_mode
-        )
+        state = state.with_noise(gaussian_core.NoiseParams(setting.nbar_T),
+                                 modes=2 if entangled else 1)
     return state
 
 

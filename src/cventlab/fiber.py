@@ -27,6 +27,11 @@ def _drift(M: float) -> float:
     return 1.0 / (2.0 * M + 1.0)
 
 
+def _thermal_variance(gamma: float, tau: float) -> float:
+    """Variance (1 - e^{-gamma tau})/(4 gamma) the reservoir adds by time tau."""
+    return -math.expm1(-gamma * tau) / (4.0 * gamma)
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Fiber channel parameters: damping rate Gamma and thermal photons M."""
@@ -56,14 +61,12 @@ def evolve_variances(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamF
     """The twin-beam after rescaled time tau in the fibers, as its EPR variances."""
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if r0 < 0:
-        raise ValueError(f"r0 must be >= 0, got {r0}")
+    plus, minus = gaussian_core.TwinBeamParams(r0).epr_variances  # checks r0 >= 0
     gamma = _drift(M)
     decay = math.exp(-gamma * tau)
-    d_sq = -math.expm1(-gamma * tau) / (4.0 * gamma)
+    d_sq = _thermal_variance(gamma, tau)
     return gaussian_core.TwinBeamFamilyState(
-        Sigma_plus_sq=decay * math.exp(2.0 * r0) / 4.0 + d_sq,
-        Sigma_minus_sq=decay * math.exp(-2.0 * r0) / 4.0 + d_sq,
+        Sigma_plus_sq=decay * plus + d_sq, Sigma_minus_sq=decay * minus + d_sq
     )
 
 
@@ -77,7 +80,9 @@ def separability_time_rescaled(M: float, r0: float) -> float:
 
     Beyond tau_s the squeezed variance satisfies Sigma_-^2 >= 1/4 and the
     state is separable.  Diverges (math.inf) for M = 0: a zero-temperature
-    fiber never disentangles the twin-beam.
+    fiber never disentangles the twin-beam.  Evaluated as
+    (2M + 1) log1p((1 - e^{-2 r0})/(2M)), since gamma/(1 - gamma) = 1/(2M),
+    which keeps full precision as M -> 0.
     """
     if r0 <= 0:
         raise ValueError(f"r0 must be > 0, got {r0}")
@@ -85,10 +90,7 @@ def separability_time_rescaled(M: float, r0: float) -> float:
         raise ValueError(f"M must be >= 0, got {M}")
     if M == 0.0:
         return math.inf
-    gamma = _drift(M)
-    return (1.0 / gamma) * math.log1p(
-        gamma * (1.0 - math.exp(-2.0 * r0)) / (1.0 - gamma)
-    )
+    return (2.0 * M + 1.0) * math.log1p(-math.expm1(-2.0 * r0) / (2.0 * M))
 
 
 def separability_time(Gamma: float, M: float, N: float) -> float:
@@ -170,10 +172,9 @@ def simulate_ou_variances(
     gamma = _drift(M)
     rng = np.random.default_rng(seed)
     decay_amp = math.exp(-gamma * tau / 2.0)
-    kick_var = (1.0 - math.exp(-gamma * tau)) / (4.0 * gamma)
+    kick_var = _thermal_variance(gamma, tau)
     out = []
-    for sign in (+1.0, -1.0):
-        sigma0_sq = math.exp(2.0 * sign * r0) / 4.0
+    for sigma0_sq in gaussian_core.TwinBeamParams(r0).epr_variances:
         q0 = rng.normal(0.0, math.sqrt(sigma0_sq), size=n_samples)
         q = decay_amp * q0 + rng.normal(0.0, math.sqrt(kick_var), size=n_samples)
         out.append(_correctly_rounded_mean(q * q))

@@ -1,8 +1,7 @@
-"""Two-mode Gaussian states and channels as first and second moments.
+"""Twin-beam family states and channels, held as EPR variances.
 
 Quadrature convention: x = (a + a^dag)/2, y = (a - a^dag)/(2i), so the vacuum
 covariance is diag(1/4, 1/4) per mode and the commutator is [x, y] = i/2.
-Moments are ordered (x1, y1, x2, y2).
 
 Twin-beam family states (two-mode squeezed vacuum, possibly displaced and/or
 degraded by Gaussian noise) are EPR-correlated: the rotated quadratures
@@ -16,7 +15,7 @@ detection of the joint photocurrent measures the commuting pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,38 +23,8 @@ import numpy as np
 VACUUM_VAR = 0.25
 
 
-class UnsupportedStateError(ValueError):
-    """State lies outside the twin-beam family handled by heterodyne."""
-
-
 class NonPhysicalStateError(ValueError):
     """Covariance matrix violates the bona fide state condition."""
-
-
-@dataclass(frozen=True)
-class GaussianTwoModeState:
-    """Two-mode Gaussian state given by quadrature means and covariances.
-
-    mean: length-4 vector (x1, y1, x2, y2).
-    cov:  symmetric positive-definite 4x4 matrix; vacuum is diag(1/4).
-    """
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(4)
-        cov = np.asarray(self.cov, dtype=float).reshape(4, 4)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise NonPhysicalStateError("covariance matrix must be symmetric")
-        if np.any(np.linalg.eigvalsh(cov) <= 0):
-            raise NonPhysicalStateError("covariance matrix must be positive definite")
-
-
-def vacuum_state() -> GaussianTwoModeState:
-    return GaussianTwoModeState(np.zeros(4), VACUUM_VAR * np.eye(4))
 
 
 @dataclass(frozen=True)
@@ -94,6 +63,11 @@ class TwinBeamParams:
             raise ValueError(f"mean photon number must be >= 0, got {N}")
         return cls(math.asinh(math.sqrt(N / 2.0)))
 
+    @property
+    def epr_variances(self) -> tuple[float, float]:
+        """(Sigma_plus_sq, Sigma_minus_sq) = (e^{2 r0}/4, e^{-2 r0}/4) of the twin-beam."""
+        return math.exp(2.0 * self.r0) / 4.0, math.exp(-2.0 * self.r0) / 4.0
+
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -112,113 +86,57 @@ class NoiseParams:
         object.__setattr__(self, "nbar", nbar)
 
 
-def family_state(diag: float, cross: float) -> GaussianTwoModeState:
-    """Zero-mean twin-beam family state in the (x1, y1, x2, y2) basis.
-
-    The covariance has diag on the diagonal and +-cross on the x1x2 / y1y2
-    cross terms; the EPR variances are diag +- cross.
-    """
-    cov = np.array(
-        [
-            [diag, 0.0, cross, 0.0],
-            [0.0, diag, 0.0, -cross],
-            [cross, 0.0, diag, 0.0],
-            [0.0, -cross, 0.0, diag],
-        ]
-    )
-    return GaussianTwoModeState(np.zeros(4), cov)
-
-
 @dataclass(frozen=True)
 class TwinBeamFamilyState:
-    """Zero-mean twin-beam family state given by its EPR variances.
+    """Twin-beam family state given by its EPR variances and heterodyne mean.
 
     Sigma_plus_sq is the variance of (x1 + x2)/sqrt(2) and (y1 - y2)/sqrt(2),
     Sigma_minus_sq that of (x1 - x2)/sqrt(2) and (y1 + y2)/sqrt(2); both modes
     after a 50:50 beam splitter have symplectic eigenvalue sqrt(product).
+    mean is the mean of the joint heterodyne outcome z = (x1 - x2) + i (y1 + y2).
     """
 
     Sigma_plus_sq: float
     Sigma_minus_sq: float
-
-    @property
-    def cov(self) -> np.ndarray:
-        """Dense (x1, y1, x2, y2) covariance, built on demand."""
-        plus, minus = self.Sigma_plus_sq, self.Sigma_minus_sq
-        return family_state((plus + minus) / 2.0, (plus - minus) / 2.0).cov
+    mean: complex = 0j
 
     def is_bona_fide(self, tol: float = 1e-10) -> bool:
         """Uncertainty condition: the symplectic eigenvalue is at least 1/4."""
         plus, minus = self.Sigma_plus_sq, self.Sigma_minus_sq
         return min(plus, minus) > 0.0 and plus * minus >= VACUUM_VAR**2 - tol
 
+    def displaced(self, alpha: complex) -> "TwinBeamFamilyState":
+        """Displace mode 1 by alpha: the heterodyne mean shifts by alpha."""
+        return replace(self, mean=self.mean + complex(alpha))
 
-def make_twin_beam(params: TwinBeamParams) -> GaussianTwoModeState:
-    """Twin-beam state with EPR variances e^{+-2 r0}/4 on the rotated quadratures.
+    def with_noise(self, noise: NoiseParams, modes: int = 2) -> "TwinBeamFamilyState":
+        """Gaussian noise channel on mode 1 (modes=1) or on both modes (modes=2).
 
-    Its covariance has cosh(2 r0)/4 on the diagonal and sinh(2 r0)/4 as the
-    cross term of family_state.
-    """
-    two_r0 = 2.0 * params.r0
-    return family_state(math.cosh(two_r0) / 4.0, math.sinh(two_r0) / 4.0)
-
-
-def apply_displacement(
-    state: GaussianTwoModeState, alpha: complex, mode: int
-) -> GaussianTwoModeState:
-    """Displace one mode by alpha: mean shifts by (Re alpha, Im alpha)."""
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    alpha = complex(alpha)
-    mean = state.mean.copy()
-    off = 2 * (mode - 1)
-    mean[off] += alpha.real
-    mean[off + 1] += alpha.imag
-    return GaussianTwoModeState(mean, state.cov)
+        Each noisy mode gains nbar/2 per quadrature, which adds nbar/4 to both
+        EPR variances.  Noise on one mode also adds a cross-covariance +-nbar/4
+        between the (x1 + x2, x1 - x2) and (y1 - y2, y1 + y2) pairs; it is
+        dropped here, and no heterodyne statistic reads it, so for heterodyne
+        the result is exact.
+        """
+        if modes not in (1, 2):
+            raise ValueError(f"modes must be 1 or 2, got {modes!r}")
+        added = modes * noise.nbar / 4.0
+        return replace(self, Sigma_plus_sq=self.Sigma_plus_sq + added,
+                       Sigma_minus_sq=self.Sigma_minus_sq + added)
 
 
-def apply_gaussian_noise(
-    state: GaussianTwoModeState, noise: NoiseParams, mode: str | int = "both"
-) -> GaussianTwoModeState:
-    """Gaussian noise channel: adds nbar/2 per quadrature of the chosen mode(s)."""
-    if mode == "both":
-        idx = [0, 1, 2, 3]
-    elif mode == 1:
-        idx = [0, 1]
-    elif mode == 2:
-        idx = [2, 3]
-    else:
-        raise ValueError(f"mode must be 1, 2 or 'both', got {mode!r}")
-    cov = state.cov.copy()
-    cov[idx, idx] += noise.nbar / 2.0
-    return GaussianTwoModeState(state.mean, cov)
+def make_twin_beam(params: TwinBeamParams) -> TwinBeamFamilyState:
+    """Twin-beam state with EPR variances e^{+-2 r0}/4 on the rotated quadratures."""
+    return TwinBeamFamilyState(*params.epr_variances)
 
 
-# Coefficient rows of the measured commuting pair (x1 - x2, y1 + y2).
-_HET_RE = np.array([1.0, 0.0, -1.0, 0.0])
-_HET_IM = np.array([0.0, 1.0, 0.0, 1.0])
-
-
-def heterodyne_mean_and_variance(
-    state: GaussianTwoModeState, tol: float = 1e-9
-) -> tuple[complex, float]:
+def heterodyne_mean_and_variance(state: TwinBeamFamilyState) -> tuple[complex, float]:
     """Mean and complex variance of the joint heterodyne outcome.
 
-    The outcome is z = (x1 - x2) + i (y1 + y2); for twin-beam family states
-    its density is isotropic Gaussian with complex variance
-    Delta^2 = Var(Re z) + Var(Im z).  Raises UnsupportedStateError when the
-    second moments are anisotropic or correlated (outside the family).
+    The outcome z = (x1 - x2) + i (y1 + y2) has isotropic Gaussian density
+    with complex variance Delta^2 = Var(Re z) + Var(Im z) = 4 Sigma_minus_sq.
     """
-    mu = complex(_HET_RE @ state.mean, _HET_IM @ state.mean)
-    var_re = _HET_RE @ state.cov @ _HET_RE
-    var_im = _HET_IM @ state.cov @ _HET_IM
-    cross = _HET_RE @ state.cov @ _HET_IM
-    if abs(var_re - var_im) > tol or abs(cross) > tol:
-        raise UnsupportedStateError(
-            "heterodyne statistics are anisotropic; state is outside the "
-            "twin-beam family"
-        )
-    return mu, var_re + var_im
+    return state.mean, 4.0 * state.Sigma_minus_sq
 
 
 def complex_gaussian_pdf(z: complex, mu: complex, variance: float) -> float:
@@ -226,14 +144,14 @@ def complex_gaussian_pdf(z: complex, mu: complex, variance: float) -> float:
     return math.exp(-abs(complex(z) - mu) ** 2 / variance) / (math.pi * variance)
 
 
-def heterodyne_pdf(state: GaussianTwoModeState, z: complex) -> float:
+def heterodyne_pdf(state: TwinBeamFamilyState, z: complex) -> float:
     """Probability density of heterodyne outcome z on a twin-beam family state."""
     mu, delta_sq = heterodyne_mean_and_variance(state)
     return complex_gaussian_pdf(z, mu, delta_sq)
 
 
 def sample_heterodyne(
-    state: GaussianTwoModeState,
+    state: TwinBeamFamilyState,
     n_samples: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:

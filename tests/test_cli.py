@@ -164,14 +164,13 @@ class TestErrorHandling:
         ["estimate", "--x", "0.99999999", "--trials", "10"],
         ["estimate", "--x", "0.999999999", "--trials", "10"],
     ])
-    def test_ill_conditioned_covariance_is_numerical_failure(self, args):
-        # the dense covariance fails as x -> 1; the CLI never takes a
-        # covariance from the user, so this is not a bad argument
+    def test_estimate_as_x_to_one(self, args):
+        # the probes are held as EPR variances, which stay well conditioned
         out = run_cli(args)
-        assert out.exit_code == 1
-        assert out.stdout == ""
-        assert out.stderr == ("numerical failure: covariance matrix must be "
-                              "positive definite\n")
+        assert out.exit_code == 0
+        (row,) = parse_csv(out.stdout)
+        x = float(args[2])
+        assert float(row["sigma2_sq"]) == pytest.approx((1 - x) / (1 + x), rel=1e-6)
 
     @pytest.mark.parametrize("args", [
         ["--n", "1e4"], ["--n", "1e6"], ["--n", "1e8"], ["--n", "1e9"], ["--n", "1e12"],
@@ -183,6 +182,15 @@ class TestErrorHandling:
         assert out.exit_code == 0
         (row,) = parse_csv(out.stdout)
         assert abs(float(row["tau_diff"])) <= 1e-12
+
+    @pytest.mark.parametrize("m", ["1e-17", "1e-300"])
+    def test_fiber_at_tiny_m(self, m):
+        # 2M + 1 rounds to 1 here; the scan cannot resolve Sigma_-^2 against
+        # 1/4 at this M, so tau_diff is not asserted
+        out = run_cli(["fiber", "--m", m, "--n", "2"])
+        assert out.exit_code == 0
+        (row,) = parse_csv(out.stdout)
+        assert float(row["tau_s"]) == pytest.approx(float(row["t_s"]), rel=1e-12)
 
     def test_truncation_fails_before_any_evolution(self, monkeypatch):
         # x = 0.95 needs d_max 224 > the cap of 200: the tail check must come
@@ -198,6 +206,45 @@ class TestErrorHandling:
 
     def test_bad_phases(self):
         assert run_cli(["discriminate", "--phases", "a,b"]).exit_code == 2
+
+    # every float option of every subcommand, with the arguments it needs
+    FLOAT_OPTIONS = {
+        ("estimate", "--trials", "10"): ["--x", "--nbar-t", "--alpha"],
+        ("interfere",): ["--x", "--phi", "--q0", "--gamma-star"],
+        ("crypto", "errors"): ["--x", "--a", "--kappa"],
+        ("crypto", "simulate", "--bits", "10"): ["--x", "--a", "--kappa"],
+        ("fiber",): ["--gamma", "--m", "--n", "--r0"],
+    }
+    REQUIRED = {"estimate": ["--x", "0.5"], "interfere": ["--x", "0.5"],
+                "crypto": ["--x", "0.5"], "fiber": ["--m", "0.5", "--n", "2"]}
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command, options in FLOAT_OPTIONS.items()
+        for option in options
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option(self, command, option, value):
+        # the option comes last, so it overrides a required default above
+        args = [*command, *self.REQUIRED[command[0]], f"{option}={value}"]
+        out = run_cli(args)
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        name = option[2:].replace("-", "_")
+        assert f"Error: Invalid value: {name} must be finite, got {value}" in out.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["estimate", "--x", "0.5", "--range", "x=0:inf:3"], "x must be finite"),
+        (["estimate", "--x", "0.5", "--range", "alpha=-1e308:1e308:3"],
+         "alpha must be finite"),
+        (["fiber", "--m", "0.5", "--range", "r0=nan:1:2"], "r0 must be finite"),
+        (["discriminate", "--phases", "nan,1"], "--phases must be finite, got nan"),
+        (["discriminate", "--phases", "0,-inf"], "--phases must be finite, got -inf"),
+    ])
+    def test_non_finite_grid_point_or_phase(self, args, message):
+        out = run_cli(args)
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert f"Error: Invalid value: {message}" in out.stderr
 
     @pytest.mark.parametrize("args, message", [
         (["fiber", "--m", "0.5", "--n", "0"], "N must be > 0"),

@@ -2,10 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cventlab import estimation as est
+from cventlab import gaussian_core
 
 
 class TestHeterodyneVariance:
@@ -103,6 +106,31 @@ class TestSimulation:
             )
             d = [(w.real - 0.8, w.imag + 0.3) for w in z.tolist()]
             assert rms == math.sqrt(math.fsum(re * re + im * im for re, im in d) / 3000)
+
+    def test_no_linalg_call(self, monkeypatch):
+        # both probes are family states; nothing is diagonalized
+        calls = []
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name,
+                                    lambda *a, _name=name, **k: calls.append(_name))
+        setting = est.EstimationSetting(x=0.9, nbar_T=0.3, alpha=0.5)
+        est.simulate_estimation(setting, 1000, seed=4)
+        assert calls == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.floats(0.0, 1.0 - 1e-12), nbar=st.floats(0.0, 10.0))
+def test_probe_variance_matches_mpmath(x, nbar):
+    setting = est.EstimationSetting(x=x, nbar_T=nbar, alpha=0.7)
+    with mpmath.workdps(50):
+        mx, mn = mpmath.mpf(x), mpmath.mpf(nbar)
+        exact = {True: (1 - mx) / (1 + mx) + 2 * mn, False: 1 + mn}
+    for entangled in (True, False):
+        state = est._probe_state(setting, entangled)
+        mu, var = gaussian_core.heterodyne_mean_and_variance(state)
+        assert mu == 0.7
+        assert var == pytest.approx(float(exact[entangled]), rel=1e-14, abs=0)
 
 
 def _values(kind: str, n: int) -> np.ndarray:

@@ -103,6 +103,17 @@ class TestSeparabilityTime:
         got = fiber.separability_time(gamma_damp, m, n)
         assert got == pytest.approx(exact, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("m", [1e-300, 1e-17, 1e-12, 1e-6, 0.5, 10.0])
+    @pytest.mark.parametrize("r0", [1e-8, math.asinh(1.0), 5.0])
+    def test_rescaled_matches_mpmath_as_m_to_zero(self, m, r0):
+        # 1 - gamma in the defining form cancels log10(1/M) digits
+        with mpmath.workdps(50 + max(0, -int(math.log10(m)))):
+            gamma = 1 / (2 * mpmath.mpf(m) + 1)
+            exact = mpmath.log1p(
+                gamma * -mpmath.expm1(-2 * mpmath.mpf(r0)) / (1 - gamma)) / gamma
+        got = fiber.separability_time_rescaled(m, r0)
+        assert got == pytest.approx(float(exact), rel=2**-52, abs=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fiber.separability_time(1.0, 0.5, 0.0)
@@ -173,6 +184,20 @@ class TestOUSimulation:
             expected.append(math.fsum(q * q) / n)
         got = [sim.Sigma_plus_sq, sim.Sigma_minus_sq]
         assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    def test_kick_variance_at_short_time(self):
+        # at r0 = 20 the squeezed variance is the kick alone; 1 - e^{-tau}
+        # would put an 8e-8 relative error on it at tau = 1e-10
+        r0, m, tau, n, seed = 20.0, 0.0, 1e-10, 1000, 9
+        sim = fiber.simulate_ou_variances(r0, m, tau, n, seed)
+        with mpmath.workdps(50):
+            kick_sd = float(mpmath.sqrt(-mpmath.expm1(-mpmath.mpf(tau)) / 4))
+        rng = np.random.default_rng(seed)
+        for sigma0_sq, got in ((math.exp(2 * r0) / 4, sim.Sigma_plus_sq),
+                               (math.exp(-2 * r0) / 4, sim.Sigma_minus_sq)):
+            q0 = rng.normal(0.0, math.sqrt(sigma0_sq), size=n)
+            q = math.exp(-tau / 2) * q0 + rng.normal(0.0, kick_sd, size=n)
+            assert got == pytest.approx(math.fsum(q * q) / n, rel=1e-14, abs=0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
-"""Tests for the Gaussian two-mode state and channel layer."""
+"""Tests for the twin-beam family state and channel layer."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +10,72 @@ from cventlab import fiber
 from cventlab import gaussian_core as gc
 
 
-def rotated_epr_variances(state):
+# Dense reference: a two-mode Gaussian state as its quadrature means and 4x4
+# covariance in the (x1, y1, x2, y2) order, with the displacement and noise
+# channels and the heterodyne projection written on the full moments.
+@dataclass(frozen=True)
+class DenseState:
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def dense_vacuum():
+    return DenseState(np.zeros(4), 0.25 * np.eye(4))
+
+
+def dense_family(diag, cross):
+    """Zero-mean family state: diag on the diagonal, +-cross on x1x2 / y1y2."""
+    cov = np.array(
+        [
+            [diag, 0.0, cross, 0.0],
+            [0.0, diag, 0.0, -cross],
+            [cross, 0.0, diag, 0.0],
+            [0.0, -cross, 0.0, diag],
+        ]
+    )
+    return DenseState(np.zeros(4), cov)
+
+
+def dense_twin_beam(r0):
+    return dense_family(math.cosh(2 * r0) / 4, math.sinh(2 * r0) / 4)
+
+
+def dense_cov(state):
+    """Covariance of a family state from its EPR variances."""
+    plus, minus = state.Sigma_plus_sq, state.Sigma_minus_sq
+    return dense_family((plus + minus) / 2, (plus - minus) / 2).cov
+
+
+def dense_displacement(state, alpha, mode):
+    mean = state.mean.copy()
+    off = 2 * (mode - 1)
+    mean[off] += complex(alpha).real
+    mean[off + 1] += complex(alpha).imag
+    return DenseState(mean, state.cov)
+
+
+def dense_noise(state, nbar, mode):
+    """Adds nbar/2 to each quadrature variance of mode 1, 2 or 'both'."""
+    idx = {1: [0, 1], 2: [2, 3], "both": [0, 1, 2, 3]}[mode]
+    cov = state.cov.copy()
+    cov[idx, idx] += nbar / 2
+    return DenseState(state.mean, cov)
+
+
+# coefficient rows of the measured commuting pair (x1 - x2, y1 + y2)
+HET_RE = np.array([1.0, 0.0, -1.0, 0.0])
+HET_IM = np.array([0.0, 1.0, 0.0, 1.0])
+
+
+def dense_heterodyne(state, tol=1e-9):
+    """Mean and complex variance of z = (x1 - x2) + i (y1 + y2), checked isotropic."""
+    var_re = HET_RE @ state.cov @ HET_RE
+    var_im = HET_IM @ state.cov @ HET_IM
+    assert abs(var_re - var_im) <= tol and abs(HET_RE @ state.cov @ HET_IM) <= tol
+    return complex(HET_RE @ state.mean, HET_IM @ state.mean), var_re + var_im
+
+
+def rotated_epr_variances(cov):
     """Variances of the normalized combinations (x1 +- x2)/sqrt(2), (y1 -+ y2)/sqrt(2)."""
     combos = {
         "x_plus": np.array([1, 0, 1, 0]) / math.sqrt(2),
@@ -17,7 +83,7 @@ def rotated_epr_variances(state):
         "x_minus": np.array([1, 0, -1, 0]) / math.sqrt(2),
         "y_plus": np.array([0, 1, 0, 1]) / math.sqrt(2),
     }
-    return {k: float(v @ state.cov @ v) for k, v in combos.items()}
+    return {k: float(v @ cov @ v) for k, v in combos.items()}
 
 
 # Dense reference for the family-state PPT: the symplectic spectrum of a
@@ -83,15 +149,20 @@ class TestTwinBeamParams:
             gc.TwinBeamParams.from_x(1.0)
 
 
+VACUUM = gc.TwinBeamFamilyState(0.25, 0.25)
+
+
 class TestMakeTwinBeam:
     def test_no_squeezing_is_vacuum(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(0.0))
-        assert np.allclose(s.cov, 0.25 * np.eye(4))
-        assert np.all(s.mean == 0.0)
+        assert s == VACUUM
+        assert s.mean == 0.0
 
     def test_epr_variances_r0_one(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(1.0))
-        v = rotated_epr_variances(s)
+        assert s.Sigma_plus_sq == pytest.approx(math.e**2 / 4, rel=1e-15)
+        assert s.Sigma_minus_sq == pytest.approx(math.e**-2 / 4, rel=1e-15)
+        v = rotated_epr_variances(dense_twin_beam(1.0).cov)
         assert v["x_plus"] == pytest.approx(math.e**2 / 4, rel=1e-12)
         assert v["y_minus"] == pytest.approx(math.e**2 / 4, rel=1e-12)
         assert v["x_minus"] == pytest.approx(math.e**-2 / 4, rel=1e-12)
@@ -99,24 +170,27 @@ class TestMakeTwinBeam:
 
     def test_bona_fide(self):
         for r0 in (0.0, 0.5, 1.5):
-            assert dense_is_bona_fide(gc.make_twin_beam(gc.TwinBeamParams(r0)).cov)
+            s = gc.make_twin_beam(gc.TwinBeamParams(r0))
+            assert s.is_bona_fide()
+            assert dense_is_bona_fide(dense_cov(s))
 
     def test_same_covariance_as_unevolved_fiber_state(self):
-        # the fiber builds its states from the EPR variances e^{+-2 r0}/4 at
-        # tau = 0; both routes must give the twin-beam up to roundoff
+        # the fiber evolves from the same EPR variances; the dense cosh/sinh
+        # twin-beam agrees with them up to roundoff
         for r0 in np.linspace(0.0, 3.0, 61):
-            cov = gc.make_twin_beam(gc.TwinBeamParams(r0)).cov
+            s = gc.make_twin_beam(gc.TwinBeamParams(r0))
             for m in (0.0, 0.5, 3.0):
-                fiber_cov = fiber.evolved_state(r0, m, 0.0).cov
-                ulp = np.spacing(np.abs(cov).max())
-                assert np.abs(cov - fiber_cov).max() <= 4 * ulp
+                assert fiber.evolved_state(r0, m, 0.0) == s
+            cov = dense_twin_beam(r0).cov
+            ulp = np.spacing(np.abs(cov).max())
+            assert np.abs(cov - dense_cov(s)).max() <= 4 * ulp
 
 
 class TestFamilyState:
     def test_cov_is_family_state(self):
         s = gc.TwinBeamFamilyState(1.5, 0.1)
-        assert np.array_equal(s.cov, gc.family_state(0.8, 0.7).cov)
-        v = rotated_epr_variances(s)
+        assert np.array_equal(dense_cov(s), dense_family(0.8, 0.7).cov)
+        v = rotated_epr_variances(dense_cov(s))
         assert v["x_plus"] == pytest.approx(1.5, rel=1e-14, abs=0)
         assert v["y_minus"] == pytest.approx(1.5, rel=1e-14, abs=0)
         assert v["x_minus"] == pytest.approx(0.1, rel=1e-14, abs=0)
@@ -129,7 +203,7 @@ class TestFamilyState:
             minus = rng.uniform(0.01, 3.0)
             s = gc.TwinBeamFamilyState(plus, minus)
             if abs(plus * minus - 1 / 16) > 1e-9:
-                assert s.is_bona_fide() == dense_is_bona_fide(s.cov)
+                assert s.is_bona_fide() == dense_is_bona_fide(dense_cov(s))
 
     def test_negative_variances_not_bona_fide(self):
         # the product alone is positive here
@@ -139,28 +213,29 @@ class TestFamilyState:
 class TestDisplacement:
     def test_identity(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(0.7))
-        d = gc.apply_displacement(s, 0.0, 1)
-        assert np.array_equal(d.mean, s.mean)
-        assert np.array_equal(d.cov, s.cov)
+        assert s.displaced(0.0) == s
 
     def test_coherent_state(self):
-        d = gc.apply_displacement(gc.vacuum_state(), 1.0, 1)
-        assert np.allclose(d.mean, [1, 0, 0, 0])
-        assert np.allclose(d.cov, 0.25 * np.eye(4))
+        d = VACUUM.displaced(1.0)
+        assert d.mean == 1.0
+        assert (d.Sigma_plus_sq, d.Sigma_minus_sq) == (0.25, 0.25)
+        dense = dense_displacement(dense_vacuum(), 1.0, 1)
+        assert np.array_equal(dense.mean, [1, 0, 0, 0])
+        assert dense_heterodyne(dense) == (d.mean, 1.0)
 
     def test_mode2_imaginary(self):
+        # displacing mode 2 by beta moves z = (x1 - x2) + i (y1 + y2) as
+        # displacing mode 1 by -conj(beta) does
         s = gc.make_twin_beam(gc.TwinBeamParams(1.0))
-        d = gc.apply_displacement(s, 2j, 2)
-        assert np.allclose(d.mean, [0, 0, 0, 2])
-        assert np.array_equal(d.cov, s.cov)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            gc.apply_displacement(gc.vacuum_state(), 1.0, 3)
+        dense = dense_displacement(dense_twin_beam(1.0), 2j, 2)
+        assert np.allclose(dense.mean, [0, 0, 0, 2])
+        mu, var = dense_heterodyne(dense)
+        assert mu == s.displaced(-(2j).conjugate()).mean == 2j
+        assert var == pytest.approx(4 * s.Sigma_minus_sq, rel=1e-9)
 
     def test_heterodyne_mean_against_fock_oracle(self):
-        # quadrature means of a displaced twin-beam computed by direct
-        # operator averages in truncated Fock space
+        # mean of z = (x1 - x2) + i (y1 + y2) on a displaced twin-beam, from
+        # direct operator averages in truncated Fock space
         from scipy.linalg import expm
 
         from cventlab import fock_oracle as fo
@@ -174,37 +249,37 @@ class TestDisplacement:
         x_op = (a_op + a_op.conj().T) / 2
         y_op = (a_op - a_op.conj().T) / 2j
         rho1 = amps @ amps.conj().T  # reduced state of mode 1
-        mean_x1 = float(np.trace(x_op @ rho1).real)
-        mean_y1 = float(np.trace(y_op @ rho1).real)
-
-        state = gc.apply_displacement(
-            gc.make_twin_beam(gc.TwinBeamParams.from_x(x)), alpha, 1
+        rho2 = amps.T @ amps.conj()  # reduced state of mode 2
+        mean_z = complex(
+            np.trace(x_op @ rho1).real - np.trace(x_op @ rho2).real,
+            np.trace(y_op @ rho1).real + np.trace(y_op @ rho2).real,
         )
-        assert mean_x1 == pytest.approx(state.mean[0], abs=1e-10)
-        assert mean_y1 == pytest.approx(state.mean[1], abs=1e-10)
+
+        state = gc.make_twin_beam(gc.TwinBeamParams.from_x(x)).displaced(alpha)
+        assert mean_z == pytest.approx(state.mean, abs=1e-10)
 
 
 class TestGaussianNoise:
     def test_identity_channel(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(0.3))
-        out = gc.apply_gaussian_noise(s, gc.NoiseParams(0.0))
-        assert np.array_equal(out.cov, s.cov)
+        assert s.with_noise(gc.NoiseParams(0.0)) == s
 
     def test_composition_law_exact(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(0.8))
-        for mode in (1, 2, "both"):
-            once = gc.apply_gaussian_noise(s, gc.NoiseParams(1.0), mode)
-            twice = gc.apply_gaussian_noise(
-                gc.apply_gaussian_noise(s, gc.NoiseParams(0.3), mode),
-                gc.NoiseParams(0.7),
-                mode,
-            )
-            assert np.array_equal(once.cov, twice.cov)
+        for modes in (1, 2):
+            once = s.with_noise(gc.NoiseParams(1.0), modes)
+            twice = s.with_noise(gc.NoiseParams(0.3), modes).with_noise(
+                gc.NoiseParams(0.7), modes)
+            for a, b in ((once.Sigma_plus_sq, twice.Sigma_plus_sq),
+                         (once.Sigma_minus_sq, twice.Sigma_minus_sq)):
+                assert a == pytest.approx(b, rel=1e-15, abs=0)
 
     def test_vacuum_plus_one_photon(self):
-        out = gc.apply_gaussian_noise(gc.vacuum_state(), gc.NoiseParams(1.0), 1)
-        assert np.allclose(out.cov[:2, :2], 0.75 * np.eye(2))
-        assert np.allclose(out.cov[2:, 2:], 0.25 * np.eye(2))
+        out = VACUUM.with_noise(gc.NoiseParams(1.0), modes=1)
+        assert (out.Sigma_plus_sq, out.Sigma_minus_sq) == (0.5, 0.5)
+        dense = dense_noise(dense_vacuum(), 1.0, 1).cov
+        assert np.allclose(dense[:2, :2], 0.75 * np.eye(2))
+        assert np.allclose(dense[2:, 2:], 0.25 * np.eye(2))
 
     def test_monte_carlo_displacement_definition(self):
         # the channel is a random displacement with complex Gaussian weight:
@@ -219,17 +294,46 @@ class TestGaussianNoise:
         assert abs(sample_var - 0.75) < 3 * se
 
     def test_mean_unchanged(self):
-        s = gc.apply_displacement(gc.vacuum_state(), 1 + 1j, 1)
-        out = gc.apply_gaussian_noise(s, gc.NoiseParams(2.0))
-        assert np.array_equal(out.mean, s.mean)
+        s = VACUUM.displaced(1 + 1j)
+        assert s.with_noise(gc.NoiseParams(2.0)).mean == s.mean == 1 + 1j
+
+    def test_invalid_modes(self):
+        for modes in (0, 3, "both"):
+            with pytest.raises(ValueError):
+                VACUUM.with_noise(gc.NoiseParams(1.0), modes)
+
+    def test_heterodyne_matches_dense_reference(self):
+        # noise on one mode also adds a +-nbar/4 cross-covariance between the
+        # EPR pairs, which the family state drops; heterodyne never reads it
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            r0 = rng.uniform(0.0, 3.0)
+            nbar = rng.uniform(0.0, 10.0)
+            alpha = complex(*rng.normal(size=2))
+            for modes, dense_mode in ((1, 1), (2, "both")):
+                s = gc.make_twin_beam(gc.TwinBeamParams(r0)).displaced(alpha)
+                s = s.with_noise(gc.NoiseParams(nbar), modes)
+                dense = dense_displacement(dense_twin_beam(r0), alpha, 1)
+                dense = dense_noise(dense, nbar, dense_mode)
+                mu, var = gc.heterodyne_mean_and_variance(s)
+                dense_mu, dense_var = dense_heterodyne(dense)
+                assert mu == pytest.approx(dense_mu, rel=1e-12, abs=1e-15)
+                assert var == pytest.approx(dense_var, rel=1e-9, abs=0)
+                v = rotated_epr_variances(dense.cov)
+                assert s.Sigma_plus_sq == pytest.approx(v["x_plus"], rel=1e-9, abs=0)
+                assert s.Sigma_minus_sq == pytest.approx(v["x_minus"], rel=1e-9, abs=0)
+                plus = np.array([1, 0, 1, 0]) / math.sqrt(2)
+                minus = np.array([1, 0, -1, 0]) / math.sqrt(2)
+                dropped = plus @ dense.cov @ minus
+                assert dropped == pytest.approx(nbar / 4 if modes == 1 else 0.0,
+                                                rel=1e-9, abs=1e-12)
 
 
 class TestHeterodyne:
     def test_vacuum_pdf(self):
-        s = gc.vacuum_state()
         for z in (0.0, 0.5 + 0.5j, 1j):
             expected = math.exp(-abs(z) ** 2) / math.pi
-            assert gc.heterodyne_pdf(s, z) == pytest.approx(expected, rel=1e-12)
+            assert gc.heterodyne_pdf(VACUUM, z) == pytest.approx(expected, rel=1e-12)
 
     def test_variance_one_third(self):
         s = gc.make_twin_beam(gc.TwinBeamParams.from_x(1 / 3))
@@ -238,7 +342,7 @@ class TestHeterodyne:
 
     def test_noise_degraded_variance(self):
         s = gc.make_twin_beam(gc.TwinBeamParams.from_x(0.9))
-        s = gc.apply_gaussian_noise(s, gc.NoiseParams(0.5), "both")
+        s = s.with_noise(gc.NoiseParams(0.5), modes=2)
         _, var = gc.heterodyne_mean_and_variance(s)
         assert var == pytest.approx(0.1 / 1.9 + 1.0, rel=1e-12)
 
@@ -255,9 +359,7 @@ class TestHeterodyne:
 
     def test_pdf_normalization(self):
         # quadrature over a box of 6 complex standard deviations
-        s = gc.apply_displacement(
-            gc.make_twin_beam(gc.TwinBeamParams.from_x(0.6)), 0.3 - 0.2j, 1
-        )
+        s = gc.make_twin_beam(gc.TwinBeamParams.from_x(0.6)).displaced(0.3 - 0.2j)
         mu, var = gc.heterodyne_mean_and_variance(s)
         half = 6.0 * math.sqrt(var)
         nodes, weights = np.polynomial.legendre.leggauss(120)
@@ -268,17 +370,10 @@ class TestHeterodyne:
         total = half * half * np.einsum("i,j,ij->", weights, weights, pdf)
         assert abs(total - 1.0) < 1e-9
 
-    def test_unsupported_state(self):
-        cov = 0.25 * np.eye(4)
-        cov[0, 0] = 0.5  # single-mode squeezing breaks isotropy
-        state = gc.GaussianTwoModeState(np.zeros(4), cov)
-        with pytest.raises(gc.UnsupportedStateError):
-            gc.heterodyne_pdf(state, 0.0)
-
 
 class TestSampling:
     def test_vacuum_displaced_statistics(self):
-        s = gc.apply_displacement(gc.vacuum_state(), 3.0, 1)
+        s = VACUUM.displaced(3.0)
         z = gc.sample_heterodyne(s, 100_000, seed=5)
         n = len(z)
         assert abs(np.mean(z.real) - 3.0) < 3 * math.sqrt(0.5 / n)
@@ -300,7 +395,7 @@ class TestSampling:
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
-            gc.sample_heterodyne(gc.vacuum_state(), 0, seed=1)
+            gc.sample_heterodyne(VACUUM, 0, seed=1)
 
 
 class TestPPT:
@@ -321,7 +416,7 @@ class TestPPT:
         res = gc.ppt_separable(gc.TwinBeamFamilyState(math.e**2 / 4, math.e**-2 / 4))
         assert not res.separable
         assert res.witness == pytest.approx(math.e**-2 / 4, rel=1e-15, abs=0)
-        dense = gc.make_twin_beam(gc.TwinBeamParams(1.0)).cov
+        dense = dense_twin_beam(1.0).cov
         assert res.witness == pytest.approx(dense_ppt_witness(dense), rel=1e-9, abs=0)
 
     def test_equivalence_with_two_variance_condition(self):
@@ -331,10 +426,10 @@ class TestPPT:
         for _ in range(1000):
             r0 = rng.uniform(0.0, 2.0)
             nbar = rng.uniform(0.0, 1.5)
-            s = gc.make_twin_beam(gc.TwinBeamParams(r0))
+            s = dense_twin_beam(r0)
             if nbar > 0:
-                s = gc.apply_gaussian_noise(s, gc.NoiseParams(nbar), "both")
-            v = rotated_epr_variances(s)
+                s = dense_noise(s, nbar, "both")
+            v = rotated_epr_variances(s.cov)
             by_variances = v["x_minus"] > 0.25 - 1e-12 and v["x_plus"] > 0.25 - 1e-12
             res = gc.ppt_separable(gc.TwinBeamFamilyState(v["x_plus"], v["x_minus"]))
             assert res.separable == by_variances
