@@ -215,7 +215,8 @@ def estimate(x, nbar_t, alpha, trials, ranges, seed, fmt, output):
 @click.option("--phases", required=True,
               help="Comma-separated eigenphases of U2^dag U1, in radians.")
 @click.option("--samples", type=int, default=100_000, show_default=True,
-              help="Brute-force simplex sample count.")
+              help="Unused: the exact minimum-norm-point oracle draws no "
+                   "samples (must be >= 1).")
 @_common
 def discriminate(phases, samples, ranges, seed, fmt, output):
     """Minimum-error discrimination of two unitaries from their eigenphases."""
@@ -227,7 +228,7 @@ def discriminate(phases, samples, ranges, seed, fmt, output):
     def row(g, seed_):
         spectrum = disc.EigenphaseSpectrum(phase_list)
         polygon = disc.build_polygon(spectrum)
-        r_bf = disc.brute_force_min_overlap(spectrum, g["samples"], seed_)
+        r_bf = disc.brute_force_min_overlap(spectrum, g["samples"])
         copies = disc.copies_for_exact(spectrum)
         return {
             "phases": ";".join(f"{p:.12g}" for p in polygon.phases),
@@ -398,10 +399,7 @@ def fiber(gamma_damp, thermal_m, n_photons, r0, ranges, seed, fmt, output):
             "tau_s": tau_s,
             "tau_s_scan": scan_tau,
             "tau_diff": diff,
-            "t_s_large_N": (
-                math.inf if g["m"] == 0
-                else math.log1p(1.0 / (2.0 * g["m"])) / g["gamma"]
-            ),
+            "t_s_large_N": fiber_mod.separability_time_large_n(g["gamma"], g["m"]),
         }
 
     _run("fiber", {"gamma": gamma_damp, "m": thermal_m, "n": n_photons, "r0": r0},

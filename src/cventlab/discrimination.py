@@ -6,6 +6,9 @@ the unit circle.  The best probe minimizes |z|, i.e. picks the polygon point
 nearest the origin; exact discrimination is possible iff the polygon
 contains the origin, which for points on a circle happens exactly when the
 minimal covering arc of the phases reaches pi.
+
+The oracle brute_force_min_overlap finds the same point exactly, without the
+hull or the covering arc, by Wolfe's minimum-norm-point algorithm.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:
 
     For r > 0 the nearest hull point lies on an edge, so at most two weights
     are nonzero.  For r = 0 any convex combination summing to the origin is
-    optimal; _origin_weights finds one.
+    optimal; Wolfe's minimum-norm-point algorithm finds one.
     """
     hull = polygon.hull
     n = len(hull)
@@ -133,89 +136,64 @@ def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:
         w[i] = 1.0 - t
         w[j] = t
         return w
-    return _origin_weights(np.array(hull))
+    return _min_norm_weights(np.asarray(polygon.phases))
 
 
-def _origin_weights(verts: np.ndarray) -> np.ndarray:
-    """Convex weights on unit-circle vertices summing to the origin.
+def _min_norm_weights(phases: np.ndarray) -> np.ndarray:
+    """Simplex weights of the point of conv{e^{i gamma_j}} nearest the origin.
 
-    Caratheodory: when the origin lies in the hull it lies in some triangle
-    (or on a chord) of vertices; the barycentric weights of that simplex are
-    returned, zero elsewhere.
+    Wolfe's minimum-norm-point algorithm (Math. Programming 11, 128 (1976)),
+    with its minor cycle in closed form on the unit circle: a chord's affine
+    minimizer is its midpoint, a triangle's is the origin (its circumcentre),
+    weighted by the sines of the opposite arcs.  A triangle with a weight
+    <= 0 does not hold the origin and drops the vertex of most negative
+    weight; if that is the new point, the cycle makes no progress.  A major
+    cycle that does not make |x|^2 strictly smaller is roundoff, and ends the
+    search.
     """
-    n = len(verts)
-    pts = np.column_stack([verts.real, verts.imag])
-    # chord through the origin (antipodal pair)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(verts[i] + verts[j]) < 1e-12:
-                w = np.zeros(n)
-                w[i] = w[j] = 0.5
-                return w
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                m = np.vstack([pts[[i, j, k]].T, np.ones(3)])
-                try:
-                    bary = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if np.all(bary >= -1e-12):
-                    w = np.zeros(n)
-                    w[[i, j, k]] = np.clip(bary, 0.0, None)
-                    w /= w.sum()
-                    return w
-    raise ValueError("origin not contained in the polygon")
+    points = np.exp(1j * phases)
+    corral, weights = [0], [1.0]
+    x = points[0]
+    x_sq = x.real * x.real + x.imag * x.imag
+    while len(corral) < 3:
+        dots = points.real * x.real + points.imag * x.imag
+        j = int(np.argmin(dots))
+        if j in corral or dots[j] >= x_sq:
+            break
+        members, lam = corral + [j], [0.5, 0.5]
+        if len(corral) == 2:
+            a, b = corral
+            arcs = (phases[j] - phases[b], phases[a] - phases[j], phases[b] - phases[a])
+            sines = [math.sin(t) for t in arcs]
+            total = math.fsum(sines)
+            outside = [k for k in range(3) if sines[k] * total <= 0.0]
+            if not outside:
+                lam = [t / total for t in sines]
+            elif 2 in outside:
+                break
+            else:
+                drop = max(outside, key=lambda k: abs(sines[k]))
+                members = [corral[1 - drop], j]
+        y = sum(w * points[i] for w, i in zip(lam, members))
+        y_sq = y.real * y.real + y.imag * y.imag
+        if y_sq >= x_sq:
+            break
+        corral, weights, x, x_sq = members, lam, y, y_sq
+    w = np.zeros(len(phases))
+    w[corral] = weights
+    return w
 
 
-def _minimize_overlap_sq(
-    phases: np.ndarray, n_samples: int, seed: int
-) -> tuple[float, np.ndarray]:
-    """Minimize |sum w_j e^{i gamma_j}|^2 over the simplex.
+def brute_force_min_overlap(spectrum: EigenphaseSpectrum, n_samples: int = 100_000) -> float:
+    """Minimum of |sum w_j e^{i gamma_j}| over the simplex, by Wolfe's algorithm.
 
-    Random Dirichlet candidates followed by an SLSQP polish; independent of
-    the hull construction, so it serves as the brute-force oracle.
+    The oracle is exact and does not sample: n_samples is kept for existing
+    callers, checked (>= 1) and otherwise unused.
     """
-    from scipy.optimize import minimize
-
-    verts = np.exp(1j * phases)
-    n = len(verts)
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(n), size=n_samples)
-    z = w @ verts
-    vals = np.abs(z) ** 2
-    order = np.argsort(vals)
-
-    def objective(wv):
-        zr = wv @ verts.real
-        zi = wv @ verts.imag
-        return zr * zr + zi * zi
-
-    best_val, best_w = float(vals[order[0]]), w[order[0]]
-    for idx in order[:5]:
-        res = minimize(
-            objective,
-            w[idx],
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * n,
-            constraints=[{"type": "eq", "fun": lambda wv: wv.sum() - 1.0}],
-            options={"maxiter": 200, "ftol": 1e-18},
-        )
-        if res.fun < best_val:
-            best_val, best_w = float(res.fun), res.x
-    best_w = np.clip(best_w, 0.0, None)
-    best_w /= best_w.sum()
-    return max(best_val, 0.0), best_w
-
-
-def brute_force_min_overlap(
-    spectrum: EigenphaseSpectrum, n_samples: int = 100_000, seed: int = 0
-) -> float:
-    """Brute-force minimum of |sum w_j e^{i gamma_j}| over the simplex."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    val, _ = _minimize_overlap_sq(np.asarray(spectrum.phases), n_samples, seed)
-    return math.sqrt(val)
+    phases = np.asarray(spectrum.phases)
+    return float(abs(_min_norm_weights(phases) @ np.exp(1j * phases)))
 
 
 def copies_for_exact(spectrum: EigenphaseSpectrum) -> int | None:

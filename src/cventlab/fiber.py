@@ -32,6 +32,15 @@ def _thermal_variance(gamma: float, tau: float) -> float:
     return -math.expm1(-gamma * tau) / (4.0 * gamma)
 
 
+def _log1p_over_2m(a: float, M: float) -> float:
+    """log(1 + a/(2M)) for a > 0, math.inf at M = 0."""
+    if M == 0.0:
+        return math.inf
+    ratio = a / (2.0 * M)
+    # at subnormal M the ratio overflows although its log, about 744, does not
+    return math.log1p(ratio) if math.isfinite(ratio) else math.log(a) - math.log(2.0 * M)
+
+
 @dataclass(frozen=True)
 class FiberParams:
     """Fiber channel parameters: damping rate Gamma and thermal photons M."""
@@ -88,16 +97,14 @@ def separability_time_rescaled(M: float, r0: float) -> float:
         raise ValueError(f"r0 must be > 0, got {r0}")
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    if M == 0.0:
-        return math.inf
-    return (2.0 * M + 1.0) * math.log1p(-math.expm1(-2.0 * r0) / (2.0 * M))
+    return (2.0 * M + 1.0) * _log1p_over_2m(-math.expm1(-2.0 * r0), M)
 
 
 def separability_time(Gamma: float, M: float, N: float) -> float:
     """Unrescaled threshold t_s = (1/Gamma) log(1 - (N - sqrt(N(N+2)))/(2M)).
 
     Equivalent to the rescaled form through N - sqrt(N(N+2)) = e^{-2 r0} - 1;
-    tends to (1/Gamma) log(1 + 1/(2M)) for large N.  Diverges for M = 0.
+    tends to separability_time_large_n for large N.  Diverges for M = 0.
     """
     if Gamma <= 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
@@ -105,11 +112,18 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
         raise ValueError(f"N must be > 0, got {N}")
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    if M == 0.0:
-        return math.inf
     # N - sqrt(N(N+2)) without its cancellation and without overflow in N(N+2)
     gap = -2.0 * N / (N + math.sqrt(N) * math.sqrt(N + 2.0))
-    return (1.0 / Gamma) * math.log1p(-gap / (2.0 * M))
+    return (1.0 / Gamma) * _log1p_over_2m(-gap, M)
+
+
+def separability_time_large_n(Gamma: float, M: float) -> float:
+    """Large-N limit t_s -> (1/Gamma) log(1 + 1/(2M)); diverges for M = 0."""
+    if Gamma <= 0:
+        raise ValueError(f"Gamma must be > 0, got {Gamma}")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    return _log1p_over_2m(1.0, M) / Gamma
 
 
 @dataclass(frozen=True)

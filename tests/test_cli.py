@@ -67,6 +67,15 @@ class TestDeterminism:
         assert a == b
         assert len(a) > 0
 
+    def test_discriminate_ignores_samples_and_seed(self):
+        # the exact oracle draws nothing
+        outputs = {
+            run_cli(["discriminate", "--phases", "0,1.0,2.5", "--samples", n,
+                     "--seed", seed]).stdout_bytes
+            for n in ("1", "20000", "100000") for seed in ("1", "606")
+        }
+        assert len(outputs) == 1
+
     def test_different_seeds_differ(self):
         a = run_cli(["crypto", "simulate", "--x", "0.5", "--bits", "2000",
                      "--seed", "1"]).output
@@ -183,7 +192,7 @@ class TestErrorHandling:
         (row,) = parse_csv(out.stdout)
         assert abs(float(row["tau_diff"])) <= 1e-12
 
-    @pytest.mark.parametrize("m", ["1e-17", "1e-300"])
+    @pytest.mark.parametrize("m", ["1e-17", "1e-300", "1e-310", "5e-324"])
     def test_fiber_at_tiny_m(self, m):
         # 2M + 1 rounds to 1 here; the scan cannot resolve Sigma_-^2 against
         # 1/4 at this M, so tau_diff is not asserted
@@ -191,6 +200,7 @@ class TestErrorHandling:
         assert out.exit_code == 0
         (row,) = parse_csv(out.stdout)
         assert float(row["tau_s"]) == pytest.approx(float(row["t_s"]), rel=1e-12)
+        assert float(row["t_s"]) < float(row["t_s_large_N"]) < 745.0
 
     def test_truncation_fails_before_any_evolution(self, monkeypatch):
         # x = 0.95 needs d_max 224 > the cap of 200: the tail check must come

@@ -1,6 +1,7 @@
 """Tests for minimum-error unitary discrimination via eigenphase geometry."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -98,15 +99,16 @@ class TestSpreadFormula:
         )
 
 
-class TestOptimalWeights:
-    def check_weights(self, spec_obj):
-        p = disc.build_polygon(spec_obj)
-        w = disc.optimal_probe_weights(p)
-        assert np.all(w >= -1e-12)
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-        z = np.sum(w * np.exp(1j * np.asarray(p.phases)))
-        assert abs(z) == pytest.approx(p.r, abs=1e-9)
+def check_weights(spec_obj):
+    p = disc.build_polygon(spec_obj)
+    w = disc.optimal_probe_weights(p)
+    assert np.all(w >= -1e-12)
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+    z = np.sum(w * np.exp(1j * np.asarray(p.phases)))
+    assert abs(z) == pytest.approx(p.r, abs=1e-9)
 
+
+class TestOptimalWeights:
     def test_various_spectra(self):
         cases = [
             (0.3,),
@@ -117,25 +119,47 @@ class TestOptimalWeights:
             (0.2, 0.9, 2.0, 3.4, 5.1),
         ]
         for phases in cases:
-            self.check_weights(spectrum(*phases))
+            check_weights(spectrum(*phases))
 
     def test_random_spectra(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
             k = rng.integers(1, 7)
-            self.check_weights(spectrum(*rng.uniform(0, 2 * math.pi, k)))
+            check_weights(spectrum(*rng.uniform(0, 2 * math.pi, k)))
+
+
+def clustered_spectra(rng, count):
+    """Near-duplicate phases, 1e-16 to 1e-3 apart, and N-copy spectra."""
+    for i in range(count):
+        if i % 5 == 0:
+            base = spectrum(*rng.uniform(0, 2 * math.pi, rng.integers(1, 4)))
+            yield disc.n_copy_spectrum(base, int(rng.integers(1, 5)))
+            continue
+        phases = []
+        for centre in rng.uniform(0, 2 * math.pi, rng.integers(1, 5)):
+            spacing = 10.0 ** rng.uniform(-16, -3)
+            phases += list(centre + spacing * np.cumsum(rng.uniform(0.5, 1.5, rng.integers(1, 5))))
+        yield spectrum(*phases)
 
 
 class TestBruteForce:
     def test_matches_hull(self):
         rng = np.random.default_rng(13)
-        for _ in range(20):
-            k = rng.integers(2, 6)
+        for _ in range(200):
+            k = rng.integers(1, 12)
             s = spectrum(*rng.uniform(0, 2 * math.pi, k))
             p = disc.build_polygon(s)
-            r_bf = disc.brute_force_min_overlap(s, n_samples=20_000, seed=1)
-            assert r_bf == pytest.approx(p.r, abs=1e-6)
-            assert r_bf >= p.r - 1e-9  # hull value is the true minimum
+            r_bf = disc.brute_force_min_overlap(s)
+            assert r_bf == pytest.approx(p.r, abs=1e-12)
+
+    def test_clustered_spectra(self):
+        # near-duplicate phases make a textbook Wolfe cycle on roundoff
+        for s in clustered_spectra(np.random.default_rng(29), 500):
+            start = time.monotonic()
+            r_bf = disc.brute_force_min_overlap(s)
+            assert time.monotonic() - start < 1.0
+            assert r_bf == pytest.approx(disc.build_polygon(s).r, abs=1e-8)
+            check_weights(s)
 
 
 def random_unitary(rng, d):

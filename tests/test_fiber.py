@@ -87,7 +87,7 @@ class TestSeparabilityTime:
 
     def test_large_n_limit_monotone(self):
         m, gamma_damp = 0.5, 1.0
-        limit = math.log1p(1.0 / (2.0 * m)) / gamma_damp
+        limit = fiber.separability_time_large_n(gamma_damp, m)
         vals = [fiber.separability_time(gamma_damp, m, n) for n in (1e2, 1e4, 1e6)]
         assert vals[0] < vals[1] < vals[2] < limit
         assert vals[2] == pytest.approx(limit, rel=1e-3)
@@ -103,7 +103,7 @@ class TestSeparabilityTime:
         got = fiber.separability_time(gamma_damp, m, n)
         assert got == pytest.approx(exact, rel=1e-15, abs=0)
 
-    @pytest.mark.parametrize("m", [1e-300, 1e-17, 1e-12, 1e-6, 0.5, 10.0])
+    @pytest.mark.parametrize("m", [5e-324, 1e-310, 1e-300, 1e-17, 1e-12, 1e-6, 0.5, 10.0])
     @pytest.mark.parametrize("r0", [1e-8, math.asinh(1.0), 5.0])
     def test_rescaled_matches_mpmath_as_m_to_zero(self, m, r0):
         # 1 - gamma in the defining form cancels log10(1/M) digits
@@ -114,7 +114,24 @@ class TestSeparabilityTime:
         got = fiber.separability_time_rescaled(m, r0)
         assert got == pytest.approx(float(exact), rel=2**-52, abs=0)
 
+    @pytest.mark.parametrize("m", [5e-324, 1e-310, 0.5])
+    def test_plain_and_large_n_match_mpmath(self, m):
+        # at subnormal M, a/(2M) overflows although its log stays near 744
+        gamma_damp, n = 1.0, 2.0
+        with mpmath.workdps(50):
+            big_m, big_n = mpmath.mpf(m), mpmath.mpf(n)
+            exact = mpmath.log1p(-(big_n - mpmath.sqrt(big_n * (big_n + 2))) / (2 * big_m))
+            limit = mpmath.log1p(1 / (2 * big_m))
+        assert fiber.separability_time(gamma_damp, m, n) == pytest.approx(
+            float(exact), rel=1e-15, abs=0)
+        assert fiber.separability_time_large_n(gamma_damp, m) == pytest.approx(
+            float(limit), rel=1e-15, abs=0)
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            fiber.separability_time_large_n(0.0, 0.5)
+        with pytest.raises(ValueError):
+            fiber.separability_time_large_n(1.0, -0.1)
         with pytest.raises(ValueError):
             fiber.separability_time(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""Import budget: scipy loads only inside the oracles that call it.
+"""Import budget: no command and no library oracle loads scipy.
 
-Every CLI call is a fresh process, and importing scipy costs more than the
-rest of the package together.  Each check runs in a fresh interpreter so the
-modules loaded by other tests do not leak in.
+scipy is a test-only dependency.  Every CLI call is a fresh process, and
+importing scipy costs more than the rest of the package together.  Each check
+runs in a fresh interpreter so the modules loaded by other tests do not leak
+in.
 """
 
 import json
@@ -36,9 +37,6 @@ SCIPY_FREE_COMMANDS = [
     ["estimate", "--x", "0.9", "--nbar-t", "0.5", "--range", "nbar_t=0:1.5:7"],
     ["interfere", "--x", "0.5", "--phi", "0.3", "--q0", "0.01", "--gamma-star", "10"],
     ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"],
-]
-
-SCIPY_COMMANDS = [
     ["discriminate", "--phases", "0,1.5708", "--samples", "20000"],
 ]
 
@@ -78,8 +76,3 @@ def test_command_loads_no_scipy(args):
 @pytest.mark.parametrize("body", SCIPY_FREE_CALLS, ids=lambda b: b.split("\n")[1])
 def test_oracle_call_loads_no_scipy(body):
     assert scipy_modules_after(body) == []
-
-
-@pytest.mark.parametrize("args", SCIPY_COMMANDS, ids=" ".join)
-def test_oracle_command_loads_scipy_on_demand(args):
-    assert "scipy" in scipy_modules_after(RUN_CLI.format(args=args))
