@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cventlab import fock_oracle
 from cventlab.discrimination import helstrom_error
 from cventlab.estimation import heterodyne_variance
 from cventlab.gaussian_core import TwinBeamParams, complex_gaussian_pdf
@@ -32,7 +33,6 @@ class ProtocolConfig:
     x: float
     a: float
     kappa_key: float
-    nbar: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.x < 1.0:
@@ -41,8 +41,6 @@ class ProtocolConfig:
             raise ValueError(f"a must be >= 0, got {self.a}")
         if self.kappa_key <= 0:
             raise ValueError(f"kappa_key must be > 0, got {self.kappa_key}")
-        if self.nbar < 0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
 
 
 def receiver_variance(x: float) -> float:
@@ -199,8 +197,8 @@ def simulate_binary_protocol(
     """End-to-end Monte Carlo of the binary protocol.
 
     Per bit: symbol +-a, a Gaussian key displacement, heterodyne noise of
-    per-quadrature variance sigma_x^2 (+ nbar/2 channel noise if set).  Bob
-    subtracts the key before thresholding Re[z]; Eve thresholds directly.
+    per-quadrature variance sigma_x^2.  Bob subtracts the key before
+    thresholding Re[z]; Eve thresholds directly.
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
@@ -208,8 +206,7 @@ def simulate_binary_protocol(
     bits = rng.integers(0, 2, size=n_bits)
     symbols = np.where(bits == 1, config.a, -config.a).astype(float)
     key_re = rng.normal(0.0, math.sqrt(config.kappa_key / 2.0), size=n_bits)
-    noise_var = receiver_variance(config.x) + config.nbar / 2.0
-    noise_re = rng.normal(0.0, math.sqrt(noise_var), size=n_bits)
+    noise_re = rng.normal(0.0, math.sqrt(receiver_variance(config.x)), size=n_bits)
     outcome_re = symbols + key_re + noise_re
 
     bob_bits = ((outcome_re - key_re) >= 0.0).astype(int)
@@ -225,15 +222,14 @@ def uniform_key_eigenvalue_demo(
     x: float,
     a: float,
     radii: tuple[float, ...] = (1.5, 2.5, 3.5),
-    grid_step: float = 0.5,
     d_max: int = 24,
 ) -> list[float]:
     """Max |eigenvalue| of the grid-averaged state difference, per grid radius.
 
     Averages D(alpha) (sigma_1 - sigma_0) D(alpha)^dag over a uniform square
-    grid of key displacements of growing radius in truncated Fock space; the
-    values decrease towards 0, illustrating that a uniform key erases all of
-    Eve's information.
+    grid of key displacements, of step 0.5 and growing radius, in truncated
+    Fock space; the values decrease towards 0, illustrating that a uniform
+    key erases all of Eve's information.
 
     D(beta) is the exponential of the truncated generator beta a^dag - beta* a.
     For beta = |beta| e^{i theta} it equals R V exp(-i |beta| Lambda) V^dag R^dag,
@@ -243,8 +239,7 @@ def uniform_key_eigenvalue_demo(
     and s = +-1/K; with the thin QR W = QR its nonzero spectrum is that of
     R diag(s) R^dag, of order at most 2K.
     """
-    from cventlab import fock_oracle
-
+    step = 0.5
     n = np.arange(d_max + 1)
     root = np.sqrt(n[1:])
     lam, vec = np.linalg.eigh(np.diag(1j * root, -1) - np.diag(1j * root, 1))
@@ -252,12 +247,12 @@ def uniform_key_eigenvalue_demo(
 
     maxima = []
     for radius in radii:
-        pts = np.arange(-radius, radius + grid_step / 2.0, grid_step)
+        pts = np.arange(-radius, radius + step / 2.0, step)
         re, im = np.meshgrid(pts, pts, indexing="ij")
         alpha = (re + 1j * im)[re * re + im * im <= radius * radius]
         if len(alpha) == 0:
             raise ValueError(f"radius {radius} holds no point of the grid of step "
-                             f"{grid_step}")
+                             f"{step}")
         # global phases of D(alpha) D(+-a) cancel in the projectors,
         # so the displaced bit states can be built in one step
         beta = np.concatenate([alpha + a, alpha - a])

@@ -3,12 +3,14 @@
 The reachable overlaps z = sum_j w_j e^{i gamma_j} (w on the probability
 simplex) fill the convex polygon spanned by the eigenphases of U2^dag U1 on
 the unit circle.  The best probe minimizes |z|, i.e. picks the polygon point
-nearest the origin; exact discrimination is possible iff the polygon
-contains the origin, which for points on a circle happens exactly when the
-minimal covering arc of the phases reaches pi.
+nearest the origin.  For points on a circle that point follows from the
+minimal covering arc Delta of the phases alone: the polygon contains the
+origin (exact discrimination) iff Delta >= pi, and otherwise the nearest
+point is the midpoint of the chord closing the arc, at r = cos(Delta/2).
 
-The oracle brute_force_min_overlap finds the same point exactly, without the
-hull or the covering arc, by Wolfe's minimum-norm-point algorithm.
+Wolfe's minimum-norm-point algorithm finds the same point from the
+eigenvalues, without the covering arc.  It is the oracle
+brute_force_min_overlap of the closed form, and gives the probe weights.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ class EigenphaseSpectrum:
     def __post_init__(self):
         if len(self.phases) == 0:
             raise ValueError("spectrum must be nonempty")
+        if not all(math.isfinite(p) for p in self.phases):
+            raise ValueError(f"phases must be finite, got {self.phases}")
         reduced = tuple(sorted({float(p) % (2.0 * math.pi) for p in self.phases}))
         object.__setattr__(self, "phases", reduced)
 
@@ -37,8 +41,7 @@ class PolygonK:
     """Convex polygon of unit-circle eigenvalues with its origin distance."""
 
     phases: tuple[float, ...]  # sorted, deduplicated
-    hull: tuple[complex, ...]  # vertices in angular order
-    r: float  # min distance from the hull to the origin
+    r: float  # min distance from the polygon to the origin
     delta: float  # minimal covering arc of the phases
 
 
@@ -51,48 +54,20 @@ def covering_arc(phases: tuple[float, ...]) -> float:
     return float(2.0 * math.pi - gaps.max())
 
 
-def _segment_point(a: complex, b: complex) -> tuple[float, float]:
-    """Point a + t (b - a) of segment [a, b] nearest the origin, as (distance, t)."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(a), 0.0
-    t = min(1.0, max(0.0, -(a.real * ab.real + a.imag * ab.imag) / denom))
-    return abs(a + t * ab), t
+def _origin_distance(delta: float) -> float:
+    """Origin distance r of a polygon of unit-circle points with covering arc delta.
 
-
-def _nearest_edge_point(hull: tuple[complex, ...]) -> tuple[float, float, int, int]:
-    """Hull-edge point nearest the origin, as (distance, t, i, j).
-
-    The point is hull[i] + t (hull[j] - hull[i]).  The edges join angular
-    neighbours; a 2-point hull has the single chord (0, 1).  Ties go to the
-    first edge.
+    If the arc reaches pi the polygon holds the origin and r = 0; otherwise
+    the nearest polygon point is the midpoint of the chord that closes the
+    arc, so r = cos(delta/2).  A 1-point spectrum has delta = 0 and r = 1.
     """
-    n = len(hull)
-    edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
-    return min(((*_segment_point(hull[i], hull[j]), i, j) for i, j in edges),
-               key=lambda point: point[0])
+    return math.cos(delta / 2.0) if delta < math.pi else 0.0
 
 
 def build_polygon(spectrum: EigenphaseSpectrum) -> PolygonK:
-    """Convex hull of the eigenvalues with min origin distance and covering arc.
-
-    Points on a circle are automatically in convex position, so the hull is
-    the angular ordering of the distinct phases.  r = 0 iff the covering arc
-    is at least pi (origin inside or on the hull); otherwise r is the exact
-    minimum over the hull edges (a single chord for a 2-point spectrum, the
-    point itself for a 1-point spectrum).
-    """
-    phases = spectrum.phases
-    hull = tuple(complex(math.cos(p), math.sin(p)) for p in phases)
-    delta = covering_arc(phases)
-    if len(hull) == 1:
-        r = 1.0
-    elif delta >= math.pi:
-        r = 0.0
-    else:
-        r = _nearest_edge_point(hull)[0]
-    return PolygonK(phases=phases, hull=hull, r=r, delta=delta)
+    """Origin distance and covering arc of the eigenvalue polygon."""
+    delta = covering_arc(spectrum.phases)
+    return PolygonK(phases=spectrum.phases, r=_origin_distance(delta), delta=delta)
 
 
 def helstrom_error(overlap_sq: float) -> float:
@@ -102,40 +77,28 @@ def helstrom_error(overlap_sq: float) -> float:
 
 def min_error_probability(polygon: PolygonK) -> float:
     """Helstrom bound at the optimal probe: P_E = (1 - sqrt(1 - r^2)) / 2."""
-    r = min(polygon.r, 1.0)
-    return helstrom_error(r * r)
+    return helstrom_error(polygon.r * polygon.r)
 
 
 def spread_formula_error(delta: float) -> float:
     """Error probability as a function of the eigenphase spread.
 
-    Evaluates (1 - sqrt(1 - cos^4(delta/2))) / 2 for delta < pi and 0 for
-    delta >= pi.  Note this closed form is not consistent with the hull
-    geometry (which gives r = cos(delta/2), hence cos^2 rather than cos^4,
-    for two-point spectra); both routes are kept and reported side by side.
+    Evaluates the paper's (1 - sqrt(1 - cos^4(delta/2))) / 2 for delta < pi
+    and 0 for delta >= pi, i.e. the Helstrom bound of r^4.  The polygon gives
+    r = cos(delta/2) for every spectrum, so the exact error is that of r^2
+    (min_error_probability); both routes are kept and reported side by side.
     """
-    if delta >= math.pi:
-        return 0.0
-    return helstrom_error(math.cos(delta / 2.0) ** 4)
+    return helstrom_error(_origin_distance(delta) ** 4)
 
 
 def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:
     """Probability weights over eigenvectors reaching the optimal overlap.
 
-    For r > 0 the nearest hull point lies on an edge, so at most two weights
-    are nonzero.  For r = 0 any convex combination summing to the origin is
-    optimal; Wolfe's minimum-norm-point algorithm finds one.
+    Wolfe's minimum-norm-point algorithm finds them for every spectrum.  For
+    r > 0 at most two weights are nonzero, on the ends of the chord that
+    closes the covering arc; for r = 0 it stops at a chord or triangle
+    holding the origin, one of the many optimal probes.
     """
-    hull = polygon.hull
-    n = len(hull)
-    if n == 1:
-        return np.array([1.0])
-    if polygon.r > 0.0:
-        _, t, i, j = _nearest_edge_point(hull)
-        w = np.zeros(n)
-        w[i] = 1.0 - t
-        w[j] = t
-        return w
     return _min_norm_weights(np.asarray(polygon.phases))
 
 
@@ -197,7 +160,7 @@ def brute_force_min_overlap(spectrum: EigenphaseSpectrum, n_samples: int = 100_0
 
 
 def copies_for_exact(spectrum: EigenphaseSpectrum) -> int | None:
-    """Smallest N with N * delta >= pi (origin enters the N-copy hull).
+    """Smallest N with N * delta >= pi (origin enters the N-copy polygon).
 
     Returns None when delta = 0 (proportional unitaries: no number of copies
     ever helps).  The N-copy spread cap at 2pi does not matter for exactness,

@@ -132,14 +132,12 @@ class ScanResult:
     tau_first_separable: float | None
 
 
-def scan_separability(
-    r0: float, M: float, tau_max: float, steps: int, tol: float = 1e-12
-) -> ScanResult:
+def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> ScanResult:
     """Numeric separability threshold via PPT on a grid plus bisection.
 
     Independent of the closed forms: evolves the EPR variances forward and
     applies the PPT test at each grid point, then bisects the first
-    entangled-to-separable transition.
+    entangled-to-separable transition down to a bracket of 1e-12.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -153,7 +151,7 @@ def scan_separability(
         return ScanResult(found=True, tau_first_separable=0.0)
     for lo, hi in zip(taus[:-1], taus[1:]):
         if separable(hi):
-            while hi - lo > tol:
+            while hi - lo > 1e-12:
                 mid = (lo + hi) / 2.0
                 if separable(mid):
                     hi = mid

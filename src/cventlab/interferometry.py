@@ -110,10 +110,12 @@ class TruncationError(RuntimeError):
     """Fock-space tail above tolerance for the requested computation."""
 
 
-def mz_zero_count_probability(
-    x: float, phi: float, d_max: int | None = None, tail_tol: float = 1e-10
-) -> float:
-    """P(d = 0 | U_phi): zero difference-photocurrent probability of the evolved twin-beam."""
+def mz_zero_count_probability(x: float, phi: float, d_max: int | None = None) -> float:
+    """P(d = 0 | U_phi): zero difference-photocurrent probability of the evolved twin-beam.
+
+    Raises TruncationError when the Fock truncation tail exceeds 1e-10.
+    """
+    tail_tol = 1e-10
     if d_max is None:
         d_max = fock_oracle.default_d_max(x, tail_tol)
     state = fock_oracle.twin_beam_fock(x, d_max)
@@ -141,21 +143,17 @@ def mz_min_phase(target_q_phi: float, N: float) -> float:
     return math.sqrt(2.0 * target_q_phi) / N
 
 
-def mz_min_phase_numeric(
-    target_q_phi: float, x: float, d_max: int | None = None, xtol: float = 1e-10
-) -> float:
+def mz_min_phase_numeric(target_q_phi: float, x: float, d_max: int | None = None) -> float:
     """Invert P(d=0 | phi) = 1 - Q_phi by bisection on [0, pi/4].
 
     The bracket stops at pi/4: phi = pi/2 swaps the two beams, which leaves
     every |p, p> component invariant up to a phase, so the leakage returns
     to zero there and the first crossing lies in the rising half.  The
-    steps and the stopping rule |step| < xtol + 4 eps |phi| are those of
-    scipy.optimize.bisect.
+    steps and the stopping rule |step| < 1e-10 + 4 eps |phi| are those of
+    scipy.optimize.bisect with xtol = 1e-10.
     """
     if not 0.0 < target_q_phi < 1.0:
         raise ValueError(f"target_q_phi must be in (0, 1), got {target_q_phi}")
-    if not xtol > 0:
-        raise ValueError(f"xtol must be > 0, got {xtol}")
 
     def leak(phi):
         return (1.0 - mz_zero_count_probability(x, phi, d_max)) - target_q_phi
@@ -173,5 +171,5 @@ def mz_min_phase_numeric(
         f_mid = leak(mid)
         if f_mid <= 0:
             lo = mid
-        if f_mid == 0 or step < xtol + 4.0 * sys.float_info.epsilon * mid:
+        if f_mid == 0 or step < 1e-10 + 4.0 * sys.float_info.epsilon * mid:
             return mid

@@ -3,6 +3,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,14 @@ class TestEigenphaseSpectrum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             spectrum()
+
+    @pytest.mark.parametrize("phases", [
+        (math.nan,), (math.inf,), (-math.inf,), (1.0, math.nan), (0.0, 2.0, -math.inf),
+    ])
+    def test_non_finite_rejected(self, phases):
+        # a nan covering arc would fail `delta < pi` and claim r = 0
+        with pytest.raises(ValueError, match="finite"):
+            spectrum(*phases)
 
 
 class TestCoveringArc:
@@ -106,6 +115,8 @@ def check_weights(spec_obj):
     assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
     z = np.sum(w * np.exp(1j * np.asarray(p.phases)))
     assert abs(z) == pytest.approx(p.r, abs=1e-9)
+    if p.r > 0.0:
+        assert np.count_nonzero(w) <= 2
 
 
 class TestOptimalWeights:
@@ -160,6 +171,58 @@ class TestBruteForce:
             assert time.monotonic() - start < 1.0
             assert r_bf == pytest.approx(disc.build_polygon(s).r, abs=1e-8)
             check_weights(s)
+
+
+def mp_polygon_distance(phases):
+    """Origin distance of conv{e^{i gamma_j}} at 50 digits, without the covering arc.
+
+    The nearest point of a convex polygon not holding the origin lies on an
+    edge, and every chord lies in the polygon, so it is the nearest point z
+    over all chords [p_i, p_j] (i = j gives the vertex).  z is the polygon's
+    nearest point iff <z, p_k> >= |z|^2 for every k; if that fails, the
+    origin is inside and the distance is 0.
+    """
+    with mpmath.workdps(50):
+        pts = [(mpmath.cos(g), mpmath.sin(g)) for g in map(mpmath.mpf, phases)]
+        best = None
+        for i, (ax, ay) in enumerate(pts):
+            for bx, by in pts[i:]:
+                dx, dy = bx - ax, by - ay
+                denom = dx * dx + dy * dy
+                t = 0 if denom == 0 else min(1, max(0, -(ax * dx + ay * dy) / denom))
+                z = (ax + t * dx, ay + t * dy)
+                z_sq = z[0] ** 2 + z[1] ** 2
+                if best is None or z_sq < best[0]:
+                    best = (z_sq, z)
+        z_sq, (zx, zy) = best
+        if all(zx * px + zy * py >= z_sq - mpmath.mpf(10) ** -40 for px, py in pts):
+            return mpmath.sqrt(z_sq)
+        return mpmath.mpf(0)
+
+
+def near_pi_spectra(rng, count):
+    """Covering arcs within 1e-9 of pi, on both sides, with inner phases."""
+    for _ in range(count):
+        start = rng.uniform(0, 2 * math.pi)
+        arc = math.pi + rng.uniform(-1e-9, 1e-9)
+        inner = rng.uniform(0, arc, rng.integers(0, 4))
+        yield spectrum(start, start + arc, *(start + inner))
+
+
+SPECTRUM_FAMILIES = {
+    "random": lambda rng: (spectrum(*rng.uniform(0, 2 * math.pi, rng.integers(1, 9)))
+                           for _ in range(300)),
+    "near_pi": lambda rng: near_pi_spectra(rng, 300),
+    "clustered": lambda rng: clustered_spectra(rng, 200),
+}
+
+
+class TestClosedFormAgainstMpmath:
+    @pytest.mark.parametrize("family", SPECTRUM_FAMILIES)
+    def test_r_within_2e_15(self, family):
+        for s in SPECTRUM_FAMILIES[family](np.random.default_rng(37)):
+            r = disc.build_polygon(s).r
+            assert abs(r - float(mp_polygon_distance(s.phases))) <= 2e-15, s.phases
 
 
 def random_unitary(rng, d):

@@ -183,7 +183,3 @@ class TestMZMinPhase:
 
         expected = bisect(leak, 0.0, math.pi / 4.0, xtol=1e-10)
         assert abs(itf.mz_min_phase_numeric(q_target, x) - expected) <= 1e-10
-
-    def test_nonpositive_xtol(self):
-        with pytest.raises(ValueError, match="xtol"):
-            itf.mz_min_phase_numeric(0.01, 0.5, xtol=0.0)
