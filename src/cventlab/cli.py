@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -157,7 +156,7 @@ def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
             _finite(key, value)
     try:
         rows = [row_fn(g, seed) for g in grid]
-    except (itf.TruncationError, FloatingPointError,
+    except (itf.TruncationError, ArithmeticError,
             gaussian_core.NonPhysicalStateError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(1)
@@ -229,7 +228,7 @@ def discriminate(phases, samples, ranges, seed, fmt, output):
         spectrum = disc.EigenphaseSpectrum(phase_list)
         polygon = disc.build_polygon(spectrum)
         r_bf = disc.brute_force_min_overlap(spectrum, g["samples"])
-        copies = disc.copies_for_exact(spectrum)
+        copies = disc.copies_for_exact(polygon)
         return {
             "phases": ";".join(f"{p:.12g}" for p in polygon.phases),
             "r": polygon.r,
@@ -266,7 +265,7 @@ def interfere(x, phi, q0, gamma_star, d_max, ranges, seed, fmt, output):
         probe = fock_oracle.twin_beam_fock(g["x"], d)
         evolved = fock_oracle.apply_jx_evolution(probe, g["phi"])
         kappa_oracle = abs(fock_oracle.overlap(probe, evolved)) ** 2
-        ideal = (
+        phi_min = (
             itf.min_detectable_phase_ideal(g["q0"], g["gamma_star"], n_mean)
             if n_mean > 0 else None
         )
@@ -277,7 +276,7 @@ def interfere(x, phi, q0, gamma_star, d_max, ranges, seed, fmt, output):
             "kappa_sq": kappa_closed,
             "kappa_sq_oracle": kappa_oracle,
             "kappa_diff": kappa_oracle - kappa_closed,
-            "phi_min_ideal": ideal.phi_min if ideal is not None else None,
+            "phi_min_ideal": phi_min,
             "p_zero_count": p_zero,
             "q_phi_mz": 1.0 - p_zero,
         }
@@ -304,8 +303,8 @@ def crypto_errors(x, a, kappa, ranges, seed, fmt, output):
 
     def row(g, seed_):
         margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
-        splus = crypto_mod.splus_numeric(g["a"], g["kappa"])
         eve = margin.eve_err
+        eve_oracle = 0.5 * (1.0 - crypto_mod.splus_numeric(g["a"], g["kappa"]))
         return {
             "x": g["x"],
             "a": g["a"],
@@ -314,8 +313,8 @@ def crypto_errors(x, a, kappa, ranges, seed, fmt, output):
             "coherent": crypto_mod.coherent_error(-g["a"], g["a"]),
             "bob_heterodyne": margin.bob_err,
             "eve_gaussian_key": eve,
-            "eve_gaussian_key_oracle": 0.5 * (1.0 - splus),
-            "eve_diff": 0.5 * (1.0 - splus) - eve,
+            "eve_gaussian_key_oracle": eve_oracle,
+            "eve_diff": eve_oracle - eve,
             "eve_uniform_key": crypto_mod.eve_error_uniform(),
             "two_sigma_x_sq": 2.0 * crypto_mod.receiver_variance(g["x"]),
             "secure": margin.secure,
@@ -337,8 +336,8 @@ def crypto_simulate(x, a, kappa, bits, ranges, seed, fmt, output):
     def row(g, seed_):
         config = crypto_mod.ProtocolConfig(x=g["x"], a=g["a"], kappa_key=g["kappa"])
         sim = crypto_mod.simulate_binary_protocol(config, g["bits"], seed_)
-        bob = crypto_mod.bob_heterodyne_error(g["x"], g["a"])
-        eve = crypto_mod.eve_error_gaussian_key(g["a"], g["kappa"])
+        margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
+        bob, eve = margin.bob_err, margin.eve_err
         return {
             "x": g["x"],
             "a": g["a"],
@@ -386,9 +385,8 @@ def fiber(gamma_damp, thermal_m, n_photons, r0, ranges, seed, fmt, output):
             scan_tau = None
             diff = None
         else:
-            scan = fiber_mod.scan_separability(r, g["m"], tau_max=2.0 * tau_s + 1.0,
-                                               steps=256)
-            scan_tau = scan.tau_first_separable
+            scan_tau = fiber_mod.scan_separability(r, g["m"], tau_max=2.0 * tau_s + 1.0,
+                                                   steps=256)
             diff = scan_tau - tau_s if scan_tau is not None else None
         return {
             "gamma": g["gamma"],

@@ -6,10 +6,14 @@ knows the key, undoes it and thresholds the heterodyne outcome; Eve does
 not, and her best error probability is bounded by the erf formula obtained
 from the positive eigenvalues of the averaged state difference.
 
-Variance conventions follow the closed forms verbatim: the heterodyne
-receiver of this module uses sigma_x^2 = (1 - x^2)/2 per quadrature, while
-the complex-alphabet densities use Delta_x^2 = (1 - x)/(1 + x); the two are
-not reconciled here.
+The heterodyne receiver of this module follows the paper's closed form,
+sigma_x^2 = (1 - x^2)/2 per quadrature.  The complex-alphabet densities are
+read from the family state instead, at complex variance Delta_x^2 =
+(1 - x)/(1 + x): Bob's is heterodyne_pdf of make_twin_beam(...).displaced(z0),
+Eve's is that of the same state after with_noise(NoiseParams(kappa_key),
+modes=1), which adds kappa_key to Delta_x^2, and the key density is
+complex_gaussian_pdf(alpha, 0, kappa_key).  The two variances are the
+paper's, kept side by side rather than reconciled.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import numpy as np
 
 from cventlab import fock_oracle
 from cventlab.discrimination import helstrom_error
-from cventlab.estimation import heterodyne_variance
-from cventlab.gaussian_core import TwinBeamParams, complex_gaussian_pdf
+from cventlab.gaussian_core import TwinBeamParams
 
 
 @dataclass(frozen=True)
@@ -125,36 +128,6 @@ def security_margin(x: float, kappa_key: float, a: float = 1.0) -> SecurityMargi
     )
 
 
-@dataclass(frozen=True)
-class AlphabetPdfs:
-    """Gaussian outcome densities of the complex-alphabet channel."""
-
-    z0: complex
-    bob_variance: float  # Delta_x^2
-    eve_variance: float  # Delta_x^2 + kappa_key
-
-    def bob_pdf(self, z: complex) -> float:
-        return complex_gaussian_pdf(z, self.z0, self.bob_variance)
-
-    def eve_pdf(self, z: complex) -> float:
-        return complex_gaussian_pdf(z, self.z0, self.eve_variance)
-
-
-def alphabet_pdfs(z0: complex, x: float, kappa_key: float) -> AlphabetPdfs:
-    """Bob sees variance Delta_x^2 around z0; Eve sees Delta_x^2 + kappa_key."""
-    if kappa_key < 0:
-        raise ValueError(f"kappa_key must be >= 0, got {kappa_key}")
-    delta_sq = heterodyne_variance(x)
-    return AlphabetPdfs(
-        z0=complex(z0), bob_variance=delta_sq, eve_variance=delta_sq + kappa_key
-    )
-
-
-def key_pdf(alpha: complex, kappa_key: float) -> float:
-    """Gaussian key density g_kappa(|alpha|^2) = exp(-|alpha|^2/kappa)/(kappa pi)."""
-    return complex_gaussian_pdf(alpha, 0.0, kappa_key)
-
-
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """128-point Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -165,23 +138,26 @@ def splus_numeric(a: float, kappa_key: float) -> float:
     """Positive-eigenvalue sum by 2-D quadrature of f(beta) over Re beta > 0.
 
     f(beta) = g_kappa(|beta - a|^2) - g_kappa(|beta + a|^2); the integral over
-    the positivity half-plane equals erf(a / sqrt(kappa)).  A fixed tensor
-    Gauss-Legendre rule covers Re beta in [max(0, a - L), a + L] and Im beta
-    in [-L, L], L = 10 sqrt(kappa), which holds all but e^-100 of the mass
-    for every ratio a / sqrt(kappa).  The nodes are placed as offsets
-    Re beta - a, so a large a does not cancel them away.
+    the positivity half-plane equals erf(a / sqrt(kappa)).  In units of
+    sqrt(kappa), with b = a/sqrt(kappa), s = (Re beta - a)/sqrt(kappa) and
+    t = Im beta/sqrt(kappa), kappa cancels:
+
+        f dbeta = [e^{-(s^2 + t^2)} - e^{-((s + 2b)^2 + t^2)}] / pi ds dt.
+
+    A fixed tensor Gauss-Legendre rule covers s in [max(-b, -10), 10] and
+    t in [-10, 10], which holds all but e^-100 of the mass for every b.  The
+    far Gaussian's argument s + 2b is clamped at 40, where e^-1600 is already
+    0, so even an infinite b overflows nothing.
     """
     nodes, weights = _gauss_legendre()
-    half = 10.0 * math.sqrt(kappa_key)
-    lo = max(-a, -half)
-    width = 0.5 * (half - lo)
-    u = (lo + width * (nodes + 1.0))[:, None]  # Re beta - a
-    y = half * nodes
-    f = (
-        np.exp(-(u * u + y * y) / kappa_key)
-        - np.exp(-((u + 2.0 * a) ** 2 + y * y) / kappa_key)
-    ) / (kappa_key * math.pi)
-    return float((width * weights) @ f @ (half * weights))
+    b = a / math.sqrt(kappa_key)
+    lo = max(-b, -10.0)
+    width = 0.5 * (10.0 - lo)
+    s = (lo + width * (nodes + 1.0))[:, None]
+    t = 10.0 * nodes
+    far = np.minimum(s + 2.0 * b, 40.0)
+    f = (np.exp(-(s * s + t * t)) - np.exp(-(far * far + t * t))) / math.pi
+    return float((width * weights) @ f @ (10.0 * weights))
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,19 @@ class PolygonK:
 
 
 def covering_arc(phases: tuple[float, ...]) -> float:
-    """Length of the minimal arc containing all phases: 2pi minus largest gap."""
+    """Length of the minimal arc containing all phases: 2pi minus largest gap.
+
+    When the largest gap is the one that wraps around 2pi, the arc is
+    p[-1] - p[0] itself, which keeps an arc far below an ulp of 2pi.
+    """
     if len(phases) == 1:
         return 0.0
     p = np.sort(np.asarray(phases))
     gaps = np.diff(np.concatenate([p, [p[0] + 2.0 * math.pi]]))
-    return float(2.0 * math.pi - gaps.max())
+    largest = int(gaps.argmax())
+    if largest == len(gaps) - 1:
+        return float(p[-1] - p[0])
+    return float(2.0 * math.pi - gaps[largest])
 
 
 def _origin_distance(delta: float) -> float:
@@ -159,17 +166,17 @@ def brute_force_min_overlap(spectrum: EigenphaseSpectrum, n_samples: int = 100_0
     return float(abs(_min_norm_weights(phases) @ np.exp(1j * phases)))
 
 
-def copies_for_exact(spectrum: EigenphaseSpectrum) -> int | None:
+def copies_for_exact(polygon: PolygonK) -> int | None:
     """Smallest N with N * delta >= pi (origin enters the N-copy polygon).
 
     Returns None when delta = 0 (proportional unitaries: no number of copies
-    ever helps).  The N-copy spread cap at 2pi does not matter for exactness,
-    which only needs the covering arc to reach pi.
+    ever helps), and raises OverflowError when pi/delta overflows.  The
+    N-copy spread cap at 2pi does not matter for exactness, which only needs
+    the covering arc to reach pi.
     """
-    delta = covering_arc(spectrum.phases)
-    if delta == 0.0:
+    if polygon.delta == 0.0:
         return None
-    return max(1, math.ceil(math.pi / delta - 1e-12))
+    return max(1, math.ceil(math.pi / polygon.delta - 1e-12))
 
 
 def n_copy_spectrum(spectrum: EigenphaseSpectrum, n_copies: int) -> EigenphaseSpectrum:

@@ -41,31 +41,6 @@ def _log1p_over_2m(a: float, M: float) -> float:
     return math.log1p(ratio) if math.isfinite(ratio) else math.log(a) - math.log(2.0 * M)
 
 
-@dataclass(frozen=True)
-class FiberParams:
-    """Fiber channel parameters: damping rate Gamma and thermal photons M."""
-
-    gamma_damp: float
-    M: float
-
-    def __post_init__(self):
-        if self.gamma_damp <= 0:
-            raise ValueError(f"damping rate must be > 0, got {self.gamma_damp}")
-        if self.M < 0:
-            raise ValueError(f"M must be >= 0, got {self.M}")
-
-    @property
-    def gamma_drift(self) -> float:
-        """Drift coefficient gamma of the rescaled dynamics."""
-        return _drift(self.M)
-
-    def tau_from_t(self, t: float) -> float:
-        return self.gamma_damp / self.gamma_drift * t
-
-    def t_from_tau(self, tau: float) -> float:
-        return self.gamma_drift / self.gamma_damp * tau
-
-
 def evolve_variances(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamFamilyState:
     """The twin-beam after rescaled time tau in the fibers, as its EPR variances."""
     if tau < 0:
@@ -126,18 +101,14 @@ def separability_time_large_n(Gamma: float, M: float) -> float:
     return _log1p_over_2m(1.0, M) / Gamma
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    found: bool
-    tau_first_separable: float | None
-
-
-def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> ScanResult:
+def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float | None:
     """Numeric separability threshold via PPT on a grid plus bisection.
 
     Independent of the closed forms: evolves the EPR variances forward and
     applies the PPT test at each grid point, then bisects the first
-    entangled-to-separable transition down to a bracket of 1e-12.
+    entangled-to-separable transition down to a bracket of 1e-12.  Returns
+    that tau, 0.0 for a state separable from the start, or None when no
+    transition lies in [0, tau_max].
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -146,9 +117,8 @@ def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> ScanRe
     def separable(tau: float) -> bool:
         return gaussian_core.ppt_separable(evolved_state(r0, M, tau), tol=0.0).separable
 
-    prev = separable(taus[0])
-    if prev:
-        return ScanResult(found=True, tau_first_separable=0.0)
+    if separable(taus[0]):
+        return 0.0
     for lo, hi in zip(taus[:-1], taus[1:]):
         if separable(hi):
             while hi - lo > 1e-12:
@@ -157,8 +127,8 @@ def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> ScanRe
                     hi = mid
                 else:
                     lo = mid
-            return ScanResult(found=True, tau_first_separable=(lo + hi) / 2.0)
-    return ScanResult(found=False, tau_first_separable=None)
+            return (lo + hi) / 2.0
+    return None
 
 
 @dataclass(frozen=True)

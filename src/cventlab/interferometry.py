@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from cventlab import fock_oracle
 
@@ -62,37 +61,19 @@ def acceptance_threshold(q0: float, gamma_star: float) -> float:
     return q0 * (1.0 + gamma_star * (1.0 - 2.0 * q0) - 2.0 * math.sqrt(rad))
 
 
-@dataclass(frozen=True)
-class PhaseDetectionResult:
-    """Minimum detectable phase of the ideal NP scheme."""
-
-    phi_min: float | None  # None when no phase is detectable at this N
-    lambda_value: float  # g(Q0, gamma*), the overlap deficit
-    q0: float
-    gamma_star: float
-    N: float
-
-    @property
-    def detectable(self) -> bool:
-        return self.phi_min is not None
-
-    def acceptance_probability(self, p_prior: float) -> float:
-        """P(p, phi) = p gamma* / (p gamma* + 1 - p): confidence in a detection."""
-        if not 0.0 < p_prior <= 1.0:
-            raise ValueError(f"p_prior must be in (0, 1], got {p_prior}")
-        return p_prior * self.gamma_star / (
-            p_prior * self.gamma_star + 1.0 - p_prior
-        )
+def acceptance_probability(p_prior: float, gamma_star: float) -> float:
+    """P(p, phi) = p gamma* / (p gamma* + 1 - p): confidence in a detection."""
+    if not 0.0 < p_prior <= 1.0:
+        raise ValueError(f"p_prior must be in (0, 1], got {p_prior}")
+    return p_prior * gamma_star / (p_prior * gamma_star + 1.0 - p_prior)
 
 
-def min_detectable_phase_ideal(
-    q0: float, gamma_star: float, N: float
-) -> PhaseDetectionResult:
+def min_detectable_phase_ideal(q0: float, gamma_star: float, N: float) -> float | None:
     """phi_min = arcsin(sqrt(L/(1-L)) / sqrt(N(N+2))) with L = g(q0, gamma*).
 
     Asymptotically phi_min ~ sqrt(L/(1-L)) / N.  When the arcsin argument
-    exceeds 1 no phase reaches the required acceptance ratio and phi_min is
-    reported as None.
+    exceeds 1 no phase reaches the required acceptance ratio and None is
+    returned.
     """
     if N <= 0:
         raise ValueError(f"N must be > 0, got {N}")
@@ -100,10 +81,7 @@ def min_detectable_phase_ideal(
     if not 0.0 < lam < 1.0:
         raise ValueError(f"g(q0, gamma_star) = {lam} outside (0, 1)")
     arg = math.sqrt(lam / (1.0 - lam)) / math.sqrt(N * (N + 2.0))
-    phi_min = math.asin(arg) if arg <= 1.0 else None
-    return PhaseDetectionResult(
-        phi_min=phi_min, lambda_value=lam, q0=q0, gamma_star=gamma_star, N=N
-    )
+    return math.asin(arg) if arg <= 1.0 else None
 
 
 class TruncationError(RuntimeError):
@@ -143,7 +121,7 @@ def mz_min_phase(target_q_phi: float, N: float) -> float:
     return math.sqrt(2.0 * target_q_phi) / N
 
 
-def mz_min_phase_numeric(target_q_phi: float, x: float, d_max: int | None = None) -> float:
+def mz_min_phase_numeric(target_q_phi: float, x: float) -> float:
     """Invert P(d=0 | phi) = 1 - Q_phi by bisection on [0, pi/4].
 
     The bracket stops at pi/4: phi = pi/2 swaps the two beams, which leaves
@@ -156,7 +134,7 @@ def mz_min_phase_numeric(target_q_phi: float, x: float, d_max: int | None = None
         raise ValueError(f"target_q_phi must be in (0, 1), got {target_q_phi}")
 
     def leak(phi):
-        return (1.0 - mz_zero_count_probability(x, phi, d_max)) - target_q_phi
+        return (1.0 - mz_zero_count_probability(x, phi)) - target_q_phi
 
     lo, step = 0.0, math.pi / 4.0
     if leak(step) < 0:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import pathlib
 
 import pytest
@@ -168,6 +169,27 @@ class TestErrorHandling:
         out = run_cli(["interfere", "--x", "0.9", "--d-max", "5"])
         assert out.exit_code == 1
         assert "numerical failure" in out.output
+
+    @pytest.mark.parametrize("args", [
+        ["fiber", "--r0", "800", "--m", "0.5"],
+        ["fiber", "--n", "1e308", "--m", "0.5"],
+        ["discriminate", "--phases", "0,5e-324"],
+        ["crypto", "errors", "--x", "0.5", "--a", "1e200", "--kappa", "1"],
+    ])
+    def test_float_overflow_is_a_numerical_failure(self, args):
+        # run_cli lets an uncaught exception through, so a traceback fails here
+        out = run_cli(args)
+        assert out.exit_code == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("numerical failure: ")
+        assert "Traceback" not in out.output
+
+    def test_discriminate_arc_far_below_an_ulp(self):
+        out = run_cli(["discriminate", "--phases", "0,1e-300"])
+        assert out.exit_code == 0
+        (row,) = parse_csv(out.stdout)
+        assert float(row["delta"]) == 1e-300
+        assert int(row["copies_for_exact"]) == math.ceil(math.pi / 1e-300)
 
     @pytest.mark.parametrize("args", [
         ["estimate", "--x", "0.99999999", "--trials", "10"],

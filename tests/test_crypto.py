@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from cventlab import crypto, fock_oracle
+from cventlab import crypto, fock_oracle, gaussian_core
 
 
 def dense_uniform_key_demo(x, a, radii=(1.5, 2.5, 3.5), grid_step=0.5, d_max=24):
@@ -143,6 +143,15 @@ class TestEveBounds:
                     math.erf(a / math.sqrt(kappa)), rel=0, abs=1e-12
                 )
 
+    @pytest.mark.parametrize("a, kappa", [
+        (0.5, 1e308), (0.5, 1e-320), (1e200, 1.0), (1e200, 1e-320), (1e-200, 1e308),
+    ])
+    def test_splus_numeric_at_extremes(self, a, kappa):
+        # in units of sqrt(kappa) no step overflows, and warnings are errors here
+        assert crypto.splus_numeric(a, kappa) == pytest.approx(
+            math.erf(a / math.sqrt(kappa)), rel=0, abs=1e-13
+        )
+
 
 class TestSecurity:
     def test_condition(self):
@@ -162,31 +171,48 @@ class TestSecurity:
         assert m.eve_err == pytest.approx(crypto.eve_error_gaussian_key(0.5, 1.0))
 
 
+def bob_state(z0, x):
+    """Bob's outcome state: the twin-beam displaced by the symbol z0."""
+    beam = gaussian_core.make_twin_beam(gaussian_core.TwinBeamParams.from_x(x))
+    return beam.displaced(z0)
+
+
+def eve_state(z0, x, kappa):
+    """Eve's outcome state: Bob's, with the key's noise of variance kappa on mode 1."""
+    return bob_state(z0, x).with_noise(gaussian_core.NoiseParams(kappa), modes=1)
+
+
 class TestAlphabetPdfs:
+    """The complex-alphabet densities, read from the twin-beam family state."""
+
     def test_variances(self):
-        p = crypto.alphabet_pdfs(1 + 1j, 0.5, 0.7)
-        assert p.bob_variance == pytest.approx(1 / 3, rel=1e-12)
-        assert p.eve_variance == pytest.approx(1 / 3 + 0.7, rel=1e-12)
+        _, bob_var = gaussian_core.heterodyne_mean_and_variance(bob_state(1 + 1j, 0.5))
+        _, eve_var = gaussian_core.heterodyne_mean_and_variance(eve_state(1 + 1j, 0.5, 0.7))
+        assert bob_var == pytest.approx(1 / 3, rel=1e-12)
+        assert eve_var == pytest.approx(1 / 3 + 0.7, rel=1e-12)
 
     def test_pdfs_match_direct_formula(self):
         z0, x, kappa = 0.4 - 0.9j, 0.6, 0.7
-        p = crypto.alphabet_pdfs(z0, x, kappa)
         delta_sq = (1 - x) / (1 + x)
         for z in (0.0, z0, 1.5 + 0.2j, -2j):
-            for got, v in ((p.bob_pdf(z), delta_sq), (p.eve_pdf(z), delta_sq + kappa)):
+            for state, v in ((bob_state(z0, x), delta_sq),
+                             (eve_state(z0, x, kappa), delta_sq + kappa)):
                 expected = math.exp(-abs(z - z0) ** 2 / v) / (math.pi * v)
-                assert got == pytest.approx(expected, rel=1e-14)
+                assert gaussian_core.heterodyne_pdf(state, z) == pytest.approx(
+                    expected, rel=1e-14)
 
     def test_pdf_peaks_at_symbol(self):
-        p = crypto.alphabet_pdfs(1.0, 0.5, 0.7)
-        assert p.bob_pdf(1.0) > p.bob_pdf(1.5)
-        assert p.bob_pdf(1.0) == pytest.approx(1 / (math.pi * p.bob_variance))
+        bob = bob_state(1.0, 0.5)
+        _, bob_var = gaussian_core.heterodyne_mean_and_variance(bob)
+        assert gaussian_core.heterodyne_pdf(bob, 1.0) > gaussian_core.heterodyne_pdf(bob, 1.5)
+        assert gaussian_core.heterodyne_pdf(bob, 1.0) == pytest.approx(1 / (math.pi * bob_var))
 
     def test_key_pdf_normalization(self):
         kappa = 0.8
         grid = np.linspace(-6, 6, 400)
         vals = np.array(
-            [[crypto.key_pdf(complex(re, im), kappa) for im in grid] for re in grid]
+            [[gaussian_core.complex_gaussian_pdf(complex(re, im), 0.0, kappa) for im in grid]
+             for re in grid]
         )
         step = grid[1] - grid[0]
         assert vals.sum() * step * step == pytest.approx(1.0, abs=1e-6)

@@ -50,6 +50,11 @@ class TestCoveringArc:
             math.pi, rel=1e-12
         )
 
+    @pytest.mark.parametrize("arc", [1e-300, 5e-324])
+    def test_arc_below_an_ulp_of_two_pi(self, arc):
+        # 2pi minus the wraparound gap would round such an arc to 0
+        assert disc.covering_arc((0.0, arc)) == arc
+
 
 class TestBuildPolygon:
     def test_single_phase_r_one(self):
@@ -249,10 +254,20 @@ class TestAncillaExtension:
 
 class TestMultiCopy:
     def test_copies_for_exact_values(self):
-        assert disc.copies_for_exact(spectrum(0.0, math.pi)) == 1
-        assert disc.copies_for_exact(spectrum(0.0, math.pi / 2)) == 2
-        assert disc.copies_for_exact(spectrum(0.0, 1.0)) == 4
-        assert disc.copies_for_exact(spectrum(0.7)) is None
+        def copies(*phases):
+            return disc.copies_for_exact(disc.build_polygon(spectrum(*phases)))
+
+        assert copies(0.0, math.pi) == 1
+        assert copies(0.0, math.pi / 2) == 2
+        assert copies(0.0, 1.0) == 4
+        assert copies(0.7) is None
+
+    def test_copies_for_tiny_arcs(self):
+        # a finite pi/delta gives its exact count; an infinite one overflows
+        polygon = disc.build_polygon(spectrum(0.0, 1e-300))
+        assert disc.copies_for_exact(polygon) == math.ceil(math.pi / 1e-300)
+        with pytest.raises(OverflowError):
+            disc.copies_for_exact(disc.build_polygon(spectrum(0.0, 5e-324)))
 
     def test_n_copy_spectrum_explicit(self):
         s = spectrum(0.0, math.pi / 2)
@@ -264,7 +279,7 @@ class TestMultiCopy:
         for _ in range(30):
             delta = rng.uniform(0.5, math.pi - 0.05)
             s = spectrum(0.0, delta)
-            n = disc.copies_for_exact(s)
+            n = disc.copies_for_exact(disc.build_polygon(s))
             assert disc.build_polygon(disc.n_copy_spectrum(s, n)).r == 0.0
             if n > 1:
                 assert disc.build_polygon(disc.n_copy_spectrum(s, n - 1)).r > 0.0

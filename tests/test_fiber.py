@@ -18,23 +18,6 @@ def mp_sigma_minus_sq(r0, m, tau):
         return decay * mpmath.exp(-2 * mpmath.mpf(r0)) / 4 + (1 - decay) / (4 * gamma)
 
 
-class TestFiberParams:
-    def test_gamma_drift(self):
-        assert fiber.FiberParams(1.0, 0.0).gamma_drift == 1.0
-        assert fiber.FiberParams(1.0, 0.5).gamma_drift == 0.5
-
-    def test_time_rescaling_roundtrip(self):
-        p = fiber.FiberParams(2.0, 1.5)
-        t = 0.37
-        assert p.t_from_tau(p.tau_from_t(t)) == pytest.approx(t, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fiber.FiberParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            fiber.FiberParams(1.0, -0.1)
-
-
 class TestEvolveVariances:
     def test_initial_condition(self):
         v = fiber.evolve_variances(1.0, 0.5, 0.0)
@@ -72,8 +55,8 @@ class TestSeparabilityTime:
             gamma_damp = rng.uniform(0.2, 4.0)
             t_s = fiber.separability_time(gamma_damp, m, n)
             tau_s = fiber.separability_time_rescaled(m, r0)
-            p = fiber.FiberParams(gamma_damp, m)
-            assert p.t_from_tau(tau_s) == pytest.approx(t_s, rel=1e-12)
+            # t = tau / ((2M + 1) Gamma)
+            assert tau_s / ((2 * m + 1) * gamma_damp) == pytest.approx(t_s, rel=1e-12)
 
     def test_zero_temperature_never_separable(self):
         assert fiber.separability_time_rescaled(0.0, 1.0) == math.inf
@@ -145,14 +128,12 @@ class TestScan:
             m = rng.uniform(0.1, 4.0)
             r0 = rng.uniform(0.1, 2.5)
             tau_s = fiber.separability_time_rescaled(m, r0)
-            scan = fiber.scan_separability(r0, m, tau_max=2 * tau_s + 1, steps=128)
-            assert scan.found
-            assert scan.tau_first_separable == pytest.approx(tau_s, abs=1e-8)
+            tau_scan = fiber.scan_separability(r0, m, tau_max=2 * tau_s + 1, steps=128)
+            assert tau_scan is not None
+            assert tau_scan == pytest.approx(tau_s, abs=1e-8)
 
     def test_no_transition_at_zero_temperature(self):
-        scan = fiber.scan_separability(1.0, 0.0, tau_max=1000.0, steps=501)
-        assert not scan.found
-        assert scan.tau_first_separable is None
+        assert fiber.scan_separability(1.0, 0.0, tau_max=1000.0, steps=501) is None
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):
@@ -165,8 +146,7 @@ class TestScan:
             if not isinstance(getattr(np.linalg, name), type):
                 monkeypatch.setattr(np.linalg, name,
                                     lambda *a, _name=name, **k: calls.append(_name))
-        scan = fiber.scan_separability(1.0, 0.5, tau_max=5.0, steps=64)
-        assert scan.found
+        assert fiber.scan_separability(1.0, 0.5, tau_max=5.0, steps=64) is not None
         assert calls == []
 
 

@@ -83,30 +83,27 @@ class TestAcceptanceThreshold:
 
 class TestMinDetectablePhaseIdeal:
     def test_example_value(self):
-        res = itf.min_detectable_phase_ideal(0.01, 10.0, 5.0)
+        phi_min = itf.min_detectable_phase_ideal(0.01, 10.0, 5.0)
         lam = itf.acceptance_threshold(0.01, 10.0)
         expected = math.asin(math.sqrt(lam / (1 - lam)) / math.sqrt(35.0))
-        assert res.phi_min == pytest.approx(expected, rel=1e-12)
-        assert res.detectable
+        assert phi_min is not None
+        assert phi_min == pytest.approx(expected, rel=1e-12)
 
     def test_undetectable_at_tiny_n(self):
-        res = itf.min_detectable_phase_ideal(0.001, 500.0, 0.05)
-        assert res.phi_min is None
-        assert not res.detectable
+        assert itf.min_detectable_phase_ideal(0.001, 500.0, 0.05) is None
 
     def test_scaling_slope_minus_one(self):
         ns = np.logspace(1, 3, 10)
-        phis = [itf.min_detectable_phase_ideal(0.01, 10.0, n).phi_min for n in ns]
+        phis = [itf.min_detectable_phase_ideal(0.01, 10.0, n) for n in ns]
         slope = np.polyfit(np.log(ns), np.log(phis), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
 
     def test_acceptance_probability(self):
-        res = itf.min_detectable_phase_ideal(0.01, 10.0, 5.0)
         # prior 1/2 with gamma* = 10 gives confidence 10/11
-        assert res.acceptance_probability(0.5) == pytest.approx(10 / 11, rel=1e-12)
-        assert res.acceptance_probability(1.0) == 1.0
+        assert itf.acceptance_probability(0.5, 10.0) == pytest.approx(10 / 11, rel=1e-12)
+        assert itf.acceptance_probability(1.0, 10.0) == 1.0
         with pytest.raises(ValueError):
-            res.acceptance_probability(0.0)
+            itf.acceptance_probability(0.0, 10.0)
 
 
 class TestMZZeroCount:
