@@ -154,11 +154,17 @@ def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
     for g in grid:
         for key, value in g.items():
             _finite(key, value)
+    rows = []
     try:
-        rows = [row_fn(g, seed) for g in grid]
-    except (itf.TruncationError, ArithmeticError,
-            gaussian_core.NonPhysicalStateError) as exc:
+        for g in grid:
+            rows.append(row_fn(g, seed))
+    except (itf.TruncationError, gaussian_core.NonPhysicalStateError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(1)
+    except (ArithmeticError, MemoryError) as exc:
+        # Python's own text names neither the command nor the input it failed at
+        inputs = ", ".join(f"{k}={_fmt(v)}" for k, v in g.items() if v is not None)
+        click.echo(f"numerical failure: {command} at {inputs}: {exc}", err=True)
         sys.exit(1)
     except ValueError as exc:  # the library's domain checks on its arguments
         raise click.BadParameter(str(exc)) from exc

@@ -107,8 +107,7 @@ def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float 
     Independent of the closed forms: evolves the EPR variances forward and
     applies the PPT test at each grid point, then bisects the first
     entangled-to-separable transition down to a bracket of 1e-12.  Returns
-    that tau, 0.0 for a state separable from the start, or None when no
-    transition lies in [0, tau_max].
+    that tau, or None when no transition lies in [0, tau_max].
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -117,8 +116,7 @@ def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float 
     def separable(tau: float) -> bool:
         return gaussian_core.ppt_separable(evolved_state(r0, M, tau), tol=0.0).separable
 
-    if separable(taus[0]):
-        return 0.0
+    # tau = 0 is not tested: there the witness e^{-2 r0}/4 never exceeds 1/4
     for lo, hi in zip(taus[:-1], taus[1:]):
         if separable(hi):
             while hi - lo > 1e-12:

@@ -161,9 +161,11 @@ def sample_heterodyne(
     mu, delta_sq = heterodyne_mean_and_variance(state)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(delta_sq / 2.0)
-    re = rng.normal(mu.real, scale, size=n_samples)
-    im = rng.normal(mu.imag, scale, size=n_samples)
-    return re + 1j * im
+    # filled part by part: re + 1j * im would multiply 0 by an infinite im
+    out = np.empty(n_samples, dtype=complex)
+    out.real = rng.normal(mu.real, scale, size=n_samples)
+    out.imag = rng.normal(mu.imag, scale, size=n_samples)
+    return out
 
 
 @dataclass(frozen=True)

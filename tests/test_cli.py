@@ -170,19 +170,40 @@ class TestErrorHandling:
         assert out.exit_code == 1
         assert "numerical failure" in out.output
 
-    @pytest.mark.parametrize("args", [
-        ["fiber", "--r0", "800", "--m", "0.5"],
-        ["fiber", "--n", "1e308", "--m", "0.5"],
-        ["discriminate", "--phases", "0,5e-324"],
-        ["crypto", "errors", "--x", "0.5", "--a", "1e200", "--kappa", "1"],
-    ])
+    # each overflowing command, with the command and row inputs its message names
+    OVERFLOWS = {
+        ("fiber", "--r0", "800", "--m", "0.5"): "fiber at gamma=1, m=0.5, r0=800",
+        ("fiber", "--n", "1e308", "--m", "0.5"): "fiber at gamma=1, m=0.5, n=1e+308",
+        ("discriminate", "--phases", "0,5e-324"): "discriminate at samples=100000",
+        ("crypto", "errors", "--x", "0.5", "--a", "1e200", "--kappa", "1"):
+            "crypto-errors at x=0.5, a=1e+200, kappa=1",
+        ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--trials", "10"):
+            "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=10",
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [list(args) for args in OVERFLOWS])
     def test_float_overflow_is_a_numerical_failure(self, args):
-        # run_cli lets an uncaught exception through, so a traceback fails here
+        # run_cli lets an uncaught exception through, so a traceback fails
+        # here, and so does a warning on the way to the message
         out = run_cli(args)
         assert out.exit_code == 1
         assert out.stdout == ""
-        assert out.stderr.startswith("numerical failure: ")
+        assert out.stderr.startswith(f"numerical failure: {self.OVERFLOWS[tuple(args)]}: ")
+        assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.output
+
+    def test_out_of_memory_is_a_numerical_failure(self, monkeypatch):
+        # what --d-max 100000 meets, without allocating its 149 GiB
+        def unable(x, d_max):
+            raise MemoryError("Unable to allocate 149. GiB")
+
+        monkeypatch.setattr(fock_oracle, "twin_beam_fock", unable)
+        out = run_cli(["interfere", "--x", "0.5", "--d-max", "100000"])
+        assert out.exit_code == 1
+        assert out.stdout == ""
+        assert out.stderr == ("numerical failure: interfere at x=0.5, phi=0.1, q0=0.01, "
+                              "gamma_star=10, d_max=100000: Unable to allocate 149. GiB\n")
 
     def test_discriminate_arc_far_below_an_ulp(self):
         out = run_cli(["discriminate", "--phases", "0,1e-300"])

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from cventlab import cli
 from cventlab import fock_oracle as fo
+from cventlab import interferometry as itf
 
 
 class TestTwinBeamFock:
@@ -219,3 +222,75 @@ class TestZeroDifferenceProbability:
             p0 = fo.zero_difference_probability(fo.apply_jx_evolution(s, phi))
             coeff = (1.0 - p0) / phi ** 2
             assert coeff == pytest.approx(N * (N + 2.0), rel=rel)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh, empty eigensystem memo for the test."""
+    fresh = {}
+    monkeypatch.setattr(fo, "_EIGENSYSTEMS", fresh)
+    return fresh
+
+
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The size of every matrix passed to np.linalg.eigh during the test."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
+class TestEigensystemMemo:
+    def test_memoized_evolution_is_bit_identical(self, memo, eigh_sizes):
+        # a random state fills both sectors of every block
+        rng = np.random.default_rng(21)
+        d = 13
+        amps = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+        state = fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+        fresh = fo.apply_jx_evolution(state, 0.7).amps
+        assert len(eigh_sizes) == len(memo) > 2 * d + 1  # odd sectors too
+        eigh_sizes.clear()
+        memoized = fo.apply_jx_evolution(state, 0.7).amps
+        assert eigh_sizes == []
+        assert np.array_equal(memoized, fresh)
+
+    def test_interfere_row_diagonalizes_each_sector_once(self, memo, eigh_sizes):
+        # the row evolves the twin-beam twice: for P(d=0) and for the overlap
+        out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.9", "--phi", "0.3"],
+                                 catch_exceptions=False)
+        assert out.exit_code == 0
+        # a twin-beam fills only the even sector of each block n = 2p, of size p + 1
+        assert sorted(eigh_sizes) == list(range(1, fo.default_d_max(0.9) + 2))
+
+    def test_repeat_solve_calls_eigh_zero_times(self, memo, eigh_sizes):
+        first = itf.mz_min_phase_numeric(0.01, 0.6)
+        assert sorted(eigh_sizes) == list(range(1, fo.default_d_max(0.6) + 2))
+        eigh_sizes.clear()
+        assert itf.mz_min_phase_numeric(0.01, 0.6) == first
+        assert eigh_sizes == []
+
+    def test_blocks_beyond_twice_the_cap_are_not_kept(self, memo, eigh_sizes):
+        cap = fo.D_MAX_CAP
+        assert fo.default_d_max(0.9999) == cap
+        # |cap, cap> and |cap+5, cap+5>: the even sectors of blocks 2 cap and 2 cap + 10
+        amps = np.zeros((cap + 11, cap + 11), dtype=complex)
+        amps[cap, cap] = amps[cap + 5, cap + 5] = 1 / math.sqrt(2)
+        state = fo.FockTwoModeState(amps, cap + 10)
+        fo.apply_jx_evolution(state, 0.4)
+        fo.apply_jx_evolution(state, 0.4)
+        assert list(memo) == [(2 * cap, True)]
+        assert eigh_sizes == [cap + 1, cap + 6, cap + 6]
+
+    @pytest.mark.parametrize("n", [7, 2 * fo.D_MAX_CAP + 1])
+    def test_eigensystem_is_read_only(self, memo, n):
+        w, u = fo._sector_eigensystem(n, False)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
