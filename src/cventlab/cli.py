@@ -148,7 +148,10 @@ def _common(fn):
     return fn
 
 
-def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
+def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn,
+         inputs: dict | None = None) -> None:
+    """Emit one row_fn row per grid point; a numerical failure names the
+    grid point, or ``inputs`` when those are what the rows depend on."""
     seed = _resolve_seed(seed)
     grid = _expand_grid(params, ranges)
     for g in grid:
@@ -163,8 +166,9 @@ def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn) -> None:
         sys.exit(1)
     except (ArithmeticError, MemoryError) as exc:
         # Python's own text names neither the command nor the input it failed at
-        inputs = ", ".join(f"{k}={_fmt(v)}" for k, v in g.items() if v is not None)
-        click.echo(f"numerical failure: {command} at {inputs}: {exc}", err=True)
+        shown = ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items()
+                          if v is not None)
+        click.echo(f"numerical failure: {command} at {shown}: {exc}", err=True)
         sys.exit(1)
     except ValueError as exc:  # the library's domain checks on its arguments
         raise click.BadParameter(str(exc)) from exc
@@ -246,7 +250,8 @@ def discriminate(phases, samples, ranges, seed, fmt, output):
             "copies_for_exact": copies if copies is not None else "unbounded",
         }
 
-    _run("discriminate", {"samples": samples}, ranges, seed, fmt, output, row)
+    _run("discriminate", {"samples": samples}, ranges, seed, fmt, output, row,
+         inputs={"phases": phases})
 
 
 @main.command()

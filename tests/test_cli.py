@@ -174,7 +174,7 @@ class TestErrorHandling:
     OVERFLOWS = {
         ("fiber", "--r0", "800", "--m", "0.5"): "fiber at gamma=1, m=0.5, r0=800",
         ("fiber", "--n", "1e308", "--m", "0.5"): "fiber at gamma=1, m=0.5, n=1e+308",
-        ("discriminate", "--phases", "0,5e-324"): "discriminate at samples=100000",
+        ("discriminate", "--phases", "0,5e-324"): "discriminate at phases=0,5e-324",
         ("crypto", "errors", "--x", "0.5", "--a", "1e200", "--kappa", "1"):
             "crypto-errors at x=0.5, a=1e+200, kappa=1",
         ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--trials", "10"):
@@ -192,6 +192,14 @@ class TestErrorHandling:
         assert out.stderr.startswith(f"numerical failure: {self.OVERFLOWS[tuple(args)]}: ")
         assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.output
+
+    def test_discriminate_overflow_names_the_phases(self):
+        # the rows depend on --phases, not on the unused --samples of the grid
+        out = run_cli(["discriminate", "--phases", "0,5e-324"])
+        assert out.exit_code == 1
+        assert out.stdout == ""
+        assert out.stderr == ("numerical failure: discriminate at phases=0,5e-324: "
+                              "cannot convert float infinity to integer\n")
 
     def test_out_of_memory_is_a_numerical_failure(self, monkeypatch):
         # what --d-max 100000 meets, without allocating its 149 GiB

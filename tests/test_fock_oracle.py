@@ -140,7 +140,7 @@ def assert_matches_dense(state, phi):
 class TestSwapSectorKernel:
     """The swap-split evolution against the dense full-block reference."""
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 3, 8, 13])
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 8, 13, 40])
     def test_random_states_straddling_truncation(self, d):
         # every entry of the (d+1)^2 square is filled, so blocks with n > d
         # are cut by the truncation on both sides
@@ -174,6 +174,31 @@ class TestSwapSectorKernel:
     def test_twin_beam(self):
         x = 0.9
         assert_matches_dense(fo.twin_beam_fock(x, fo.default_d_max(x)), 0.3)
+
+    def test_odd_sectors_only(self):
+        # an antisymmetric A has no swap-even component in any block
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
+        state = fo.FockTwoModeState((a - a.T) / np.linalg.norm(a - a.T), 9)
+        out = fo.apply_jx_evolution(state, 0.6)
+        assert_matches_dense(state, 0.6)
+        assert np.allclose(out.amps.T, -out.amps, atol=1e-15)
+
+    def test_one_block_beyond_the_truncation(self):
+        # block n = 13 of d = 8 keeps only k = 5..8 of its 14 entries
+        rng = np.random.default_rng(13)
+        amps = np.zeros((9, 9), dtype=complex)
+        k = np.arange(5, 9)
+        amps[k, 13 - k] = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = fo.FockTwoModeState(amps, 8)
+        for phi in (0.4, 2.2):
+            assert_matches_dense(state, phi)
+
+    def test_d_zero(self):
+        # the vacuum block n = 0 has J = 0
+        state = fo.FockTwoModeState(np.array([[0.6 - 0.8j]]), 0)
+        assert_matches_dense(state, 0.9)
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.9).amps, state.amps)
 
 
 class TestOverlap:
@@ -294,3 +319,22 @@ class TestEigensystemMemo:
             w[0] = 0.0
         with pytest.raises(ValueError):
             u[0, 0] = 0.0
+
+
+class TestSectorLayout:
+    def test_zero_state_calls_eigh_zero_times(self, memo, eigh_sizes):
+        state = fo.FockTwoModeState(np.zeros((12, 12)), 11)
+        out = fo.apply_jx_evolution(state, 0.5)
+        assert np.array_equal(out.amps, np.zeros((12, 12)))
+        assert eigh_sizes == []
+
+    def test_layout_is_cached_and_read_only(self):
+        layout = fo._layout(6)
+        assert fo._layout(6) is layout
+        for a in layout:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_stream_truncations_take_under_2_mb(self):
+        layouts = [fo._layout(d) for d in (16, 22, 51, 109)]
+        assert sum(a.nbytes for layout in layouts for a in layout) < 2e6
