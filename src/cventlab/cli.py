@@ -122,7 +122,7 @@ def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
                     row[k] = "inf"
         text = json.dumps({"meta": meta, "rows": clean_rows}, indent=2) + "\n"
     if output == "-":
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -162,13 +162,13 @@ def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn,
         for g in grid:
             rows.append(row_fn(g, seed))
     except (itf.TruncationError, gaussian_core.NonPhysicalStateError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        click.echo(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(1)
     except (ArithmeticError, MemoryError) as exc:
         # Python's own text names neither the command nor the input it failed at
         shown = ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items()
                           if v is not None)
-        click.echo(f"numerical failure: {command} at {shown}: {exc}", err=True)
+        click.echo(f"numerical failure: {command} at {shown}: {exc}", file=sys.stderr)
         sys.exit(1)
     except ValueError as exc:  # the library's domain checks on its arguments
         raise click.BadParameter(str(exc)) from exc

@@ -194,6 +194,22 @@ def simulate_binary_protocol(
     )
 
 
+def _key_grid(radius: float, step: float) -> np.ndarray:
+    """Key displacements of the demo: a square grid centred on the origin, cut to |alpha| <= radius.
+
+    Along each axis the grid is the m + 1 points (k - m/2) step, k = 0..m,
+    with m = floor(2 radius / step).  It is therefore closed under
+    alpha -> conj(alpha) and alpha -> -alpha at every radius; it holds the
+    origin when m is even and is half-shifted off both axes when m is odd.
+    When 2 radius / step is an integer these are the points of
+    np.arange(-radius, radius + step/2, step).
+    """
+    m = math.floor(2.0 * radius / step)
+    pts = (np.arange(m + 1) - m / 2.0) * step
+    re, im = np.meshgrid(pts, pts, indexing="ij")
+    return (re + 1j * im)[re * re + im * im <= radius * radius]
+
+
 def uniform_key_eigenvalue_demo(
     x: float,
     a: float,
@@ -202,43 +218,71 @@ def uniform_key_eigenvalue_demo(
 ) -> list[float]:
     """Max |eigenvalue| of the grid-averaged state difference, per grid radius.
 
-    Averages D(alpha) (sigma_1 - sigma_0) D(alpha)^dag over a uniform square
-    grid of key displacements, of step 0.5 and growing radius, in truncated
-    Fock space; the values decrease towards 0, illustrating that a uniform
-    key erases all of Eve's information.
+    Averages D(alpha) (sigma_1 - sigma_0) D(alpha)^dag over the K key
+    displacements of _key_grid(radius, 0.5), in truncated Fock space; the
+    values decrease towards 0, illustrating that a uniform key erases all of
+    Eve's information.  A radius whose grid holds no point besides the origin
+    (radius < 0.25, or a half-shifted grid that misses the disk) raises
+    ValueError: a key that is always 0 is no key.
 
-    D(beta) is the exponential of the truncated generator beta a^dag - beta* a.
-    For beta = |beta| e^{i theta} it equals R V exp(-i |beta| Lambda) V^dag R^dag,
-    with V Lambda V^dag the eigendecomposition of the Hermitian i(a^dag - a)
-    and R = diag(e^{i n theta}).  The averaged difference is W diag(s) W^dag,
-    where the columns of W are the 2K displaced states of the K grid points
-    and s = +-1/K; with the thin QR W = QR its nonzero spectrum is that of
-    R diag(s) R^dag, of order at most 2K.
+    The average is taken in real arithmetic, from four exact facts:
+
+    - Global phases cancel in the projectors, so the states are
+      psi_beta = D(beta) C for beta = alpha +- a, with C = diag(c) the
+      twin-beam amplitudes: a column scaling of D(beta).
+    - D(beta) = R D(r) R^dag for beta = r e^{i theta}, R = diag(e^{i n theta}),
+      so psi_beta[p, q] = e^{i (p - q) theta} [D(r) C]_pq.  D(r), the
+      exponential of the truncated r (a^dag - a), is real: with
+      a + a^dag = W diag(mu) W^T and Y = diag((-1)^floor(n/2)) W,
+      D(r) = Y diag(cos r mu) Y^T - diag((-1)^n) Y diag(sin r mu) Y^T.
+      One D(r) is built per distinct |beta|.
+    - psi_conj(beta) = conj(psi_beta).  The grid is closed under conjugation,
+      so with psi = u + i v a conjugate pair adds 2 (u u^T + v v^T) and a
+      point on the real axis adds u u^T.
+    - psi_{-beta} = Omega psi_beta, Omega = (-1)^(p + q) the two-mode parity,
+      and the grid is closed under negation, so {alpha - a} = -{alpha + a}.
+      The difference is then off-diagonal in parity, [[0, B], [B^T, 0]] with
+      B = (2/K) E diag(w) O^T: the columns are u and v over the Im beta >= 0
+      half of alpha + a (K of them, weight w = 1 on the axis, 2 off it),
+      and E, O are their even and odd rows.
+
+    The eigenvalues of that matrix are +- the singular values of B.  With the
+    thin QRs E = Q_e R_e and O = Q_o R_o the largest is
+    (2/K) sqrt(max eigvalsh(G G^T)), G = R_e diag(w) R_o^T, of order at most K.
     """
     step = 0.5
-    n = np.arange(d_max + 1)
+    dim = d_max + 1
+    n = np.arange(dim)
     root = np.sqrt(n[1:])
-    lam, vec = np.linalg.eigh(np.diag(1j * root, -1) - np.diag(1j * root, 1))
-    tb = fock_oracle.twin_beam_fock(x, d_max).amps  # (p, q) amplitudes
+    mu, vec = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
+    y = ((-1.0) ** (n // 2))[:, None] * vec
+    flip = ((-1.0) ** n)[:, None] * y
+    c = np.diagonal(fock_oracle.twin_beam_fock(x, d_max).amps).real
+    # flat Fock indices p dim + q, even p + q first; lag p - q indexes the phase table
+    p, q = np.divmod(np.arange(dim * dim), dim)
+    order = np.argsort((p + q) % 2, kind="stable")
+    n_even = (dim * dim + 1) // 2
+    lag = (p - q)[order] + d_max
 
     maxima = []
     for radius in radii:
-        pts = np.arange(-radius, radius + step / 2.0, step)
-        re, im = np.meshgrid(pts, pts, indexing="ij")
-        alpha = (re + 1j * im)[re * re + im * im <= radius * radius]
-        if len(alpha) == 0:
+        alpha = _key_grid(radius, step)
+        if np.count_nonzero(alpha) == 0:
             raise ValueError(f"radius {radius} holds no point of the grid of step "
-                             f"{step}")
-        # global phases of D(alpha) D(+-a) cancel in the projectors,
-        # so the displaced bit states can be built in one step
-        beta = np.concatenate([alpha + a, alpha - a])
-        rot = np.exp(1j * np.outer(np.angle(beta), n))
-        phases = np.exp(-1j * np.outer(np.abs(beta), lam))
-        disp = (rot[:, :, None] * vec) @ (
-            phases[:, :, None] * (vec.conj().T * rot.conj()[:, None, :])
-        )
-        states = (disp @ tb).reshape(len(beta), -1)
-        r = np.linalg.qr(states.T, mode="r")
-        s = np.repeat([1.0 / len(alpha), -1.0 / len(alpha)], len(alpha))
-        maxima.append(float(np.max(np.abs(np.linalg.eigvalsh((r * s) @ r.conj().T)))))
+                             f"{step} besides the origin")
+        beta = alpha[alpha.imag >= 0] + a
+        mod, which = np.unique(np.abs(beta), return_inverse=True)
+        ang = mod[:, None] * mu
+        dc = ((y * np.cos(ang)[:, None, :] - flip * np.sin(ang)[:, None, :]) @ y.T) * c
+        dc = dc.reshape(len(mod), -1)[:, order][which]
+        turn = np.angle(beta)[:, None] * np.arange(-d_max, d_max + 1)
+        pair = beta.imag > 0
+        cols = np.concatenate([np.cos(turn)[:, lag] * dc,
+                               np.sin(turn[pair])[:, lag] * dc[pair]])
+        weight = np.concatenate([np.where(pair, 2.0, 1.0), np.full(np.sum(pair), 2.0)])
+        r_even = np.linalg.qr(cols[:, :n_even].T, mode="r")
+        r_odd = np.linalg.qr(cols[:, n_even:].T, mode="r")
+        g = (r_even * weight) @ r_odd.T
+        top = np.max(np.linalg.eigvalsh(g @ g.T))
+        maxima.append(2.0 / len(alpha) * math.sqrt(top))
     return maxima

@@ -108,7 +108,8 @@ def _sector_generator(n: int, even: bool) -> np.ndarray:
     off = np.sqrt((k + 1.0) * (n - k))
     if even and n % 2 == 0 and n > 0:
         off[-1] *= _SQRT2
-    j = np.diag(off, 1) + np.diag(off, -1)
+    j = np.zeros((size, size))
+    j[k, k + 1] = j[k + 1, k] = off
     if n % 2 == 1:
         j[-1, -1] = (n + 1) / 2 if even else -(n + 1) / 2
     return j

@@ -1,10 +1,13 @@
 """Tests for the command-line interface: determinism, formats, golden outputs."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import pathlib
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -408,3 +411,28 @@ class TestGoldenFiles:
         out = run_cli(self.CASES[name])
         golden = (GOLDEN_DIR / name).read_bytes()
         assert out.stdout_bytes == golden
+
+
+class TestRedirectedStreams:
+    """In-process calls under redirected stdout/stderr must not keep the redirected streams alive."""
+
+    @pytest.mark.parametrize("args, code", [
+        (["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"], 0),
+        (["fiber", "--r0", "800", "--m", "0.5"], 1),  # message on stderr
+    ])
+    def test_no_stream_outlives_its_call(self, args, code):
+        refs = []
+        for _ in range(5):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    cli.main(args, standalone_mode=False)
+                    exit_code = 0
+                except SystemExit as exc:
+                    exit_code = exc.code
+            assert exit_code == code
+            assert (out if code == 0 else err).getvalue()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

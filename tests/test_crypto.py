@@ -106,6 +106,76 @@ class TestEveBounds:
         with pytest.raises(ValueError, match="radius 0.1 holds no point of the grid"):
             crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=(0.1,), d_max=4)
 
+    @pytest.mark.parametrize("x, a, kwargs", [
+        (0.6, 1.3, {}),
+        (0.3, 0.0, {}),
+        # origin and axis points, so columns with Im beta = 0
+        (0.3, 0.5, {"radii": (0.5,)}),
+        # half-shifted grids: no point on either axis
+        (0.3, 0.5, {"radii": (0.75, 1.25)}),
+    ])
+    def test_uniform_key_demo_matches_dense_reference_off_default(self, x, a, kwargs):
+        got = crypto.uniform_key_eigenvalue_demo(x, a, **kwargs)
+        expected = dense_uniform_key_demo(x, a, **kwargs)
+        assert got == pytest.approx(expected, rel=0, abs=1e-13)
+
+    def test_uniform_key_demo_vanishes_without_symbols(self):
+        # a = 0: both bits are the same state, so the difference is 0
+        assert max(crypto.uniform_key_eigenvalue_demo(0.3, 0.0)) < 1e-13
+
+    @pytest.mark.parametrize("radius", [0.4, 0.9, 1.2, 1.7, 2.6])
+    def test_key_grid_is_symmetric_at_any_radius(self, radius):
+        # radii that are not multiples of step/2
+        grid = crypto._key_grid(radius, 0.5)
+        points = set(grid.tolist())
+        assert len(points) == len(grid) > 1
+        assert {p.conjugate() for p in points} == points
+        assert {-p for p in points} == points
+        assert np.all(np.abs(grid) <= radius)
+
+    @pytest.mark.parametrize("radius", [0.5, 0.75, 1.0, 1.25, 1.5, 2.5, 3.0, 3.5])
+    def test_key_grid_keeps_the_arange_points(self, radius):
+        # where 2 radius / step is an integer the grid is the earlier
+        # np.arange(-radius, radius + step/2, step) one, bit for bit
+        pts = np.arange(-radius, radius + 0.25, 0.5)
+        re, im = np.meshgrid(pts, pts, indexing="ij")
+        earlier = (re + 1j * im)[re * re + im * im <= radius * radius]
+        assert np.array_equal(crypto._key_grid(radius, 0.5), earlier)
+
+    @pytest.mark.parametrize("radius, count", [
+        (0.2, 1),   # the origin alone: a key that is always 0
+        (0.3, 0),   # half-shifted grid, (+-0.25, +-0.25) outside the disk
+        (0.4, 4),   # the four points (+-0.25, +-0.25)
+        (0.5, 5),   # the origin and (+-0.5, 0), (0, +-0.5)
+    ])
+    def test_radius_below_grid_step(self, radius, count):
+        assert len(crypto._key_grid(radius, 0.5)) == count
+        if count <= 1:
+            with pytest.raises(ValueError, match="holds no point of the grid of step "
+                                                 "0.5 besides the origin"):
+                crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=(radius,), d_max=4)
+        else:
+            assert crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=(radius,),
+                                                      d_max=4)[0] > 0
+
+    def test_uniform_key_demo_factors_real_arrays(self, monkeypatch):
+        # two real QRs of K columns and one real eigvalsh per radius, where a
+        # complex QR of the 2K displaced states would cost about 16 times more
+        calls = []
+        for name in ("qr", "eigvalsh"):
+            def spy(arr, *args, _name=name, _original=getattr(np.linalg, name),
+                    **kwargs):
+                calls.append((_name, arr.dtype, arr.shape))
+                return _original(arr, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        radii = (1.5, 2.5, 3.5)
+        crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=radii)
+        assert [name for name, _, _ in calls] == ["qr", "qr", "eigvalsh"] * len(radii)
+        assert all(dtype == np.float64 for _, dtype, _ in calls)
+        columns = [shape[1] for name, _, shape in calls if name == "qr"]
+        assert columns == [len(crypto._key_grid(r, 0.5)) for r in radii for _ in "eo"]
+
     # math.erf and scipy.special.erf agree to 2 ulp, at most 2**-52 below
     # erf = 1, which (1 - erf)/2 halves.  A relative bound alone cannot hold:
     # 1 - erf cancels as erf -> 1.

@@ -338,3 +338,17 @@ class TestSectorLayout:
     def test_stream_truncations_take_under_2_mb(self):
         layouts = [fo._layout(d) for d in (16, 22, 51, 109)]
         assert sum(a.nbytes for layout in layouts for a in layout) < 2e6
+
+
+class TestSectorGenerator:
+    @pytest.mark.parametrize("even", [True, False])
+    @pytest.mark.parametrize("n", range(9))
+    def test_shape_is_the_sector_size(self, n, even):
+        # the odd sector of block 0 is empty
+        size = (n + 1) // 2 + (even and n % 2 == 0)
+        assert fo._sector_generator(n, even).shape == (size, size)
+
+    def test_empty_sector_has_no_eigenvalue(self, memo):
+        w, u = fo._sector_eigensystem(0, False)
+        assert w.shape == (0,)
+        assert u.shape == (0, 0)
