@@ -29,20 +29,17 @@ from cventlab import interferometry as itf
 
 DEFAULT_SEED = 20020521  # documented default; override with --seed or CVENTLAB_SEED
 SEED_ENV_VAR = "CVENTLAB_SEED"
+_SEED = click.IntRange(min=0)  # the values of --seed and CVENTLAB_SEED alike
 
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.BadParameter(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            )
-    return DEFAULT_SEED
+    env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+    try:
+        return _SEED.convert(env, None, None)
+    except click.BadParameter:
+        raise click.BadParameter(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
 
 
 def _finite(name: str, value):
@@ -81,10 +78,14 @@ def _expand_grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
     int_keys = {p.name for p in click.get_current_context().command.params
                 if isinstance(p.type, click.types.IntParamType)}
     grids = [params]
+    swept = set()
     for spec in ranges:
         key, values = _parse_range(spec)
         if key not in params:
             raise click.BadParameter(f"unknown sweep key {key!r}")
+        if key in swept:
+            raise click.BadParameter(f"sweep key {key!r} is given twice")
+        swept.add(key)
         grid_values = [_grid_value(key, v, key in int_keys) for v in values]
         grids = [dict(g, **{key: v}) for g in grids for v in grid_values]
     return grids
@@ -124,8 +125,11 @@ def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
     if output == "-":
         click.echo(text, nl=False, file=sys.stdout)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.BadParameter(f"{exc.strerror}: {output!r}", param_hint="'--output'")
 
 
 def _common(fn):
@@ -138,7 +142,7 @@ def _common(fn):
         help="Output path, or - for stdout.",
     )(fn)
     fn = click.option(
-        "--seed", type=int, default=None,
+        "--seed", type=_SEED, default=None,
         help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR} overrides).",
     )(fn)
     fn = click.option(

@@ -9,14 +9,15 @@ tridiagonal matrix.  J also commutes with the swap of the two modes (it is
 swap-even and a swap-odd sector of about half its size, and each sector is
 diagonalized on its own.  A twin-beam lies in the even sectors only.
 
-One evolution gathers the amplitudes into two flat vectors of sector
-coordinates, one per parity, ordered by block and then by position, so each
-sector is one contiguous slice; finds the occupied sectors from their
-nonzero coordinates (an all-zero parity costs nothing); applies
-u exp(i phi w) u^T to each occupied sector as two BLAS products on real
-views of the complex slice; and scatters the result back.  The index arrays
-of that layout depend on d_max alone and are cached read-only for the last
-8 truncations (250 kB at d_max = 109, 0.8 MB at 200).
+Both parities share one ordering of the entries A[k, m], k <= m, by block
+n = k + m and then by k, so a sector is one slice from its block's first
+entry; the odd coordinate is 0 on the diagonal, and an odd sector stops just
+before it.  One evolution gathers both coordinate vectors; finds the
+occupied sectors from their nonzero coordinates (an all-zero parity costs
+nothing); applies u exp(i phi w) u^T to each occupied sector as two BLAS
+products on real views of the complex slice; and scatters the result back.
+The layout depends on d_max alone and is cached read-only for the last 8
+truncations (250 kB at d_max = 109, 0.8 MB at 200).
 
 A sector's eigensystem depends on the block n alone, not on phi or the
 state, so it is memoized for the life of the process as read-only arrays.
@@ -131,21 +132,18 @@ def _sector_eigensystem(n: int, even: bool) -> tuple[np.ndarray, np.ndarray]:
 class _Layout(NamedTuple):
     """Where each sector coordinate of a (d+1) x (d+1) state lives, ordered by block n, then k.
 
-    The even coordinates of block n are (A[k, n-k] + A[n-k, k])/sqrt(2) for
-    max(0, n-d) <= k < n/2, then A[n/2, n/2] when n is even; the odd ones are
-    (A[k, n-k] - A[n-k, k])/sqrt(2) for the same k < n/2.  Indices into A are
-    flat, k (d+1) + m.
+    Entry i, A[k, m] with k <= m, has the even coordinate
+    (A[k, m] + A[m, k]) gather[i], which is A[p, p] itself on the diagonal,
+    and the odd one (A[k, m] - A[m, k])/sqrt(2); both write back as
+    (even +- odd) scatter[i].  Indices into A are flat, k (d+1) + m.
     """
 
-    upper: np.ndarray  # A[k, m], k < m, in odd-coordinate order
-    lower: np.ndarray  # A[m, k] of the same pairs
-    diag: np.ndarray  # A[p, p]
-    pair_slot: np.ndarray  # even coordinate of each pair
-    diag_slot: np.ndarray  # even coordinate of each A[p, p]
-    even_block: np.ndarray  # block n of each even coordinate
-    odd_block: np.ndarray
-    even_start: np.ndarray  # block n's even coordinates are even_start[n]:even_start[n+1]
-    odd_start: np.ndarray
+    upper: np.ndarray  # A[k, m]
+    lower: np.ndarray  # A[m, k], the same entry on the diagonal
+    gather: np.ndarray  # 1/sqrt(2) for a pair, 1/2 on the diagonal
+    scatter: np.ndarray  # 1/sqrt(2) for a pair, 1 on the diagonal
+    block: np.ndarray  # block n of each entry
+    start: np.ndarray  # block n's entries are start[n]:start[n+1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -156,22 +154,17 @@ def _layout(d: int) -> _Layout:
     k, m = k[order], m[order]
     n = k + m
     pair = k < m
-    kp, mp = k[pair], m[pair]
-    blocks = np.arange(2 * d + 2)
     layout = _Layout(
-        upper=kp * (d + 1) + mp, lower=mp * (d + 1) + kp,
-        diag=np.arange(d + 1) * (d + 2),
-        pair_slot=np.flatnonzero(pair), diag_slot=np.flatnonzero(~pair),
-        even_block=n, odd_block=n[pair],
-        even_start=np.searchsorted(n, blocks), odd_start=np.searchsorted(n[pair], blocks),
+        upper=k * (d + 1) + m, lower=m * (d + 1) + k,
+        gather=np.where(pair, 1.0 / _SQRT2, 0.5), scatter=np.where(pair, 1.0 / _SQRT2, 1.0),
+        block=n, start=np.searchsorted(n, np.arange(2 * d + 2)),
     )
     for a in layout:
         a.flags.writeable = False
     return layout
 
 
-def _evolve_sectors(c: np.ndarray, block: np.ndarray, start: np.ndarray, even: bool,
-                    d: int, phi: float) -> np.ndarray:
+def _evolve_sectors(c: np.ndarray, lay: _Layout, even: bool, d: int, phi: float) -> np.ndarray:
     """exp(i phi J) on the flat coordinates c of every occupied sector of one parity.
 
     A sector's coordinates are the rows max(0, n-d): of its eigenvectors u;
@@ -184,10 +177,10 @@ def _evolve_sectors(c: np.ndarray, block: np.ndarray, start: np.ndarray, even: b
     if occupied.size == 0:
         return out
     c_re, out_re = c.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
-    for n in np.unique(block[occupied]).tolist():
+    for n in np.unique(lay.block[occupied]).tolist():
         w, u = _sector_eigensystem(n, even)
-        rows = slice(start[n], start[n + 1])
         u = u[max(0, n - d):]
+        rows = slice(lay.start[n], lay.start[n] + len(u))  # odd ones stop before A[p, p]
         t = (u.T @ c_re[rows]).view(complex).ravel()
         t *= np.exp(1j * phi * w)
         np.matmul(u, t.view(float).reshape(-1, 2), out=out_re[rows])
@@ -206,17 +199,12 @@ def apply_jx_evolution(state: FockTwoModeState, phi: float) -> FockTwoModeState:
     lay = _layout(d)
     a = state.amps.ravel()
     upper, lower = a[lay.upper], a[lay.lower]
-    even = np.empty(lay.even_block.size, dtype=complex)
-    even[lay.pair_slot] = (upper + lower) / _SQRT2
-    even[lay.diag_slot] = a[lay.diag]
-    odd = (upper - lower) / _SQRT2
-    even = _evolve_sectors(even, lay.even_block, lay.even_start, True, d, phi)
-    odd = _evolve_sectors(odd, lay.odd_block, lay.odd_start, False, d, phi)
+    # weights multiply: dividing by a weight array would run complex division
+    even = _evolve_sectors((upper + lower) * lay.gather, lay, True, d, phi)
+    odd = _evolve_sectors((upper - lower) / _SQRT2, lay, False, d, phi)
     out = np.zeros_like(a)
-    pairs = even[lay.pair_slot]
-    out[lay.upper] = (pairs + odd) / _SQRT2
-    out[lay.lower] = (pairs - odd) / _SQRT2
-    out[lay.diag] = even[lay.diag_slot]
+    out[lay.lower] = (even - odd) * lay.scatter
+    out[lay.upper] = (even + odd) * lay.scatter
     return FockTwoModeState(out.reshape(d + 1, d + 1), d)
 
 

@@ -52,6 +52,36 @@ class TestSeedResolution:
         )
         assert out.exit_code == 2
 
+    # one invocation of each command, with its required options
+    COMMANDS = [
+        ["estimate", "--x", "0.5", "--trials", "100"],
+        ["discriminate", "--phases", "0,1"],
+        ["interfere", "--x", "0.5"],
+        ["crypto", "errors", "--x", "0.7"],
+        ["crypto", "simulate", "--x", "0.8", "--bits", "100"],
+        ["fiber", "--m", "0.5", "--n", "2"],
+    ]
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_negative_seed(self, args):
+        out = run_cli([*args, "--seed", "-1"])
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert "Error: Invalid value for '--seed': -1 is not in the range x>=0." in out.stderr
+
+    @pytest.mark.parametrize("args", COMMANDS)
+    def test_negative_env_seed(self, args):
+        out = run_cli(args, env={cli.SEED_ENV_VAR: "-3"})
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert (f"Error: Invalid value: {cli.SEED_ENV_VAR} must be an integer >= 0, "
+                "got '-3'") in out.stderr
+
+    def test_zero_seed(self):
+        out = run_cli(["estimate", "--x", "0.5", "--trials", "100", "--seed", "0",
+                       "--format", "json"])
+        assert json.loads(out.output)["meta"]["seed"] == 0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -119,6 +149,19 @@ class TestFormats:
         assert target.exists()
         assert parse_csv(target.read_text())[0]["M"] == "0.5"
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/out.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_output(self, tmp_path, target, reason):
+        # a bad --output is a bad argument: exit 2 with one error line, no traceback
+        path = tmp_path / target
+        out = run_cli(["fiber", "--m", "0.5", "--n", "2", "--output", str(path)])
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert f"Error: Invalid value for '--output': {reason}: {str(path)!r}" in out.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinity_rendering(self):
         out = run_cli(["fiber", "--m", "0", "--n", "2"])
         row = parse_csv(out.output)[0]
@@ -149,6 +192,14 @@ class TestSweeps:
     def test_unknown_sweep_key(self):
         out = run_cli(["estimate", "--x", "0.5", "--range", "bogus=0:1:2"])
         assert out.exit_code == 2
+
+    def test_key_swept_twice(self):
+        # the second sweep would silently replace the first
+        out = run_cli(["estimate", "--x", "0.5", "--trials", "100",
+                       "--range", "x=0.1:0.2:2", "--range", "x=0.3:0.4:2"])
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert "Error: Invalid value: sweep key 'x' is given twice" in out.stderr
 
 
 class TestErrorHandling:
