@@ -80,12 +80,12 @@ def eve_error_uniform() -> float:
 
 
 def eve_error_gaussian_key(a: float, kappa_key: float) -> float:
-    """Eve's optimal error against a Gaussian key: [1 - erf(a/sqrt(kappa))]/2."""
+    """Eve's optimal error against a Gaussian key: [1 - erf(a/sqrt(kappa))]/2 = erfc/2."""
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if kappa_key <= 0:
         raise ValueError(f"kappa_key must be > 0, got {kappa_key}")
-    return 0.5 * (1.0 - math.erf(a / math.sqrt(kappa_key)))
+    return 0.5 * math.erfc(a / math.sqrt(kappa_key))
 
 
 def eve_error_gaussian_key_asymptote(a: float, kappa_key: float) -> float:
@@ -98,13 +98,13 @@ def eve_error_gaussian_key_asymptote(a: float, kappa_key: float) -> float:
 
 
 def bob_heterodyne_error(x: float, a: float) -> float:
-    """Sign-threshold heterodyne receiver error [1 - erf(a/sqrt(2 sigma_x^2))]/2.
+    """Sign-threshold heterodyne receiver error [1 - erf(a/sqrt(2 sigma_x^2))]/2 = erfc/2.
 
     Rule: Re[z] < 0 infers bit 0, bit 1 otherwise.
     """
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
-    return 0.5 * (1.0 - math.erf(a / math.sqrt(2.0 * receiver_variance(x))))
+    return 0.5 * math.erfc(a / math.sqrt(2.0 * receiver_variance(x)))
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,11 @@ def build_polygon(spectrum: EigenphaseSpectrum) -> PolygonK:
 
 
 def helstrom_error(overlap_sq: float) -> float:
-    """Helstrom bound (1 - sqrt(1 - |<psi0|psi1>|^2)) / 2 for equiprobable states."""
-    return 0.5 * (1.0 - math.sqrt(1.0 - overlap_sq))
+    """Helstrom bound (1 - sqrt(1 - |<psi0|psi1>|^2)) / 2 for equiprobable states.
+
+    Evaluated as o / (2 (1 + sqrt(1 - o))), which keeps every digit as o -> 0.
+    """
+    return overlap_sq / (2.0 * (1.0 + math.sqrt(1.0 - overlap_sq)))
 
 
 def min_error_probability(polygon: PolygonK) -> float:

@@ -12,21 +12,28 @@ diagonalized on its own.  A twin-beam lies in the even sectors only.
 Both parities share one ordering of the entries A[k, m], k <= m, by block
 n = k + m and then by k, so a sector is one slice from its block's first
 entry; the odd coordinate is 0 on the diagonal, and an odd sector stops just
-before it.  One evolution gathers both coordinate vectors; finds the
-occupied sectors from their nonzero coordinates (an all-zero parity costs
-nothing); applies u exp(i phi w) u^T to each occupied sector as two BLAS
-products on real views of the complex slice; and scatters the result back.
-The layout depends on d_max alone and is cached read-only for the last 8
-truncations (250 kB at d_max = 109, 0.8 MB at 200).
+before it.  The layout depends on d_max alone and is cached read-only for
+the last 8 truncations (250 kB at d_max = 109, 0.8 MB at 200).
 
-A sector's eigensystem depends on the block n alone, not on phi or the
-state, so it is memoized for the life of the process as read-only arrays.
+Sectors are evolved in groups of GROUP = 8 blocks n0, n0 + 2, ... of one
+parity of n, so a twin-beam, which fills only even blocks, never touches the
+odd-n groups.  A group is a zero-padded stack of its sectors' eigenvectors
+and eigenvalues; they depend on the block alone, not on phi, the state or
+the truncation, so each group is diagonalized the first time it is occupied
+and kept read-only for the life of the process, and a larger truncation
+only adds the members it needs.  One evolution gathers both coordinate
+vectors; finds the occupied groups from their nonzero coordinates (an
+all-zero parity costs nothing); applies u exp(i phi w) u^T to each occupied
+group as two stacked BLAS products on real views of its coordinates, read
+and written through a per-truncation index whose cut and padding rows point
+to a dummy slot; and scatters the result back.
+
 Only blocks up to n = 2 D_MAX_CAP (the cap of default_d_max) are kept: a
-twin-beam at the cap fills the even sectors of the even blocks, 22 MB, and
-a state filling every sector of every such block fills 87 MB.  At d_max =
-109 (a twin-beam with x = 0.9) the memo holds 3.6 MB.  Larger blocks, which
-only an explicit d_max above the cap reaches, are diagonalized on every
-evolution.
+twin-beam at the cap fills the even sectors of the even blocks, 23 MB, a
+state filling every sector of every such block 92 MB, and a twin-beam at
+d_max = 109 (x = 0.9) 4.0 MB; padding adds 5-9 % to the sectors themselves.
+A group reaching past that block, which only an explicit d_max above the
+cap asks for, is built on every evolution.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -45,9 +52,11 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-D_MAX_CAP = 200  # the cap of default_d_max; blocks n <= 2 D_MAX_CAP are memoized
+D_MAX_CAP = 200  # the cap of default_d_max; blocks n <= 2 D_MAX_CAP are kept
 
-_EIGENSYSTEMS: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}  # (n, even) -> (w, u)
+GROUP = 8  # blocks of one parity of n per stacked group
+
+_STACKS: dict[tuple[bool, int], tuple[np.ndarray, np.ndarray]] = {}  # (even, n0) -> (u, w)
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,16 @@ def twin_beam_fock(x: float, d_max: int) -> FockTwoModeState:
     return FockTwoModeState(amps, d_max)
 
 
+def _sector_size(n, even: bool):
+    """Size of the swap-even or swap-odd sector of block n (n may be an array)."""
+    return n // 2 + 1 if even else (n + 1) // 2
+
+
+def _first_block(n):
+    """First block n0 of block n's group, the GROUP blocks n0, n0 + 2, ... of one parity of n."""
+    return n - 2 * (n // 2 % GROUP)
+
+
 def _sector_generator(n: int, even: bool) -> np.ndarray:
     """J on the swap-even or swap-odd basis of the total-n block.
 
@@ -104,7 +123,7 @@ def _sector_generator(n: int, even: bool) -> np.ndarray:
     the last even coupling of an even n is sqrt(2) m_{n/2-1}, and the last
     diagonal entry of an odd n is +-m_{(n-1)/2} = +-(n+1)/2.
     """
-    size = (n + 1) // 2 + (even and n % 2 == 0)
+    size = _sector_size(n, even)
     k = np.arange(size - 1)
     off = np.sqrt((k + 1.0) * (n - k))
     if even and n % 2 == 0 and n > 0:
@@ -116,17 +135,34 @@ def _sector_generator(n: int, even: bool) -> np.ndarray:
     return j
 
 
-def _sector_eigensystem(n: int, even: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only eigh of the sector generator, memoized for blocks n <= 2 D_MAX_CAP."""
-    key = (n, even)
-    if key in _EIGENSYSTEMS:
-        return _EIGENSYSTEMS[key]
-    w, u = np.linalg.eigh(_sector_generator(n, even))
-    w.flags.writeable = False
-    u.flags.writeable = False
-    if n <= 2 * D_MAX_CAP:
-        _EIGENSYSTEMS[key] = (w, u)
-    return w, u
+def _stack(even: bool, n0: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystems (u, w) of the first m sectors of the group from block n0, stacked.
+
+    Member j is block n0 + 2j: its eigenvectors fill the top-left corner of
+    u[j] and its eigenvalues the front of w[j]; the rest is zero padding.  A
+    group is diagonalized the first time it is occupied and kept read-only
+    for the life of the process, so every truncation shares its sectors; a
+    larger truncation diagonalizes only the members it adds.  A stack that
+    reaches past block 2 D_MAX_CAP, which only an explicit d_max above the
+    cap asks for, is built on every call and never kept.
+    """
+    key = (even, n0)
+    kept = _STACKS.get(key)
+    have = 0 if kept is None else len(kept[1])
+    if have >= m:
+        return kept
+    size = _sector_size(n0 + 2 * m - 2, even)
+    u, w = np.zeros((m, size, size)), np.zeros((m, size))
+    if have:
+        s = kept[1].shape[1]
+        u[:have, :s, :s], w[:have, :s] = kept
+    for j in range(have, m):
+        wj, uj = np.linalg.eigh(_sector_generator(n0 + 2 * j, even))
+        u[j, :len(wj), :len(wj)], w[j, :len(wj)] = uj, wj
+    u.flags.writeable = w.flags.writeable = False
+    if n0 + 2 * m - 2 <= 2 * D_MAX_CAP:
+        _STACKS[key] = u, w
+    return u, w
 
 
 class _Layout(NamedTuple):
@@ -142,7 +178,7 @@ class _Layout(NamedTuple):
     lower: np.ndarray  # A[m, k], the same entry on the diagonal
     gather: np.ndarray  # 1/sqrt(2) for a pair, 1/2 on the diagonal
     scatter: np.ndarray  # 1/sqrt(2) for a pair, 1 on the diagonal
-    block: np.ndarray  # block n of each entry
+    group: np.ndarray  # first block of the group of each entry's block
     start: np.ndarray  # block n's entries are start[n]:start[n+1]
 
 
@@ -157,34 +193,60 @@ def _layout(d: int) -> _Layout:
     layout = _Layout(
         upper=k * (d + 1) + m, lower=m * (d + 1) + k,
         gather=np.where(pair, 1.0 / _SQRT2, 0.5), scatter=np.where(pair, 1.0 / _SQRT2, 1.0),
-        block=n, start=np.searchsorted(n, np.arange(2 * d + 2)),
+        group=_first_block(n), start=np.searchsorted(n, np.arange(2 * d + 2)),
     )
     for a in layout:
         a.flags.writeable = False
     return layout
 
 
+@functools.lru_cache(maxsize=16)
+def _group_index(d: int, even: bool) -> dict[int, tuple[int, np.ndarray]]:
+    """Where the stacked sectors of truncation d read and write their coordinates.
+
+    Maps each group's first block n0 to (lo, index): member j of the stack
+    uses its eigenvector rows lo:lo + index.shape[1], and row lo + i sits at
+    coordinate index[j, i].  Rows the truncation cut (the first max(0, n-d)
+    of block n) and padding rows point to the dummy slot one past the last
+    coordinate, which reads 0 and is dropped on write-back.
+    """
+    start = _layout(d).start
+    index = {}
+    for n0 in np.unique(_first_block(np.arange(2 * d + 1))).tolist():
+        n = np.arange(n0, min(n0 + 2 * GROUP, 2 * d + 1), 2)[:, None]
+        cut, size = np.maximum(n - d, 0), _sector_size(n, even)
+        row = np.arange(cut[0, 0], size[-1, 0])
+        at = np.where((row >= cut) & (row < size), start[n] + row - cut, start[-1])
+        at.flags.writeable = False
+        index[n0] = int(cut[0, 0]), at
+    return index
+
+
 def _evolve_sectors(c: np.ndarray, lay: _Layout, even: bool, d: int, phi: float) -> np.ndarray:
     """exp(i phi J) on the flat coordinates c of every occupied sector of one parity.
 
-    A sector's coordinates are the rows max(0, n-d): of its eigenvectors u;
-    the rest were cut by the truncation, so they are neither read nor
-    written.  Both products run on real (..., 2) views of the complex
-    coordinates, so the real u is never cast to complex.
+    Each occupied group runs u^T c, the phases and u t as one stacked product
+    each, on real (..., 2) views of the complex coordinates, so the real u
+    is never cast to complex.  A sector's coordinates are the rows
+    max(0, n-d): of its eigenvectors; the cut rows are neither read nor
+    written.
     """
-    out = np.zeros_like(c)
+    out = np.zeros(len(c) + 1, dtype=complex)  # the last slot is the dummy
     occupied = np.flatnonzero(c)
     if occupied.size == 0:
-        return out
-    c_re, out_re = c.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
-    for n in np.unique(lay.block[occupied]).tolist():
-        w, u = _sector_eigensystem(n, even)
-        u = u[max(0, n - d):]
-        rows = slice(lay.start[n], lay.start[n] + len(u))  # odd ones stop before A[p, p]
-        t = (u.T @ c_re[rows]).view(complex).ravel()
-        t *= np.exp(1j * phi * w)
-        np.matmul(u, t.view(float).reshape(-1, 2), out=out_re[rows])
-    return out
+        return out[:-1]
+    index = _group_index(d, even)
+    c = np.append(c, 0.0)
+    for n0 in np.unique(lay.group[occupied]).tolist():
+        lo, at = index[n0]
+        m, rows = at.shape
+        u, w = _stack(even, n0, m)
+        size = lo + rows
+        u = u[:m, lo:size, :size]
+        t = np.matmul(u.transpose(0, 2, 1), c[at].view(float).reshape(m, rows, 2))
+        t = t.view(complex)[..., 0] * np.exp(1j * phi * w[:m, :size])
+        out[at] = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
+    return out[:-1]
 
 
 def apply_jx_evolution(state: FockTwoModeState, phi: float) -> FockTwoModeState:
@@ -209,10 +271,14 @@ def apply_jx_evolution(state: FockTwoModeState, phi: float) -> FockTwoModeState:
 
 
 def overlap(a: FockTwoModeState, b: FockTwoModeState) -> complex:
-    """Inner product <a|b> = sum conj(a) * b."""
+    """Inner product <a|b> = sum conj(a) * b.
+
+    numpy's pairwise sum fixes the order of the reduction, so unlike BLAS
+    zdotc (np.vdot) the result does not depend on the BLAS thread count.
+    """
     if a.d_max != b.d_max:
         raise ValueError(f"d_max mismatch: {a.d_max} != {b.d_max}")
-    return complex(np.vdot(a.amps, b.amps))
+    return complex(np.sum(np.conj(a.amps) * b.amps))
 
 
 def zero_difference_probability(state: FockTwoModeState) -> float:

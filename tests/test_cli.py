@@ -6,7 +6,10 @@ import gc
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -83,7 +86,49 @@ class TestSeedResolution:
         assert json.loads(out.output)["meta"]["seed"] == 0
 
 
+# every README command, and interfere up to the largest default truncation
+# below the cap, where the Fock kernel's products and the overlap are largest
+THREAD_PROBE_ARGS = [
+    ["fiber", "--gamma", "1", "--m", "0.5", "--n", "2"],
+    ["discriminate", "--phases", "0,1.5708", "--samples", "20000"],
+    ["crypto", "simulate", "--x", "0.8", "--bits", "20000", "--seed", "7"],
+    ["estimate", "--x", "0.5", "--trials", "20000", "--format", "json"],
+    ["estimate", "--x", "0.9", "--nbar-t", "0.5", "--range", "nbar_t=0:1.5:7"],
+    ["interfere", "--x", "0.5", "--phi", "0.3", "--q0", "0.01", "--gamma-star", "10"],
+    ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"],
+] + [["interfere", "--x", x, "--phi", phi]
+     for x in ("0.5", "0.8", "0.9", "0.94") for phi in ("0.05", "0.3", "1.1")]
+
+THREAD_PROBE = """
+import json, sys
+from click.testing import CliRunner
+from cventlab import cli
+for args in json.loads(sys.argv[1]):
+    result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    sys.stdout.write(f"{args} exit {result.exit_code}\\n{result.output}")
+"""
+
+
+def outputs_under_blas_threads(threads: int) -> str:
+    """stdout of every THREAD_PROBE_ARGS command, in one fresh interpreter."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
+    proc = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, json.dumps(THREAD_PROBE_ARGS)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestDeterminism:
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        one = outputs_under_blas_threads(1)
+        assert one.count(" exit 0\n") == len(THREAD_PROBE_ARGS)
+        assert one == outputs_under_blas_threads(2)
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -198,6 +199,16 @@ class TestEveBounds:
                     expected, **self.ERF_TOL
                 )
 
+    @pytest.mark.parametrize("b", [4.0, 6.0, 10.0, 25.0])
+    def test_deep_tail_against_mpmath(self, b):
+        # erfc keeps the relative digits that 1 - erf loses beyond b ~ 6
+        with mpmath.workdps(50):
+            expected = float(mpmath.erfc(b) / 2)
+        assert expected > 0
+        assert crypto.eve_error_gaussian_key(b, 1.0) == pytest.approx(expected, rel=1e-14, abs=0)
+        # 2 sigma_x^2 = 1 at x = 0
+        assert crypto.bob_heterodyne_error(0.0, b) == pytest.approx(expected, rel=1e-14, abs=0)
+
     def test_asymptote(self):
         a, kappa = 4.0, 1.0
         exact = crypto.eve_error_gaussian_key(a, kappa)
@@ -269,7 +280,7 @@ class TestAlphabetPdfs:
                              (eve_state(z0, x, kappa), delta_sq + kappa)):
                 expected = math.exp(-abs(z - z0) ** 2 / v) / (math.pi * v)
                 assert gaussian_core.heterodyne_pdf(state, z) == pytest.approx(
-                    expected, rel=1e-14)
+                    expected, rel=1e-14, abs=0)
 
     def test_pdf_peaks_at_symbol(self):
         bob = bob_state(1.0, 0.5)

@@ -94,6 +94,21 @@ class TestBuildPolygon:
                 assert p.r == 0.0
 
 
+class TestHelstromError:
+    @pytest.mark.parametrize("o", [1e-300, 1e-24, 1e-12, 1e-6, 0.3, 0.9, 1.0])
+    def test_against_mpmath(self, o):
+        # 1 - sqrt(1 - o) cancels as o -> 0, where the bound is o/4
+        with mpmath.workdps(350):
+            expected = (1 - mpmath.sqrt(1 - mpmath.mpf(o))) / 2
+        assert disc.helstrom_error(o) == pytest.approx(float(expected), rel=4e-16, abs=0)
+
+    def test_near_antipodal_pair(self):
+        # r ~ 1.3e-6, so r^2 ~ 1.8e-12 and r^4 ~ 3.1e-24 are far below an ulp of 1
+        p = disc.build_polygon(spectrum(0.0, 3.14159))
+        assert disc.min_error_probability(p) == pytest.approx(p.r ** 2 / 4, rel=1e-12, abs=0)
+        assert disc.spread_formula_error(p.delta) == pytest.approx(p.r ** 4 / 4, rel=1e-12, abs=0)
+
+
 class TestSpreadFormula:
     def test_reference_value(self):
         # cos^4 form at delta = pi/2

@@ -250,10 +250,10 @@ class TestZeroDifferenceProbability:
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """A fresh, empty eigensystem memo for the test."""
+def stacks(monkeypatch):
+    """A fresh, empty cache of stacked sector eigensystems for the test."""
     fresh = {}
-    monkeypatch.setattr(fo, "_EIGENSYSTEMS", fresh)
+    monkeypatch.setattr(fo, "_STACKS", fresh)
     return fresh
 
 
@@ -271,58 +271,140 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
+def random_state(d, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
+    return fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+
+
+def twin_beam_stack_sizes(x):
+    """Every sector size an x twin-beam at its default d_max diagonalizes, once each."""
+    return list(range(1, fo.default_d_max(x) + 2))
+
+
 class TestEigensystemMemo:
-    def test_memoized_evolution_is_bit_identical(self, memo, eigh_sizes):
-        # a random state fills both sectors of every block
-        rng = np.random.default_rng(21)
+    def test_memoized_evolution_is_bit_identical(self, stacks, eigh_sizes):
+        # a random state fills both sectors of every block n <= 2d
         d = 13
-        amps = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
-        state = fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+        state = random_state(d, 21)
         fresh = fo.apply_jx_evolution(state, 0.7).amps
-        assert len(eigh_sizes) == len(memo) > 2 * d + 1  # odd sectors too
+        assert len(eigh_sizes) == sum(len(w) for _, w in stacks.values()) == 2 * (2 * d + 1)
         eigh_sizes.clear()
         memoized = fo.apply_jx_evolution(state, 0.7).amps
         assert eigh_sizes == []
         assert np.array_equal(memoized, fresh)
 
-    def test_interfere_row_diagonalizes_each_sector_once(self, memo, eigh_sizes):
+    def test_extended_stacks_are_bit_identical(self, stacks, eigh_sizes):
+        # stacks built at d = 20 and extended at d = 30 evolve as fresh ones do
+        fo.apply_jx_evolution(random_state(20, 1), 0.4)
+        state = random_state(30, 2)
+        extended = fo.apply_jx_evolution(state, 0.4).amps
+        assert len(eigh_sizes) == 2 * (2 * 30 + 1)  # no sector twice
+        stacks.clear()
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.4).amps, extended)
+
+    def test_interfere_row_diagonalizes_each_sector_once(self, stacks, eigh_sizes):
         # the row evolves the twin-beam twice: for P(d=0) and for the overlap
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.9", "--phi", "0.3"],
                                  catch_exceptions=False)
         assert out.exit_code == 0
         # a twin-beam fills only the even sector of each block n = 2p, of size p + 1
-        assert sorted(eigh_sizes) == list(range(1, fo.default_d_max(0.9) + 2))
+        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.9)
 
-    def test_repeat_solve_calls_eigh_zero_times(self, memo, eigh_sizes):
+    def test_range_sweep_diagonalizes_each_sector_once(self, stacks, eigh_sizes):
+        # five truncations, d = 16 ... 109, share the sectors of the smaller ones
+        out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.5", "--phi", "0.3",
+                                            "--range", "x=0.5:0.9:5"],
+                                 catch_exceptions=False)
+        assert out.exit_code == 0
+        assert len(out.output.splitlines()) == 6
+        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.9)
+
+    def test_repeat_solve_calls_eigh_zero_times(self, stacks, eigh_sizes):
         first = itf.mz_min_phase_numeric(0.01, 0.6)
-        assert sorted(eigh_sizes) == list(range(1, fo.default_d_max(0.6) + 2))
+        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.6)
         eigh_sizes.clear()
         assert itf.mz_min_phase_numeric(0.01, 0.6) == first
         assert eigh_sizes == []
 
-    def test_blocks_beyond_twice_the_cap_are_not_kept(self, memo, eigh_sizes):
+    def test_blocks_beyond_twice_the_cap_are_not_kept(self, stacks, eigh_sizes):
         cap = fo.D_MAX_CAP
         assert fo.default_d_max(0.9999) == cap
-        # |cap, cap> and |cap+5, cap+5>: the even sectors of blocks 2 cap and 2 cap + 10
+        # |cap, cap>: the even sector of block 2 cap, the first of its group
         amps = np.zeros((cap + 11, cap + 11), dtype=complex)
-        amps[cap, cap] = amps[cap + 5, cap + 5] = 1 / math.sqrt(2)
-        state = fo.FockTwoModeState(amps, cap + 10)
-        fo.apply_jx_evolution(state, 0.4)
-        fo.apply_jx_evolution(state, 0.4)
-        assert list(memo) == [(2 * cap, True)]
-        assert eigh_sizes == [cap + 1, cap + 6, cap + 6]
+        amps[cap, cap] = 1.0
+        at_cap = fo.FockTwoModeState(amps[:cap + 1, :cap + 1], cap)
+        fo.apply_jx_evolution(at_cap, 0.4)
+        assert [(k, w.shape) for k, (_, w) in stacks.items()] == [((True, 2 * cap), (1, cap + 1))]
+        # and |cap+5, cap+5> too: d = cap + 10 takes the group to block 2 cap + 14,
+        # which is built on each evolution from the kept block 2 cap
+        amps[cap + 5, cap + 5] = 1.0
+        beyond = fo.FockTwoModeState(amps / math.sqrt(2), cap + 10)
+        fo.apply_jx_evolution(beyond, 0.4)
+        fo.apply_jx_evolution(beyond, 0.4)
+        assert [(k, w.shape) for k, (_, w) in stacks.items()] == [((True, 2 * cap), (1, cap + 1))]
+        added = list(range(cap + 2, cap + 1 + fo.GROUP))
+        assert eigh_sizes == [cap + 1] + added + added
 
     @pytest.mark.parametrize("n", [7, 2 * fo.D_MAX_CAP + 1])
-    def test_eigensystem_is_read_only(self, memo, n):
-        w, u = fo._sector_eigensystem(n, False)
+    def test_eigensystem_is_read_only(self, stacks, n):
+        n0 = fo._first_block(n)
+        u, w = fo._stack(False, n0, (n - n0) // 2 + 1)
+        assert ((False, n0) in stacks) == (n <= 2 * fo.D_MAX_CAP)
         with pytest.raises(ValueError):
-            w[0] = 0.0
+            w[0, 0] = 0.0
         with pytest.raises(ValueError):
-            u[0, 0] = 0.0
+            u[0, 0, 0] = 0.0
+
+    def test_stacks_stay_near_the_per_sector_eigensystems(self, stacks):
+        # zero padding adds 9 % to the 3.65 MB of the twin-beam's sectors at x = 0.9
+        fo.apply_jx_evolution(fo.twin_beam_fock(0.9, fo.default_d_max(0.9)), 0.3)
+        sectors = sum(8 * (s * s + s) for s in twin_beam_stack_sizes(0.9))
+        held = sum(u.nbytes + w.nbytes for u, w in stacks.values())
+        assert sectors < held < 1.15 * sectors
+
+
+class TestGroupBoundaries:
+    """The stacked groups against the dense reference where groups begin, end and break."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [16, 18, 17, 31])
+    def test_one_occupied_sector_in_an_empty_group(self, n, sign):
+        # (|k, n-k> +- |n-k, k>)/sqrt(2) fills one sector of block n: the first
+        # or a middle member of an even-n group, the first or the last of an odd-n one
+        d = 20
+        k = n // 2 - 3
+        amps = np.zeros((d + 1, d + 1), dtype=complex)
+        amps[k, n - k], amps[n - k, k] = 1 / math.sqrt(2), sign / math.sqrt(2)
+        state = fo.FockTwoModeState(amps, d)
+        out = fo.apply_jx_evolution(state, 0.45)
+        assert_matches_dense(state, 0.45)
+        assert np.allclose(out.amps.T, sign * out.amps, atol=1e-15)  # sector kept
+
+    def test_groups_with_holes(self):
+        # blocks 0, 6 and 14 of the group from 0, 19 of the group from 17 and
+        # 36 of the group from 32, with random entries in both parities
+        d = 24
+        rng = np.random.default_rng(4)
+        amps = np.zeros((d + 1, d + 1), dtype=complex)
+        for n in (0, 6, 14, 19, 36):
+            k = np.arange(max(0, n - d), min(n, d) + 1)
+            amps[k, n - k] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+        state = fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+        for phi in (0.3, -1.7):
+            assert_matches_dense(state, phi)
+
+    @pytest.mark.parametrize("d", [8, 9, 14, 15, 16])
+    def test_last_group_partial(self, d):
+        # blocks n <= 2d: the last even-n group holds 1, 2, 7, 8 and 1 members;
+        # the truncation cuts block 2d to one even row and no odd one
+        state = random_state(d, 300 + d)
+        for phi in (0.8, 2.4):
+            assert_matches_dense(state, phi)
 
 
 class TestSectorLayout:
-    def test_zero_state_calls_eigh_zero_times(self, memo, eigh_sizes):
+    def test_zero_state_calls_eigh_zero_times(self, stacks, eigh_sizes):
         state = fo.FockTwoModeState(np.zeros((12, 12)), 11)
         out = fo.apply_jx_evolution(state, 0.5)
         assert np.array_equal(out.amps, np.zeros((12, 12)))
@@ -334,6 +416,14 @@ class TestSectorLayout:
         for a in layout:
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_group_index_is_cached_and_read_only(self):
+        index = fo._group_index(6, False)
+        assert fo._group_index(6, False) is index
+        assert sorted(index) == [0, 1]
+        for _, at in index.values():
+            with pytest.raises(ValueError):
+                at[0, 0] = 0
 
     def test_stream_truncations_take_under_2_mb(self):
         layouts = [fo._layout(d) for d in (16, 22, 51, 109)]
@@ -348,7 +438,8 @@ class TestSectorGenerator:
         size = (n + 1) // 2 + (even and n % 2 == 0)
         assert fo._sector_generator(n, even).shape == (size, size)
 
-    def test_empty_sector_has_no_eigenvalue(self, memo):
-        w, u = fo._sector_eigensystem(0, False)
-        assert w.shape == (0,)
-        assert u.shape == (0, 0)
+    def test_empty_sector_has_no_eigenvalue(self, stacks):
+        # the odd sector of block 0
+        u, w = fo._stack(False, 0, 1)
+        assert w.shape == (1, 0)
+        assert u.shape == (1, 0, 0)
