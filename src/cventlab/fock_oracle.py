@@ -33,7 +33,8 @@ twin-beam at the cap fills the even sectors of the even blocks, 23 MB, a
 state filling every sector of every such block 92 MB, and a twin-beam at
 d_max = 109 (x = 0.9) 4.0 MB; padding adds 5-9 % to the sectors themselves.
 A group reaching past that block, which only an explicit d_max above the
-cap asks for, is built on every evolution.
+cap asks for, keeps its members up to it; the others are diagonalized on
+every evolution, and only where occupied.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -135,16 +136,20 @@ def _sector_generator(n: int, even: bool) -> np.ndarray:
     return j
 
 
-def _stack(even: bool, n0: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _stack(
+    even: bool, n0: int, m: int, live: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The eigensystems (u, w) of the first m sectors of the group from block n0, stacked.
 
     Member j is block n0 + 2j: its eigenvectors fill the top-left corner of
     u[j] and its eigenvalues the front of w[j]; the rest is zero padding.  A
     group is diagonalized the first time it is occupied and kept read-only
     for the life of the process, so every truncation shares its sectors; a
-    larger truncation diagonalizes only the members it adds.  A stack that
-    reaches past block 2 D_MAX_CAP, which only an explicit d_max above the
-    cap asks for, is built on every call and never kept.
+    larger truncation diagonalizes only the members it adds.  Only members
+    up to block 2 D_MAX_CAP are kept.  The members past it, which only an
+    explicit d_max above the cap asks for, are diagonalized on every call,
+    and only where live (if given) marks them occupied: the others stay
+    zero, which evolves their zero coordinates exactly.
     """
     key = (even, n0)
     kept = _STACKS.get(key)
@@ -156,12 +161,19 @@ def _stack(even: bool, n0: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     if have:
         s = kept[1].shape[1]
         u[:have, :s, :s], w[:have, :s] = kept
+    keep = min(m, (2 * D_MAX_CAP - n0) // 2 + 1)
     for j in range(have, m):
-        wj, uj = np.linalg.eigh(_sector_generator(n0 + 2 * j, even))
-        u[j, :len(wj), :len(wj)], w[j, :len(wj)] = uj, wj
+        if j < keep or live is None or live[j]:
+            wj, uj = np.linalg.eigh(_sector_generator(n0 + 2 * j, even))
+            u[j, :len(wj), :len(wj)], w[j, :len(wj)] = uj, wj
     u.flags.writeable = w.flags.writeable = False
-    if n0 + 2 * m - 2 <= 2 * D_MAX_CAP:
+    if keep == m:
         _STACKS[key] = u, w
+    elif keep > have:
+        s = _sector_size(n0 + 2 * keep - 2, even)
+        ku, kw = u[:keep, :s, :s].copy(), w[:keep, :s].copy()
+        ku.flags.writeable = kw.flags.writeable = False
+        _STACKS[key] = ku, kw
     return u, w
 
 
@@ -240,10 +252,12 @@ def _evolve_sectors(c: np.ndarray, lay: _Layout, even: bool, d: int, phi: float)
     for n0 in np.unique(lay.group[occupied]).tolist():
         lo, at = index[n0]
         m, rows = at.shape
-        u, w = _stack(even, n0, m)
+        ct = c[at]
+        live = ct.any(axis=1) if n0 + 2 * m - 2 > 2 * D_MAX_CAP else None
+        u, w = _stack(even, n0, m, live)
         size = lo + rows
         u = u[:m, lo:size, :size]
-        t = np.matmul(u.transpose(0, 2, 1), c[at].view(float).reshape(m, rows, 2))
+        t = np.matmul(u.transpose(0, 2, 1), ct.view(float).reshape(m, rows, 2))
         t = t.view(complex)[..., 0] * np.exp(1j * phi * w[:m, :size])
         out[at] = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
     return out[:-1]

@@ -330,31 +330,52 @@ class TestEigensystemMemo:
     def test_blocks_beyond_twice_the_cap_are_not_kept(self, stacks, eigh_sizes):
         cap = fo.D_MAX_CAP
         assert fo.default_d_max(0.9999) == cap
-        # |cap, cap>: the even sector of block 2 cap, the first of its group
+        # |cap, cap> and |cap+5, cap+5>: the even sectors of blocks 2 cap and 2 cap + 10,
+        # the first and sixth members of one group, of which only the first is kept
         amps = np.zeros((cap + 11, cap + 11), dtype=complex)
-        amps[cap, cap] = 1.0
-        at_cap = fo.FockTwoModeState(amps[:cap + 1, :cap + 1], cap)
-        fo.apply_jx_evolution(at_cap, 0.4)
+        amps[cap, cap] = amps[cap + 5, cap + 5] = 1 / math.sqrt(2)
+        state = fo.FockTwoModeState(amps, cap + 10)
+        fo.apply_jx_evolution(state, 0.4)
+        fo.apply_jx_evolution(state, 0.4)
         assert [(k, w.shape) for k, (_, w) in stacks.items()] == [((True, 2 * cap), (1, cap + 1))]
-        # and |cap+5, cap+5> too: d = cap + 10 takes the group to block 2 cap + 14,
-        # which is built on each evolution from the kept block 2 cap
-        amps[cap + 5, cap + 5] = 1.0
-        beyond = fo.FockTwoModeState(amps / math.sqrt(2), cap + 10)
-        fo.apply_jx_evolution(beyond, 0.4)
-        fo.apply_jx_evolution(beyond, 0.4)
-        assert [(k, w.shape) for k, (_, w) in stacks.items()] == [((True, 2 * cap), (1, cap + 1))]
-        added = list(range(cap + 2, cap + 1 + fo.GROUP))
-        assert eigh_sizes == [cap + 1] + added + added
+        assert eigh_sizes == [cap + 1, cap + 6, cap + 6]
+        # a truncation at the cap shares the kept block
+        fo.apply_jx_evolution(fo.FockTwoModeState(amps[:cap + 1, :cap + 1], cap), 0.4)
+        assert eigh_sizes == [cap + 1, cap + 6, cap + 6]
 
-    @pytest.mark.parametrize("n", [7, 2 * fo.D_MAX_CAP + 1])
+    def test_blocks_past_the_cap_are_diagonalized_where_occupied(
+        self, stacks, eigh_sizes, monkeypatch
+    ):
+        # at a cap of 8 block 16 is the last kept: the group from 16 keeps its
+        # first member, the groups from 17 and 32 keep nothing
+        monkeypatch.setattr(fo, "D_MAX_CAP", 8)
+        d = 24
+        rng = np.random.default_rng(5)
+        amps = np.zeros((d + 1, d + 1), dtype=complex)
+        for n in (14, 16, 19, 22, 36):
+            k = np.arange(max(0, n - d), min(n, d) + 1)
+            amps[k, n - k] = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
+        state = fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+        first = fo.apply_jx_evolution(state, 0.3).amps
+        assert {k: w.shape for k, (_, w) in stacks.items()} == {
+            (True, 0): (8, 8), (False, 0): (8, 7), (True, 16): (1, 9), (False, 16): (1, 8)}
+        eigh_sizes.clear()
+        again = fo.apply_jx_evolution(state, 0.3).amps
+        # the even and odd sectors of blocks 19, 22 and 36, and no other
+        assert sorted(eigh_sizes) == [10, 10, 11, 12, 18, 19]
+        assert np.array_equal(again, first)
+        ref = dense_block_evolution(state, 0.3)
+        assert np.linalg.norm(first - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [7, 2 * fo.D_MAX_CAP + 1, 2 * fo.D_MAX_CAP + 6])
     def test_eigensystem_is_read_only(self, stacks, n):
+        # a kept group, an unkept one, and one of which only block 2 cap is kept
         n0 = fo._first_block(n)
         u, w = fo._stack(False, n0, (n - n0) // 2 + 1)
-        assert ((False, n0) in stacks) == (n <= 2 * fo.D_MAX_CAP)
-        with pytest.raises(ValueError):
-            w[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            u[0, 0, 0] = 0.0
+        assert ((False, n0) in stacks) == (n0 <= 2 * fo.D_MAX_CAP)
+        for a in (u, w, *stacks.get((False, n0), ())):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
 
     def test_stacks_stay_near_the_per_sector_eigensystems(self, stacks):
         # zero padding adds 9 % to the 3.65 MB of the twin-beam's sectors at x = 0.9
