@@ -12,29 +12,30 @@ diagonalized on its own.  A twin-beam lies in the even sectors only.
 Both parities share one ordering of the entries A[k, m], k <= m, by block
 n = k + m and then by k, so a sector is one slice from its block's first
 entry; the odd coordinate is 0 on the diagonal, and an odd sector stops just
-before it.  The layout depends on d_max alone and is cached read-only for
-the last 8 truncations (250 kB at d_max = 109, 0.8 MB at 200).
+before it.  The layout, with both parities' group indices, depends on d_max
+alone and is cached read-only for the last 8 truncations (365 kB at
+d_max = 109, 1.2 MB at 200).
 
 Sectors are evolved in groups of GROUP = 8 blocks n0, n0 + 2, ... of one
 parity of n, so a twin-beam, which fills only even blocks, never touches the
 odd-n groups.  A group is a zero-padded stack of its sectors' eigenvectors
-and eigenvalues; they depend on the block alone, not on phi, the state or
-the truncation, so each group is diagonalized the first time it is occupied
-and kept read-only for the life of the process, and a larger truncation
-only adds the members it needs.  One evolution gathers both coordinate
-vectors; finds the occupied groups from their nonzero coordinates (an
-all-zero parity costs nothing); applies u exp(i phi w) u^T to each occupied
-group as two stacked BLAS products on real views of its coordinates, read
-and written through a per-truncation index whose cut and padding rows point
-to a dummy slot; and scatters the result back.
+and eigenvalues, which depend on the block alone, not on phi, the state or
+the truncation.  One evolution gathers both coordinate vectors; finds the
+occupied groups from their nonzero coordinates (an all-zero parity costs
+nothing); applies u exp(i phi w) u^T to each occupied group as two stacked
+BLAS products on real views of its coordinates, read and written through
+the truncation's group index, whose cut and padding rows point to a dummy
+slot; and scatters the result back.
 
-Only blocks up to n = 2 D_MAX_CAP (the cap of default_d_max) are kept: a
-twin-beam at the cap fills the even sectors of the even blocks, 23 MB, a
-state filling every sector of every such block 92 MB, and a twin-beam at
-d_max = 109 (x = 0.9) 4.0 MB; padding adds 5-9 % to the sectors themselves.
-A group reaching past that block, which only an explicit d_max above the
-cap asks for, keeps its members up to it; the others are diagonalized on
-every evolution, and only where occupied.
+One rule, decided by n0 alone, says which groups are kept.  A group from
+n0 <= 2 D_MAX_CAP (the cap of default_d_max) is diagonalized whole the
+first time it is occupied, and kept read-only for the process, shared by
+every truncation.  A group from further out, which only an explicit d_max
+above the cap reaches, is diagonalized on every evolution, and only for its
+occupied members.  So the kept groups reach up to 7 blocks past 2 d_max.
+A twin-beam at d_max = 109 (x = 0.9) keeps 4.2 MB, one at the cap 25.6 MB,
+and a state filling every sector of every kept group 96 MB; padding adds
+5-10 % to the sectors themselves.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -53,11 +54,9 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-D_MAX_CAP = 200  # the cap of default_d_max; blocks n <= 2 D_MAX_CAP are kept
+D_MAX_CAP = 200  # the cap of default_d_max; groups from n0 <= 2 D_MAX_CAP are kept
 
 GROUP = 8  # blocks of one parity of n per stacked group
-
-_STACKS: dict[tuple[bool, int], tuple[np.ndarray, np.ndarray]] = {}  # (even, n0) -> (u, w)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,14 @@ class FockTwoModeState:
         return 1.0 - self.norm_sq
 
 
+def _check_schmidt(x: float) -> None:
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"Schmidt parameter must be in [0, 1), got {x}")
+
+
 def default_d_max(x: float, tail_tol: float = 1e-10, cap: int = D_MAX_CAP) -> int:
     """Smallest truncation with twin-beam tail x^{2(d_max+1)} below tail_tol."""
+    _check_schmidt(x)
     if x == 0.0:
         return 0
     d = math.ceil(math.log(tail_tol) / (2.0 * math.log(x))) - 1
@@ -95,8 +100,7 @@ def default_d_max(x: float, tail_tol: float = 1e-10, cap: int = D_MAX_CAP) -> in
 
 def twin_beam_fock(x: float, d_max: int) -> FockTwoModeState:
     """Twin-beam |x>> = sqrt(1-x^2) sum_p x^p |p, p>, truncated at d_max."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"Schmidt parameter must be in [0, 1), got {x}")
+    _check_schmidt(x)
     if d_max < 0:
         raise ValueError(f"d_max must be >= 0, got {d_max}")
     amps = np.zeros((d_max + 1, d_max + 1), dtype=complex)
@@ -136,45 +140,28 @@ def _sector_generator(n: int, even: bool) -> np.ndarray:
     return j
 
 
-def _stack(
-    even: bool, n0: int, m: int, live: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The eigensystems (u, w) of the first m sectors of the group from block n0, stacked.
+def _eig_stack(even: bool, n0: int,
+               live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystems (u, w) of the sectors of the group from block n0, stacked.
 
     Member j is block n0 + 2j: its eigenvectors fill the top-left corner of
-    u[j] and its eigenvalues the front of w[j]; the rest is zero padding.  A
-    group is diagonalized the first time it is occupied and kept read-only
-    for the life of the process, so every truncation shares its sectors; a
-    larger truncation diagonalizes only the members it adds.  Only members
-    up to block 2 D_MAX_CAP are kept.  The members past it, which only an
-    explicit d_max above the cap asks for, are diagonalized on every call,
-    and only where live (if given) marks them occupied: the others stay
-    zero, which evolves their zero coordinates exactly.
+    u[j] and its eigenvalues the front of w[j]; the rest is zero padding.
+    Without live, all GROUP members are diagonalized; with it, the stack has
+    len(live) members and only those live marks are diagonalized: the others
+    stay zero, which evolves their zero coordinates exactly.
     """
-    key = (even, n0)
-    kept = _STACKS.get(key)
-    have = 0 if kept is None else len(kept[1])
-    if have >= m:
-        return kept
+    m = GROUP if live is None else len(live)
     size = _sector_size(n0 + 2 * m - 2, even)
     u, w = np.zeros((m, size, size)), np.zeros((m, size))
-    if have:
-        s = kept[1].shape[1]
-        u[:have, :s, :s], w[:have, :s] = kept
-    keep = min(m, (2 * D_MAX_CAP - n0) // 2 + 1)
-    for j in range(have, m):
-        if j < keep or live is None or live[j]:
+    for j in range(m):
+        if live is None or live[j]:
             wj, uj = np.linalg.eigh(_sector_generator(n0 + 2 * j, even))
             u[j, :len(wj), :len(wj)], w[j, :len(wj)] = uj, wj
     u.flags.writeable = w.flags.writeable = False
-    if keep == m:
-        _STACKS[key] = u, w
-    elif keep > have:
-        s = _sector_size(n0 + 2 * keep - 2, even)
-        ku, kw = u[:keep, :s, :s].copy(), w[:keep, :s].copy()
-        ku.flags.writeable = kw.flags.writeable = False
-        _STACKS[key] = ku, kw
     return u, w
+
+
+_kept_stack = functools.cache(_eig_stack)  # (even, n0) -> the whole group, for the process
 
 
 class _Layout(NamedTuple):
@@ -184,6 +171,12 @@ class _Layout(NamedTuple):
     (A[k, m] + A[m, k]) gather[i], which is A[p, p] itself on the diagonal,
     and the odd one (A[k, m] - A[m, k])/sqrt(2); both write back as
     (even +- odd) scatter[i].  Indices into A are flat, k (d+1) + m.
+
+    index[even] maps each group's first block n0 to (lo, at): member j of
+    the group uses its eigenvector rows lo:lo + at.shape[1], and row lo + i
+    sits at coordinate at[j, i].  Rows the truncation cut (the first
+    max(0, n-d) of block n) and padding rows point to the dummy slot one
+    past the last coordinate, which reads 0 and is dropped on write-back.
     """
 
     upper: np.ndarray  # A[k, m]
@@ -191,75 +184,67 @@ class _Layout(NamedTuple):
     gather: np.ndarray  # 1/sqrt(2) for a pair, 1/2 on the diagonal
     scatter: np.ndarray  # 1/sqrt(2) for a pair, 1 on the diagonal
     group: np.ndarray  # first block of the group of each entry's block
-    start: np.ndarray  # block n's entries are start[n]:start[n+1]
+    index: tuple[dict[int, tuple[int, np.ndarray]], ...]  # odd, even
 
 
 @functools.lru_cache(maxsize=8)
 def _layout(d: int) -> _Layout:
-    """The sector layout of truncation d, as read-only arrays (250 kB at d = 109)."""
+    """The sector layout of truncation d, as read-only arrays (365 kB at d = 109)."""
     k, m = np.triu_indices(d + 1)
     order = np.lexsort((k, k + m))
     k, m = k[order], m[order]
     n = k + m
     pair = k < m
+    start = np.searchsorted(n, np.arange(2 * d + 2))  # block n's entries are start[n]:start[n+1]
+    index = ({}, {})
+    for n0 in np.unique(_first_block(n)).tolist():
+        blocks = np.arange(n0, min(n0 + 2 * GROUP, 2 * d + 1), 2)[:, None]
+        cut = np.maximum(blocks - d, 0)
+        for even in (False, True):
+            size = _sector_size(blocks, even)
+            row = np.arange(cut[0, 0], size[-1, 0])
+            at = np.where((row >= cut) & (row < size), start[blocks] + row - cut, start[-1])
+            at.flags.writeable = False
+            index[even][n0] = int(cut[0, 0]), at
     layout = _Layout(
         upper=k * (d + 1) + m, lower=m * (d + 1) + k,
         gather=np.where(pair, 1.0 / _SQRT2, 0.5), scatter=np.where(pair, 1.0 / _SQRT2, 1.0),
-        group=_first_block(n), start=np.searchsorted(n, np.arange(2 * d + 2)),
+        group=_first_block(n), index=index,
     )
-    for a in layout:
+    for a in layout[:-1]:
         a.flags.writeable = False
     return layout
 
 
-@functools.lru_cache(maxsize=16)
-def _group_index(d: int, even: bool) -> dict[int, tuple[int, np.ndarray]]:
-    """Where the stacked sectors of truncation d read and write their coordinates.
-
-    Maps each group's first block n0 to (lo, index): member j of the stack
-    uses its eigenvector rows lo:lo + index.shape[1], and row lo + i sits at
-    coordinate index[j, i].  Rows the truncation cut (the first max(0, n-d)
-    of block n) and padding rows point to the dummy slot one past the last
-    coordinate, which reads 0 and is dropped on write-back.
-    """
-    start = _layout(d).start
-    index = {}
-    for n0 in np.unique(_first_block(np.arange(2 * d + 1))).tolist():
-        n = np.arange(n0, min(n0 + 2 * GROUP, 2 * d + 1), 2)[:, None]
-        cut, size = np.maximum(n - d, 0), _sector_size(n, even)
-        row = np.arange(cut[0, 0], size[-1, 0])
-        at = np.where((row >= cut) & (row < size), start[n] + row - cut, start[-1])
-        at.flags.writeable = False
-        index[n0] = int(cut[0, 0]), at
-    return index
-
-
-def _evolve_sectors(c: np.ndarray, lay: _Layout, even: bool, d: int, phi: float) -> np.ndarray:
+def _evolve_sectors(c: np.ndarray, lay: _Layout, even: bool, phi: float) -> np.ndarray:
     """exp(i phi J) on the flat coordinates c of every occupied sector of one parity.
 
     Each occupied group runs u^T c, the phases and u t as one stacked product
     each, on real (..., 2) views of the complex coordinates, so the real u
     is never cast to complex.  A sector's coordinates are the rows
     max(0, n-d): of its eigenvectors; the cut rows are neither read nor
-    written.
+    written.  A group from n0 <= 2 D_MAX_CAP is kept whole; one past it is
+    diagonalized on every call, for its occupied members only.
     """
     out = np.zeros(len(c) + 1, dtype=complex)  # the last slot is the dummy
     occupied = np.flatnonzero(c)
     if occupied.size == 0:
         return out[:-1]
-    index = _group_index(d, even)
     c = np.append(c, 0.0)
-    for n0 in np.unique(lay.group[occupied]).tolist():
-        lo, at = index[n0]
-        m, rows = at.shape
-        ct = c[at]
-        live = ct.any(axis=1) if n0 + 2 * m - 2 > 2 * D_MAX_CAP else None
-        u, w = _stack(even, n0, m, live)
-        size = lo + rows
-        u = u[:m, lo:size, :size]
-        t = np.matmul(u.transpose(0, 2, 1), ct.view(float).reshape(m, rows, 2))
-        t = t.view(complex)[..., 0] * np.exp(1j * phi * w[:m, :size])
-        out[at] = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
+    with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises
+        for n0 in np.unique(lay.group[occupied]).tolist():
+            lo, at = lay.index[even][n0]
+            m, rows = at.shape
+            ct = c[at]
+            if n0 <= 2 * D_MAX_CAP:
+                u, w = _kept_stack(even, n0)
+            else:
+                u, w = _eig_stack(even, n0, ct.any(axis=1))
+            size = lo + rows
+            u = u[:m, lo:size, :size]
+            t = np.matmul(u.transpose(0, 2, 1), ct.view(float).reshape(m, rows, 2))
+            t = t.view(complex)[..., 0] * np.exp(1j * phi * w[:m, :size])
+            out[at] = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
     return out[:-1]
 
 
@@ -276,8 +261,8 @@ def apply_jx_evolution(state: FockTwoModeState, phi: float) -> FockTwoModeState:
     a = state.amps.ravel()
     upper, lower = a[lay.upper], a[lay.lower]
     # weights multiply: dividing by a weight array would run complex division
-    even = _evolve_sectors((upper + lower) * lay.gather, lay, True, d, phi)
-    odd = _evolve_sectors((upper - lower) / _SQRT2, lay, False, d, phi)
+    even = _evolve_sectors((upper + lower) * lay.gather, lay, True, phi)
+    odd = _evolve_sectors((upper - lower) / _SQRT2, lay, False, phi)
     out = np.zeros_like(a)
     out[lay.lower] = (even - odd) * lay.scatter
     out[lay.upper] = (even + odd) * lay.scatter

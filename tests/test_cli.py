@@ -278,6 +278,8 @@ class TestErrorHandling:
             "crypto-errors at x=0.5, a=1e+200, kappa=1",
         ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--trials", "10"):
             "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=10",
+        ("interfere", "--x", "0.5", "--phi", "1e308"):
+            "interfere at x=0.5, phi=1e+308, q0=0.01, gamma_star=10",
     }
 
     @pytest.mark.filterwarnings("error")

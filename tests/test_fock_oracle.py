@@ -1,5 +1,6 @@
 """Tests for the truncated Fock-space oracle engine."""
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,14 @@ class TestDefaultDmax:
 
     def test_x_zero(self):
         assert fo.default_d_max(0.0) == 0
+
+    @pytest.mark.parametrize("x", [1.0, 1.5, -0.1, math.nan])
+    def test_outside_the_unit_interval(self, x):
+        # the twin-beam's own domain error, not a division by log(1) = 0 or a log of x < 0
+        for call in (lambda: fo.default_d_max(x), lambda: itf.mz_zero_count_probability(x, 0.3),
+                     lambda: itf.mz_min_phase_numeric(0.01, x)):
+            with pytest.raises(ValueError, match=r"Schmidt parameter must be in \[0, 1\)"):
+                call()
 
 
 class TestJxEvolution:
@@ -251,10 +260,15 @@ class TestZeroDifferenceProbability:
 
 @pytest.fixture
 def stacks(monkeypatch):
-    """A fresh, empty cache of stacked sector eigensystems for the test."""
-    fresh = {}
-    monkeypatch.setattr(fo, "_STACKS", fresh)
-    return fresh
+    """The groups kept during the test, (even, n0) -> (u, w), in a fresh cache."""
+    kept = {}
+
+    def recording(even, n0):
+        kept[even, n0] = fo._eig_stack(even, n0)
+        return kept[even, n0]
+
+    monkeypatch.setattr(fo, "_kept_stack", functools.cache(recording))
+    return kept
 
 
 @pytest.fixture
@@ -278,29 +292,45 @@ def random_state(d, seed):
 
 
 def twin_beam_stack_sizes(x):
-    """Every sector size an x twin-beam at its default d_max diagonalizes, once each."""
-    return list(range(1, fo.default_d_max(x) + 2))
+    """Every sector size an x twin-beam at its default d_max diagonalizes, once each.
+
+    A twin-beam fills the even sector, of size p + 1, of each block n = 2p,
+    p <= d_max, and its groups are diagonalized whole, GROUP blocks each.
+    """
+    groups = fo.default_d_max(x) // fo.GROUP + 1
+    return list(range(1, groups * fo.GROUP + 1))
+
+
+def kept_sizes(stacks):
+    """The sector sizes of the kept groups, as they were passed to eigh."""
+    return sorted(fo._sector_size(n0 + 2 * j, even)
+                  for even, n0 in stacks for j in range(fo.GROUP))
 
 
 class TestEigensystemMemo:
     def test_memoized_evolution_is_bit_identical(self, stacks, eigh_sizes):
-        # a random state fills both sectors of every block n <= 2d
+        # a random state fills both sectors of every block n <= 2d = 26: the
+        # groups from 0 and 16 of even n and from 1 and 17 of odd n, whole
         d = 13
         state = random_state(d, 21)
         fresh = fo.apply_jx_evolution(state, 0.7).amps
-        assert len(eigh_sizes) == sum(len(w) for _, w in stacks.values()) == 2 * (2 * d + 1)
+        assert sorted(stacks) == [(False, 0), (False, 1), (False, 16), (False, 17),
+                                  (True, 0), (True, 1), (True, 16), (True, 17)]
+        assert len(eigh_sizes) == sum(len(w) for _, w in stacks.values()) == 8 * fo.GROUP
         eigh_sizes.clear()
         memoized = fo.apply_jx_evolution(state, 0.7).amps
         assert eigh_sizes == []
         assert np.array_equal(memoized, fresh)
 
     def test_extended_stacks_are_bit_identical(self, stacks, eigh_sizes):
-        # stacks built at d = 20 and extended at d = 30 evolve as fresh ones do
+        # groups kept at d = 20 and shared at d = 30 evolve as fresh ones do
         fo.apply_jx_evolution(random_state(20, 1), 0.4)
+        assert len(eigh_sizes) == 2 * 2 * 3 * fo.GROUP  # blocks n <= 40: 3 groups of each
         state = random_state(30, 2)
         extended = fo.apply_jx_evolution(state, 0.4).amps
-        assert len(eigh_sizes) == 2 * (2 * 30 + 1)  # no sector twice
-        stacks.clear()
+        assert len(eigh_sizes) == 2 * 2 * 4 * fo.GROUP  # only the groups from 48 and 49 added
+        assert sorted(eigh_sizes) == kept_sizes(stacks)  # no sector twice
+        fo._kept_stack.cache_clear()
         assert np.array_equal(fo.apply_jx_evolution(state, 0.4).amps, extended)
 
     def test_interfere_row_diagonalizes_each_sector_once(self, stacks, eigh_sizes):
@@ -308,11 +338,11 @@ class TestEigensystemMemo:
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.9", "--phi", "0.3"],
                                  catch_exceptions=False)
         assert out.exit_code == 0
-        # a twin-beam fills only the even sector of each block n = 2p, of size p + 1
-        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.9)
+        # d_max = 109: 14 whole groups of the even blocks 0 ... 222
+        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.9) == list(range(1, 113))
 
     def test_range_sweep_diagonalizes_each_sector_once(self, stacks, eigh_sizes):
-        # five truncations, d = 16 ... 109, share the sectors of the smaller ones
+        # five truncations, d = 16 ... 109, share the groups of the smaller ones
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.5", "--phi", "0.3",
                                             "--range", "x=0.5:0.9:5"],
                                  catch_exceptions=False)
@@ -327,27 +357,37 @@ class TestEigensystemMemo:
         assert itf.mz_min_phase_numeric(0.01, 0.6) == first
         assert eigh_sizes == []
 
-    def test_blocks_beyond_twice_the_cap_are_not_kept(self, stacks, eigh_sizes):
+    def test_kept_groups_live_in_one_process_cache(self, eigh_sizes):
+        # the module's own cache, which the other tests swap for a fresh one
+        fo._kept_stack.cache_clear()
+        state = fo.twin_beam_fock(0.6, fo.default_d_max(0.6))
+        first = fo.apply_jx_evolution(state, 0.2).amps
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.2).amps, first)
+        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.6)
+        assert fo._kept_stack.cache_info().currsize == 3  # the groups from 0, 16 and 32
+
+    def test_group_from_twice_the_cap_is_kept_whole(self, stacks, eigh_sizes):
         cap = fo.D_MAX_CAP
         assert fo.default_d_max(0.9999) == cap
         # |cap, cap> and |cap+5, cap+5>: the even sectors of blocks 2 cap and 2 cap + 10,
-        # the first and sixth members of one group, of which only the first is kept
+        # the first and sixth members of the last kept group, which is kept whole
         amps = np.zeros((cap + 11, cap + 11), dtype=complex)
         amps[cap, cap] = amps[cap + 5, cap + 5] = 1 / math.sqrt(2)
         state = fo.FockTwoModeState(amps, cap + 10)
-        fo.apply_jx_evolution(state, 0.4)
-        fo.apply_jx_evolution(state, 0.4)
-        assert [(k, w.shape) for k, (_, w) in stacks.items()] == [((True, 2 * cap), (1, cap + 1))]
-        assert eigh_sizes == [cap + 1, cap + 6, cap + 6]
-        # a truncation at the cap shares the kept block
+        first = fo.apply_jx_evolution(state, 0.4).amps
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.4).amps, first)
+        assert [(k, w.shape) for k, (_, w) in stacks.items()] == [
+            ((True, 2 * cap), (fo.GROUP, cap + fo.GROUP))]
+        assert eigh_sizes == list(range(cap + 1, cap + fo.GROUP + 1))
+        # a truncation at the cap shares the kept group
         fo.apply_jx_evolution(fo.FockTwoModeState(amps[:cap + 1, :cap + 1], cap), 0.4)
-        assert eigh_sizes == [cap + 1, cap + 6, cap + 6]
+        assert eigh_sizes == list(range(cap + 1, cap + fo.GROUP + 1))
 
     def test_blocks_past_the_cap_are_diagonalized_where_occupied(
         self, stacks, eigh_sizes, monkeypatch
     ):
-        # at a cap of 8 block 16 is the last kept: the group from 16 keeps its
-        # first member, the groups from 17 and 32 keep nothing
+        # at a cap of 8 the groups from 0 and 16 are kept whole, and the
+        # groups from 17 and 32 are not kept
         monkeypatch.setattr(fo, "D_MAX_CAP", 8)
         d = 24
         rng = np.random.default_rng(5)
@@ -358,31 +398,39 @@ class TestEigensystemMemo:
         state = fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
         first = fo.apply_jx_evolution(state, 0.3).amps
         assert {k: w.shape for k, (_, w) in stacks.items()} == {
-            (True, 0): (8, 8), (False, 0): (8, 7), (True, 16): (1, 9), (False, 16): (1, 8)}
+            (True, 0): (8, 8), (False, 0): (8, 7), (True, 16): (8, 16), (False, 16): (8, 15)}
+        # the even and odd sectors of blocks 19 and 36, and no other
+        assert sorted(eigh_sizes) == sorted(kept_sizes(stacks) + [10, 10, 18, 19])
         eigh_sizes.clear()
         again = fo.apply_jx_evolution(state, 0.3).amps
-        # the even and odd sectors of blocks 19, 22 and 36, and no other
-        assert sorted(eigh_sizes) == [10, 10, 11, 12, 18, 19]
+        assert sorted(eigh_sizes) == [10, 10, 18, 19]
+        assert fo._kept_stack.cache_info().currsize == 4
         assert np.array_equal(again, first)
         ref = dense_block_evolution(state, 0.3)
         assert np.linalg.norm(first - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [7, 2 * fo.D_MAX_CAP + 1, 2 * fo.D_MAX_CAP + 6])
     def test_eigensystem_is_read_only(self, stacks, n):
-        # a kept group, an unkept one, and one of which only block 2 cap is kept
+        # a kept group, one past the cap, and the last kept one: the odd
+        # sector of block n alone, at the smallest truncation that holds it
+        d = n // 2 + 1
+        amps = np.zeros((d + 1, d + 1), dtype=complex)
+        amps[d, n - d], amps[n - d, d] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+        fo.apply_jx_evolution(fo.FockTwoModeState(amps, d), 0.3)
         n0 = fo._first_block(n)
-        u, w = fo._stack(False, n0, (n - n0) // 2 + 1)
-        assert ((False, n0) in stacks) == (n0 <= 2 * fo.D_MAX_CAP)
-        for a in (u, w, *stacks.get((False, n0), ())):
+        kept = n0 <= 2 * fo.D_MAX_CAP
+        assert list(stacks) == ([(False, n0)] if kept else [])
+        live = np.arange(fo.GROUP) == (n - n0) // 2
+        for a in (*stacks.get((False, n0), ()), *fo._eig_stack(False, n0, live)):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
 
     def test_stacks_stay_near_the_per_sector_eigensystems(self, stacks):
-        # zero padding adds 9 % to the 3.65 MB of the twin-beam's sectors at x = 0.9
+        # zero padding adds 9.5 % to the 4.1 MB of the twin-beam's whole groups at x = 0.9
         fo.apply_jx_evolution(fo.twin_beam_fock(0.9, fo.default_d_max(0.9)), 0.3)
         sectors = sum(8 * (s * s + s) for s in twin_beam_stack_sizes(0.9))
         held = sum(u.nbytes + w.nbytes for u, w in stacks.values())
-        assert sectors < held < 1.15 * sectors
+        assert sectors < held < 1.10 * sectors
 
 
 class TestGroupBoundaries:
@@ -424,6 +472,11 @@ class TestGroupBoundaries:
             assert_matches_dense(state, phi)
 
 
+def layout_arrays(layout):
+    """Every array of a layout, its group indices included."""
+    return [*layout[:-1], *(at for parity in layout.index for _, at in parity.values())]
+
+
 class TestSectorLayout:
     def test_zero_state_calls_eigh_zero_times(self, stacks, eigh_sizes):
         state = fo.FockTwoModeState(np.zeros((12, 12)), 11)
@@ -434,21 +487,23 @@ class TestSectorLayout:
     def test_layout_is_cached_and_read_only(self):
         layout = fo._layout(6)
         assert fo._layout(6) is layout
-        for a in layout:
+        for a in layout_arrays(layout):
             with pytest.raises(ValueError):
-                a[0] = 0
+                a[(0,) * a.ndim] = 0
 
     def test_group_index_is_cached_and_read_only(self):
-        index = fo._group_index(6, False)
-        assert fo._group_index(6, False) is index
-        assert sorted(index) == [0, 1]
-        for _, at in index.values():
-            with pytest.raises(ValueError):
-                at[0, 0] = 0
+        # both parities' group indices, in the one cached layout of the truncation
+        index = fo._layout(6).index
+        assert fo._layout(6).index is index
+        assert [sorted(parity) for parity in index] == [[0, 1], [0, 1]]
+        for parity in index:
+            for _, at in parity.values():
+                with pytest.raises(ValueError):
+                    at[0, 0] = 0
 
     def test_stream_truncations_take_under_2_mb(self):
         layouts = [fo._layout(d) for d in (16, 22, 51, 109)]
-        assert sum(a.nbytes for layout in layouts for a in layout) < 2e6
+        assert sum(a.nbytes for layout in layouts for a in layout_arrays(layout)) < 2e6
 
 
 class TestSectorGenerator:
@@ -459,8 +514,8 @@ class TestSectorGenerator:
         size = (n + 1) // 2 + (even and n % 2 == 0)
         assert fo._sector_generator(n, even).shape == (size, size)
 
-    def test_empty_sector_has_no_eigenvalue(self, stacks):
+    def test_empty_sector_has_no_eigenvalue(self):
         # the odd sector of block 0
-        u, w = fo._stack(False, 0, 1)
+        u, w = fo._eig_stack(False, 0, np.array([True]))
         assert w.shape == (1, 0)
         assert u.shape == (1, 0, 0)
