@@ -426,7 +426,7 @@ class TestEigensystemMemo:
                 a[(0,) * a.ndim] = 0.0
 
     def test_stacks_stay_near_the_per_sector_eigensystems(self, stacks):
-        # zero padding adds 9.5 % to the 4.1 MB of the twin-beam's whole groups at x = 0.9
+        # zero padding adds 9.5 % to the 3.85 MB of the twin-beam's whole groups at x = 0.9
         fo.apply_jx_evolution(fo.twin_beam_fock(0.9, fo.default_d_max(0.9)), 0.3)
         sectors = sum(8 * (s * s + s) for s in twin_beam_stack_sizes(0.9))
         held = sum(u.nbytes + w.nbytes for u, w in stacks.values())
