@@ -4,12 +4,18 @@ Every subcommand produces a deterministic table (CSV or JSON) for a fixed
 seed; sweep syntax ``--range key=start:stop:steps`` expands a scalar
 parameter into a grid with one row per point.  Where an independent oracle
 exists, its value and the difference from the closed form are extra columns.
+
+A command is its options plus a row function ``row(g, seed)`` of one grid
+point ``g``, a dict of option values.  ``_table`` adds the common options and
+owns the run: seed, grid, rows, exit code of a failure, ``meta`` and output.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -49,46 +55,48 @@ def _finite(name: str, value):
     return value
 
 
-def _parse_range(spec: str) -> tuple[str, np.ndarray]:
-    try:
-        key, rng = spec.split("=", 1)
-        start, stop, steps = rng.split(":")
-        with np.errstate(all="ignore"):  # _run rejects a non-finite grid point
-            values = np.linspace(float(start), float(stop), int(steps))
-    except ValueError:
-        raise click.BadParameter(
-            f"range must look like key=start:stop:steps, got {spec!r}"
-        )
-    if len(values) < 1:
-        raise click.BadParameter(f"range {spec!r} has no points")
-    return key.strip(), values
+def _grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
+    """Cartesian product of the swept parameters, in the order given.
 
-
-def _grid_value(key: str, value: float, integer: bool):
-    """One grid point, as int for an integer option; a fraction there is rejected."""
-    if not integer:
-        return float(value)
-    if not float(value).is_integer():
-        raise click.BadParameter(f"{key} takes integers, got {float(value)}")
-    return int(value)
-
-
-def _expand_grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
-    """Cartesian product of the swept parameters, in the order given."""
+    Each point holds all of ``params`` in their order, as ints for an int option.
+    """
     int_keys = {p.name for p in click.get_current_context().command.params
                 if isinstance(p.type, click.types.IntParamType)}
-    grids = [params]
-    swept = set()
+    axes = {}
     for spec in ranges:
-        key, values = _parse_range(spec)
+        try:
+            key, rng = spec.split("=", 1)
+            start, stop, steps = rng.split(":")
+            start, stop, steps = float(start), float(stop), int(steps)
+            if steps < 0:
+                raise ValueError(steps)
+        except ValueError:
+            raise click.BadParameter(
+                f"range must look like key=start:stop:steps, got {spec!r}"
+            )
+        if steps == 0:
+            raise click.BadParameter(f"range {spec!r} has no points")
+        key = key.strip()
         if key not in params:
             raise click.BadParameter(f"unknown sweep key {key!r}")
-        if key in swept:
+        if key in axes:
             raise click.BadParameter(f"sweep key {key!r} is given twice")
-        swept.add(key)
-        grid_values = [_grid_value(key, v, key in int_keys) for v in values]
-        grids = [dict(g, **{key: v}) for g in grids for v in grid_values]
-    return grids
+        try:
+            with np.errstate(all="ignore"):  # a non-finite grid point is rejected below
+                values = np.linspace(start, stop, steps).tolist()
+        except (ValueError, IndexError):  # numpy's bounds on an array's length
+            raise click.BadParameter(f"range {spec!r} is too large") from None
+        if key in int_keys:
+            for value in values:
+                if not value.is_integer():
+                    raise click.BadParameter(f"{key} takes integers, got {value}")
+            values = [int(value) for value in values]
+        axes[key] = values
+    for key, value in params.items():
+        for point in axes.get(key, [value]):
+            _finite(key, point)
+    return [dict(params, **dict(zip(axes, point)))
+            for point in itertools.product(*axes.values())]
 
 
 def _fmt(value) -> str:
@@ -112,15 +120,13 @@ def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
             writer.writerow([_fmt(v) for v in row.values()])
         text = buf.getvalue()
     else:
+        # JSON has no nan or inf: nan becomes null and +-inf "inf", as in CSV
         clean_rows = [
-            {k: (None if isinstance(v, float) and math.isnan(v) else v)
+            {k: v if not isinstance(v, float) or math.isfinite(v)
+             else None if math.isnan(v) else "inf"
              for k, v in row.items()}
             for row in rows
         ]
-        for row in clean_rows:
-            for k, v in row.items():
-                if isinstance(v, float) and math.isinf(v):
-                    row[k] = "inf"
         text = json.dumps({"meta": meta, "rows": clean_rows}, indent=2) + "\n"
     if output == "-":
         click.echo(text, nl=False, file=sys.stdout)
@@ -132,58 +138,54 @@ def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
             raise click.BadParameter(f"{exc.strerror}: {output!r}", param_hint="'--output'")
 
 
-def _common(fn):
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-        show_default=True, help="Output format.",
-    )(fn)
-    fn = click.option(
-        "--output", default="-", show_default=True,
-        help="Output path, or - for stdout.",
-    )(fn)
-    fn = click.option(
-        "--seed", type=_SEED, default=None,
-        help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR} overrides).",
-    )(fn)
-    fn = click.option(
-        "--range", "ranges", multiple=True, metavar="KEY=START:STOP:STEPS",
-        help="Sweep a parameter over a linear grid; may be repeated.",
-    )(fn)
-    return fn
+def _table(command: str, whole: tuple[str, ...] = ()):
+    """Make ``row(g, seed, **inputs)`` the callback of the table ``command``.
 
+    The options named in ``whole`` are not swept: each row gets them as given,
+    and a numerical failure names them instead of the grid point.
+    """
 
-def _run(command: str, params: dict, ranges, seed, fmt, output, row_fn,
-         inputs: dict | None = None) -> None:
-    """Emit one row_fn row per grid point; a numerical failure names the
-    grid point, or ``inputs`` when those are what the rows depend on."""
-    seed = _resolve_seed(seed)
-    grid = _expand_grid(params, ranges)
-    for g in grid:
-        for key, value in g.items():
-            _finite(key, value)
-    rows = []
-    try:
-        for g in grid:
-            rows.append(row_fn(g, seed))
-    except (itf.TruncationError, gaussian_core.NonPhysicalStateError) as exc:
-        click.echo(f"numerical failure: {exc}", file=sys.stderr)
-        sys.exit(1)
-    except (ArithmeticError, MemoryError) as exc:
-        # Python's own text names neither the command nor the input it failed at
-        shown = ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items()
-                          if v is not None)
-        click.echo(f"numerical failure: {command} at {shown}: {exc}", file=sys.stderr)
-        sys.exit(1)
-    except ValueError as exc:  # the library's domain checks on its arguments
-        raise click.BadParameter(str(exc)) from exc
-    meta = {
-        "command": command,
-        "seed": seed,
-        "params": params,
-        "n_rows": len(rows),
-        "version": __version__,
-    }
-    _emit(rows, meta, fmt, output)
+    def decorate(row):
+        @click.option("--range", "ranges", multiple=True, metavar="KEY=START:STOP:STEPS",
+                      help="Sweep a parameter over a linear grid; may be repeated.")
+        @click.option("--seed", type=_SEED, default=None,
+                      help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR} overrides).")
+        @click.option("--output", default="-", show_default=True,
+                      help="Output path, or - for stdout.")
+        @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                      show_default=True, help="Output format.")
+        @functools.wraps(row)
+        def run(fmt, output, seed, ranges, **options):
+            seed = _resolve_seed(seed)
+            inputs = {name: options.pop(name) for name in whole}
+            # declared order, not the command line's, which is the order of options
+            params = {p.name: options[p.name]
+                      for p in click.get_current_context().command.params
+                      if p.name in options}
+            rows, g = [], None
+            try:
+                for g in _grid(params, ranges):
+                    rows.append(row(g, seed, **inputs))
+            except (itf.TruncationError, gaussian_core.NonPhysicalStateError) as exc:
+                click.echo(f"numerical failure: {exc}", file=sys.stderr)
+                sys.exit(1)
+            except (ArithmeticError, MemoryError) as exc:
+                # Python's own text names neither the command nor the input it
+                # failed at: the row's inputs, or the --range of a grid too large
+                shown = (" ".join(f"--range {spec}" for spec in ranges) if g is None else
+                         ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items()
+                                   if v is not None))
+                click.echo(f"numerical failure: {command} at {shown}: {exc}", file=sys.stderr)
+                sys.exit(1)
+            except ValueError as exc:  # the library's domain checks on its arguments
+                raise click.BadParameter(str(exc)) from exc
+            meta = {"command": command, "seed": seed, "params": params,
+                    "n_rows": len(rows), "version": __version__}
+            _emit(rows, meta, fmt, output)
+
+        return run
+
+    return decorate
 
 
 @click.group()
@@ -199,29 +201,24 @@ def main():
 @click.option("--alpha", type=float, default=1.0, show_default=True,
               help="True displacement amplitude (real).")
 @click.option("--trials", type=int, default=100_000, show_default=True)
-@_common
-def estimate(x, nbar_t, alpha, trials, ranges, seed, fmt, output):
+@_table("estimate")
+def estimate(g, seed):
     """Displacement estimation: twin-beam vs vacuum probe variances."""
-
-    def row(g, seed_):
-        setting = est.EstimationSetting(x=g["x"], nbar_T=g["nbar_t"], alpha=g["alpha"])
-        v = est.conditional_variance(setting)
-        sim = est.simulate_estimation(setting, g["trials"], seed_)
-        return {
-            "x": g["x"],
-            "nbar_T": g["nbar_t"],
-            "sigma2_sq": v.entangled,
-            "sigma1_sq": v.unentangled,
-            "convenient": est.entanglement_convenient(setting),
-            "threshold_nbar": est.convenience_threshold(g["x"]),
-            "rms_entangled": sim.rms_entangled,
-            "rms_unentangled": sim.rms_unentangled,
-            "diff_entangled": sim.rms_entangled**2 - v.entangled,
-            "diff_unentangled": sim.rms_unentangled**2 - v.unentangled,
-        }
-
-    _run("estimate", {"x": x, "nbar_t": nbar_t, "alpha": alpha, "trials": trials},
-         ranges, seed, fmt, output, row)
+    setting = est.EstimationSetting(x=g["x"], nbar_T=g["nbar_t"], alpha=g["alpha"])
+    v = est.conditional_variance(setting)
+    sim = est.simulate_estimation(setting, g["trials"], seed)
+    return {
+        "x": g["x"],
+        "nbar_T": g["nbar_t"],
+        "sigma2_sq": v.entangled,
+        "sigma1_sq": v.unentangled,
+        "convenient": est.entanglement_convenient(setting),
+        "threshold_nbar": est.convenience_threshold(g["x"]),
+        "rms_entangled": sim.rms_entangled,
+        "rms_unentangled": sim.rms_unentangled,
+        "diff_entangled": sim.rms_entangled**2 - v.entangled,
+        "diff_unentangled": sim.rms_unentangled**2 - v.unentangled,
+    }
 
 
 @main.command()
@@ -230,32 +227,27 @@ def estimate(x, nbar_t, alpha, trials, ranges, seed, fmt, output):
 @click.option("--samples", type=int, default=100_000, show_default=True,
               help="Unused: the exact minimum-norm-point oracle draws no "
                    "samples (must be >= 1).")
-@_common
-def discriminate(phases, samples, ranges, seed, fmt, output):
+@_table("discriminate", whole=("phases",))
+def discriminate(g, seed, phases):
     """Minimum-error discrimination of two unitaries from their eigenphases."""
     try:
         phase_list = tuple(_finite("--phases", float(p)) for p in phases.split(","))
     except ValueError:
         raise click.BadParameter(f"--phases must be comma-separated floats, got {phases!r}")
-
-    def row(g, seed_):
-        spectrum = disc.EigenphaseSpectrum(phase_list)
-        polygon = disc.build_polygon(spectrum)
-        r_bf = disc.brute_force_min_overlap(spectrum, g["samples"])
-        copies = disc.copies_for_exact(polygon)
-        return {
-            "phases": ";".join(f"{p:.12g}" for p in polygon.phases),
-            "r": polygon.r,
-            "delta": polygon.delta,
-            "p_e": disc.min_error_probability(polygon),
-            "r_bruteforce": r_bf,
-            "r_diff": r_bf - polygon.r,
-            "spread_formula_p_e": disc.spread_formula_error(polygon.delta),
-            "copies_for_exact": copies if copies is not None else "unbounded",
-        }
-
-    _run("discriminate", {"samples": samples}, ranges, seed, fmt, output, row,
-         inputs={"phases": phases})
+    spectrum = disc.EigenphaseSpectrum(phase_list)
+    polygon = disc.build_polygon(spectrum)
+    r_bf = disc.brute_force_min_overlap(spectrum, g["samples"])
+    copies = disc.copies_for_exact(polygon)
+    return {
+        "phases": ";".join(f"{p:.12g}" for p in polygon.phases),
+        "r": polygon.r,
+        "delta": polygon.delta,
+        "p_e": disc.min_error_probability(polygon),
+        "r_bruteforce": r_bf,
+        "r_diff": r_bf - polygon.r,
+        "spread_formula_p_e": disc.spread_formula_error(polygon.delta),
+        "copies_for_exact": copies if copies is not None else "unbounded",
+    }
 
 
 @main.command()
@@ -267,38 +259,32 @@ def discriminate(phases, samples, ranges, seed, fmt, output):
 @click.option("--gamma-star", type=float, default=10.0, show_default=True,
               help="Acceptance ratio (ideal scheme).")
 @click.option("--d-max", type=int, default=None, help="Fock truncation override.")
-@_common
-def interfere(x, phi, q0, gamma_star, d_max, ranges, seed, fmt, output):
+@_table("interfere")
+def interfere(g, seed):
     """Phase detection: ideal NP scheme and Mach-Zehnder zero-count scheme."""
-
-    def row(g, seed_):
-        n_mean = gaussian_core.TwinBeamParams.from_x(g["x"]).N
-        kappa_closed = itf.twin_beam_overlap_sq(n_mean, g["phi"])
-        d = g["d_max"] if g["d_max"] is not None else fock_oracle.default_d_max(g["x"])
-        # first, so that a truncation tail above tolerance fails before any evolution
-        p_zero = itf.mz_zero_count_probability(g["x"], g["phi"], d)
-        probe = fock_oracle.twin_beam_fock(g["x"], d)
-        evolved = fock_oracle.apply_jx_evolution(probe, g["phi"])
-        kappa_oracle = abs(fock_oracle.overlap(probe, evolved)) ** 2
-        phi_min = (
-            itf.min_detectable_phase_ideal(g["q0"], g["gamma_star"], n_mean)
-            if n_mean > 0 else None
-        )
-        return {
-            "x": g["x"],
-            "phi": g["phi"],
-            "N": n_mean,
-            "kappa_sq": kappa_closed,
-            "kappa_sq_oracle": kappa_oracle,
-            "kappa_diff": kappa_oracle - kappa_closed,
-            "phi_min_ideal": phi_min,
-            "p_zero_count": p_zero,
-            "q_phi_mz": 1.0 - p_zero,
-        }
-
-    _run("interfere",
-         {"x": x, "phi": phi, "q0": q0, "gamma_star": gamma_star, "d_max": d_max},
-         ranges, seed, fmt, output, row)
+    n_mean = gaussian_core.TwinBeamParams.from_x(g["x"]).N
+    kappa_closed = itf.twin_beam_overlap_sq(n_mean, g["phi"])
+    d = g["d_max"] if g["d_max"] is not None else fock_oracle.default_d_max(g["x"])
+    # first, so that a truncation tail above tolerance fails before any evolution
+    p_zero = itf.mz_zero_count_probability(g["x"], g["phi"], d)
+    probe = fock_oracle.twin_beam_fock(g["x"], d)
+    evolved = fock_oracle.apply_jx_evolution(probe, g["phi"])
+    kappa_oracle = abs(fock_oracle.overlap(probe, evolved)) ** 2
+    phi_min = (
+        itf.min_detectable_phase_ideal(g["q0"], g["gamma_star"], n_mean)
+        if n_mean > 0 else None
+    )
+    return {
+        "x": g["x"],
+        "phi": g["phi"],
+        "N": n_mean,
+        "kappa_sq": kappa_closed,
+        "kappa_sq_oracle": kappa_oracle,
+        "kappa_diff": kappa_oracle - kappa_closed,
+        "phi_min_ideal": phi_min,
+        "p_zero_count": p_zero,
+        "q_phi_mz": 1.0 - p_zero,
+    }
 
 
 @main.group()
@@ -312,31 +298,26 @@ def crypto():
               help="Symbol amplitude (z1 = a, z0 = -a).")
 @click.option("--kappa", type=float, default=1.0, show_default=True,
               help="Gaussian key variance.")
-@_common
-def crypto_errors(x, a, kappa, ranges, seed, fmt, output):
+@_table("crypto-errors")
+def crypto_errors(g, seed):
     """Closed-form error probabilities for Bob and Eve."""
-
-    def row(g, seed_):
-        margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
-        eve = margin.eve_err
-        eve_oracle = 0.5 * (1.0 - crypto_mod.splus_numeric(g["a"], g["kappa"]))
-        return {
-            "x": g["x"],
-            "a": g["a"],
-            "kappa": g["kappa"],
-            "bob_ideal": crypto_mod.bob_ideal_error(g["x"], -g["a"], g["a"]),
-            "coherent": crypto_mod.coherent_error(-g["a"], g["a"]),
-            "bob_heterodyne": margin.bob_err,
-            "eve_gaussian_key": eve,
-            "eve_gaussian_key_oracle": eve_oracle,
-            "eve_diff": eve_oracle - eve,
-            "eve_uniform_key": crypto_mod.eve_error_uniform(),
-            "two_sigma_x_sq": 2.0 * crypto_mod.receiver_variance(g["x"]),
-            "secure": margin.secure,
-        }
-
-    _run("crypto-errors", {"x": x, "a": a, "kappa": kappa}, ranges, seed, fmt,
-         output, row)
+    margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
+    eve = margin.eve_err
+    eve_oracle = 0.5 * (1.0 - crypto_mod.splus_numeric(g["a"], g["kappa"]))
+    return {
+        "x": g["x"],
+        "a": g["a"],
+        "kappa": g["kappa"],
+        "bob_ideal": crypto_mod.bob_ideal_error(g["x"], -g["a"], g["a"]),
+        "coherent": crypto_mod.coherent_error(-g["a"], g["a"]),
+        "bob_heterodyne": margin.bob_err,
+        "eve_gaussian_key": eve,
+        "eve_gaussian_key_oracle": eve_oracle,
+        "eve_diff": eve_oracle - eve,
+        "eve_uniform_key": crypto_mod.eve_error_uniform(),
+        "two_sigma_x_sq": 2.0 * crypto_mod.receiver_variance(g["x"]),
+        "secure": margin.secure,
+    }
 
 
 @crypto.command("simulate")
@@ -344,79 +325,69 @@ def crypto_errors(x, a, kappa, ranges, seed, fmt, output):
 @click.option("--a", type=float, default=0.5, show_default=True)
 @click.option("--kappa", type=float, default=1.0, show_default=True)
 @click.option("--bits", type=int, default=100_000, show_default=True)
-@_common
-def crypto_simulate(x, a, kappa, bits, ranges, seed, fmt, output):
+@_table("crypto-simulate")
+def crypto_simulate(g, seed):
     """Monte Carlo of the binary protocol against the closed forms."""
-
-    def row(g, seed_):
-        config = crypto_mod.ProtocolConfig(x=g["x"], a=g["a"], kappa_key=g["kappa"])
-        sim = crypto_mod.simulate_binary_protocol(config, g["bits"], seed_)
-        margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
-        bob, eve = margin.bob_err, margin.eve_err
-        return {
-            "x": g["x"],
-            "a": g["a"],
-            "kappa": g["kappa"],
-            "bits": g["bits"],
-            "bob_analytic": bob,
-            "bob_empirical": sim.bob_empirical_err,
-            "bob_diff": sim.bob_empirical_err - bob,
-            "eve_bound": eve,
-            "eve_empirical": sim.eve_empirical_err,
-            "eve_diff": sim.eve_empirical_err - eve,
-        }
-
-    _run("crypto-simulate", {"x": x, "a": a, "kappa": kappa, "bits": bits},
-         ranges, seed, fmt, output, row)
+    config = crypto_mod.ProtocolConfig(x=g["x"], a=g["a"], kappa_key=g["kappa"])
+    sim = crypto_mod.simulate_binary_protocol(config, g["bits"], seed)
+    margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
+    bob, eve = margin.bob_err, margin.eve_err
+    return {
+        "x": g["x"],
+        "a": g["a"],
+        "kappa": g["kappa"],
+        "bits": g["bits"],
+        "bob_analytic": bob,
+        "bob_empirical": sim.bob_empirical_err,
+        "bob_diff": sim.bob_empirical_err - bob,
+        "eve_bound": eve,
+        "eve_empirical": sim.eve_empirical_err,
+        "eve_diff": sim.eve_empirical_err - eve,
+    }
 
 
 @main.command()
-@click.option("--gamma", "gamma_damp", type=float, default=1.0, show_default=True,
+@click.option("--gamma", type=float, default=1.0, show_default=True,
               help="Fiber damping rate.")
-@click.option("--m", "thermal_m", type=float, required=True,
+@click.option("--m", type=float, required=True,
               help="Background thermal photons M.")
-@click.option("--n", "n_photons", type=float, default=None,
+@click.option("--n", type=float, default=None,
               help="Twin-beam mean photon number N (alternative to --r0).")
 @click.option("--r0", type=float, default=None,
               help="Twin-beam squeezing parameter (alternative to --n).")
-@_common
-def fiber(gamma_damp, thermal_m, n_photons, r0, ranges, seed, fmt, output):
+@_table("fiber")
+def fiber(g, seed):
     """Separability threshold of a twin-beam in noisy fibers."""
-
-    def row(g, seed_):
-        # per grid point, so that sweeping the option not given is caught too
-        if (g["n"] is None) == (g["r0"] is None):
-            raise ValueError("give exactly one of --n or --r0")
-        if g["r0"] is not None:
-            beam = gaussian_core.TwinBeamParams(g["r0"])
-            n_mean = beam.N
-        else:
-            beam = gaussian_core.TwinBeamParams.from_mean_photons(g["n"])
-            n_mean = g["n"]  # as given, not recomputed from r0
-        r = beam.r0
-        t_s = fiber_mod.separability_time(g["gamma"], g["m"], n_mean)
-        tau_s = fiber_mod.separability_time_rescaled(g["m"], r)
-        if math.isinf(tau_s):
-            scan_tau = None
-            diff = None
-        else:
-            scan_tau = fiber_mod.scan_separability(r, g["m"], tau_max=2.0 * tau_s + 1.0,
-                                                   steps=256)
-            diff = scan_tau - tau_s if scan_tau is not None else None
-        return {
-            "gamma": g["gamma"],
-            "M": g["m"],
-            "N": n_mean,
-            "r0": r,
-            "t_s": t_s,
-            "tau_s": tau_s,
-            "tau_s_scan": scan_tau,
-            "tau_diff": diff,
-            "t_s_large_N": fiber_mod.separability_time_large_n(g["gamma"], g["m"]),
-        }
-
-    _run("fiber", {"gamma": gamma_damp, "m": thermal_m, "n": n_photons, "r0": r0},
-         ranges, seed, fmt, output, row)
+    # per grid point, so that sweeping the option not given is caught too
+    if (g["n"] is None) == (g["r0"] is None):
+        raise ValueError("give exactly one of --n or --r0")
+    if g["r0"] is not None:
+        beam = gaussian_core.TwinBeamParams(g["r0"])
+        n_mean = beam.N
+    else:
+        beam = gaussian_core.TwinBeamParams.from_mean_photons(g["n"])
+        n_mean = g["n"]  # as given, not recomputed from r0
+    r = beam.r0
+    t_s = fiber_mod.separability_time(g["gamma"], g["m"], n_mean)
+    tau_s = fiber_mod.separability_time_rescaled(g["m"], r)
+    if math.isinf(tau_s):
+        scan_tau = None
+        diff = None
+    else:
+        scan_tau = fiber_mod.scan_separability(r, g["m"], tau_max=2.0 * tau_s + 1.0,
+                                               steps=256)
+        diff = scan_tau - tau_s if scan_tau is not None else None
+    return {
+        "gamma": g["gamma"],
+        "M": g["m"],
+        "N": n_mean,
+        "r0": r,
+        "t_s": t_s,
+        "tau_s": tau_s,
+        "tau_s_scan": scan_tau,
+        "tau_diff": diff,
+        "t_s_large_N": fiber_mod.separability_time_large_n(g["gamma"], g["m"]),
+    }
 
 
 if __name__ == "__main__":

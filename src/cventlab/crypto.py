@@ -40,9 +40,9 @@ class ProtocolConfig:
     def __post_init__(self):
         if not 0.0 <= self.x < 1.0:
             raise ValueError(f"x must be in [0, 1), got {self.x}")
-        if self.a < 0:
+        if not self.a >= 0:
             raise ValueError(f"a must be >= 0, got {self.a}")
-        if self.kappa_key <= 0:
+        if not self.kappa_key > 0:
             raise ValueError(f"kappa_key must be > 0, got {self.kappa_key}")
 
 
@@ -81,9 +81,9 @@ def eve_error_uniform() -> float:
 
 def eve_error_gaussian_key(a: float, kappa_key: float) -> float:
     """Eve's optimal error against a Gaussian key: [1 - erf(a/sqrt(kappa))]/2 = erfc/2."""
-    if a < 0:
+    if not a >= 0:
         raise ValueError(f"a must be >= 0, got {a}")
-    if kappa_key <= 0:
+    if not kappa_key > 0:
         raise ValueError(f"kappa_key must be > 0, got {kappa_key}")
     return 0.5 * math.erfc(a / math.sqrt(kappa_key))
 
@@ -102,7 +102,7 @@ def bob_heterodyne_error(x: float, a: float) -> float:
 
     Rule: Re[z] < 0 infers bit 0, bit 1 otherwise.
     """
-    if a < 0:
+    if not a >= 0:
         raise ValueError(f"a must be >= 0, got {a}")
     return 0.5 * math.erfc(a / math.sqrt(2.0 * receiver_variance(x)))
 

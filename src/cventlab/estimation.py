@@ -35,7 +35,7 @@ class EstimationSetting:
     def __post_init__(self):
         if not 0.0 <= self.x < 1.0:
             raise ValueError(f"x must be in [0, 1), got {self.x}")
-        if self.nbar_T < 0:
+        if not self.nbar_T >= 0:
             raise ValueError(f"nbar_T must be >= 0, got {self.nbar_T}")
 
 

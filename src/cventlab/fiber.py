@@ -43,7 +43,7 @@ def _log1p_over_2m(a: float, M: float) -> float:
 
 def evolve_variances(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamFamilyState:
     """The twin-beam after rescaled time tau in the fibers, as its EPR variances."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     plus, minus = gaussian_core.TwinBeamParams(r0).epr_variances  # checks r0 >= 0
     gamma = _drift(M)
@@ -68,9 +68,9 @@ def separability_time_rescaled(M: float, r0: float) -> float:
     (2M + 1) log1p((1 - e^{-2 r0})/(2M)), since gamma/(1 - gamma) = 1/(2M),
     which keeps full precision as M -> 0.
     """
-    if r0 <= 0:
+    if not r0 > 0:
         raise ValueError(f"r0 must be > 0, got {r0}")
-    if M < 0:
+    if not M >= 0:
         raise ValueError(f"M must be >= 0, got {M}")
     return (2.0 * M + 1.0) * _log1p_over_2m(-math.expm1(-2.0 * r0), M)
 
@@ -81,11 +81,11 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
     Equivalent to the rescaled form through N - sqrt(N(N+2)) = e^{-2 r0} - 1;
     tends to separability_time_large_n for large N.  Diverges for M = 0.
     """
-    if Gamma <= 0:
+    if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
-    if N <= 0:
+    if not N > 0:
         raise ValueError(f"N must be > 0, got {N}")
-    if M < 0:
+    if not M >= 0:
         raise ValueError(f"M must be >= 0, got {M}")
     # N - sqrt(N(N+2)) without its cancellation and without overflow in N(N+2)
     gap = -2.0 * N / (N + math.sqrt(N) * math.sqrt(N + 2.0))
@@ -94,9 +94,9 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
 
 def separability_time_large_n(Gamma: float, M: float) -> float:
     """Large-N limit t_s -> (1/Gamma) log(1 + 1/(2M)); diverges for M = 0."""
-    if Gamma <= 0:
+    if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
-    if M < 0:
+    if not M >= 0:
         raise ValueError(f"M must be >= 0, got {M}")
     return _log1p_over_2m(1.0, M) / Gamma
 

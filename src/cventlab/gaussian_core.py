@@ -35,7 +35,7 @@ class TwinBeamParams:
 
     def __post_init__(self):
         r0 = float(self.r0)
-        if r0 < 0:
+        if not r0 >= 0:
             raise ValueError(f"squeezing parameter must be >= 0, got {r0}")
         object.__setattr__(self, "r0", r0)
 
@@ -59,7 +59,7 @@ class TwinBeamParams:
     @classmethod
     def from_mean_photons(cls, N: float) -> "TwinBeamParams":
         N = float(N)
-        if N < 0:
+        if not N >= 0:
             raise ValueError(f"mean photon number must be >= 0, got {N}")
         return cls(math.asinh(math.sqrt(N / 2.0)))
 
@@ -81,7 +81,7 @@ class NoiseParams:
 
     def __post_init__(self):
         nbar = float(self.nbar)
-        if nbar < 0:
+        if not nbar >= 0:
             raise ValueError(f"nbar must be >= 0, got {nbar}")
         object.__setattr__(self, "nbar", nbar)
 

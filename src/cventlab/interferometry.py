@@ -39,7 +39,7 @@ def np_detection_probability(q0: float, kappa_sq: float) -> float:
 
 def twin_beam_overlap_sq(N: float, phi: float) -> float:
     """Survival probability |<<x|U_phi|x>>|^2 = [1 + N(N+2) sin^2 phi]^(-1)."""
-    if N < 0:
+    if not N >= 0:
         raise ValueError(f"N must be >= 0, got {N}")
     return 1.0 / (1.0 + N * (N + 2.0) * math.sin(phi) ** 2)
 
@@ -49,7 +49,7 @@ def acceptance_threshold(q0: float, gamma_star: float) -> float:
 
     The paper's Lambda(Q0, gamma*) is this same quantity under another name.
     """
-    if gamma_star < 1.0:
+    if not gamma_star >= 1.0:
         raise ValueError(f"gamma_star must be >= 1, got {gamma_star}")
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"q0 must be in [0, 1], got {q0}")
@@ -75,7 +75,7 @@ def min_detectable_phase_ideal(q0: float, gamma_star: float, N: float) -> float 
     exceeds 1 no phase reaches the required acceptance ratio and None is
     returned.
     """
-    if N <= 0:
+    if not N > 0:
         raise ValueError(f"N must be > 0, got {N}")
     lam = acceptance_threshold(q0, gamma_star)
     if not 0.0 < lam < 1.0:
@@ -116,7 +116,7 @@ def mz_min_phase(target_q_phi: float, N: float) -> float:
     """
     if not 0.0 < target_q_phi < 1.0:
         raise ValueError(f"target_q_phi must be in (0, 1), got {target_q_phi}")
-    if N <= 0:
+    if not N > 0:
         raise ValueError(f"N must be > 0, got {N}")
     return math.sqrt(2.0 * target_q_phi) / N
 

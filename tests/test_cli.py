@@ -214,6 +214,36 @@ class TestFormats:
         assert row["tau_s_scan"] == ""
 
 
+class TestMetaParams:
+    # each command's options in declared order, and its meta.params from them;
+    # fiber's --n is not given, and discriminate's --phases is not a parameter
+    DECLARED = {
+        ("estimate",): ([("--x", "0.5"), ("--nbar-t", "0.2"), ("--alpha", "0.7"),
+                         ("--trials", "200")],
+                        {"x": 0.5, "nbar_t": 0.2, "alpha": 0.7, "trials": 200}),
+        ("discriminate",): ([("--phases", "0,1"), ("--samples", "7")], {"samples": 7}),
+        ("interfere",): ([("--x", "0.6"), ("--phi", "0.2"), ("--q0", "0.02"),
+                          ("--gamma-star", "5"), ("--d-max", "30")],
+                         {"x": 0.6, "phi": 0.2, "q0": 0.02, "gamma_star": 5.0, "d_max": 30}),
+        ("crypto", "errors"): ([("--x", "0.6"), ("--a", "0.3"), ("--kappa", "2")],
+                               {"x": 0.6, "a": 0.3, "kappa": 2.0}),
+        ("crypto", "simulate"): ([("--x", "0.6"), ("--a", "0.3"), ("--kappa", "2"),
+                                  ("--bits", "300")],
+                                 {"x": 0.6, "a": 0.3, "kappa": 2.0, "bits": 300}),
+        ("fiber",): ([("--gamma", "2"), ("--m", "0.4"), ("--r0", "0.7")],
+                     {"gamma": 2.0, "m": 0.4, "n": None, "r0": 0.7}),
+    }
+
+    @pytest.mark.parametrize("command", list(DECLARED), ids=" ".join)
+    def test_params_follow_the_declared_options(self, command):
+        # the options come in reverse order; meta.params keeps the declared one
+        options, params = self.DECLARED[command]
+        args = [*command, *(word for option in reversed(options) for word in option)]
+        out = run_cli([*args, "--format", "json"])
+        assert out.exit_code == 0
+        assert list(json.loads(out.stdout)["meta"]["params"].items()) == list(params.items())
+
+
 class TestSweeps:
     def test_range_expansion(self):
         out = run_cli(
@@ -245,6 +275,26 @@ class TestSweeps:
         assert out.exit_code == 2
         assert out.stdout == ""
         assert "Error: Invalid value: sweep key 'x' is given twice" in out.stderr
+
+    def test_grid_too_large_for_memory(self):
+        # numpy's 7.11 PiB allocation is refused at once, with a MemoryError:
+        # a numerical failure that names the command and the --range spec
+        spec = "x=0:0.5:1000000000000000"
+        out = run_cli(["estimate", "--x", "0.5", "--range", spec])
+        assert out.exit_code == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith(f"numerical failure: estimate at --range {spec}: ")
+        assert out.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("steps", [2**62, 2**63, 10**30])
+    def test_grid_past_numpy_length_bound(self, steps):
+        # numpy refuses these lengths before allocating (ValueError, or an
+        # IndexError past 2**63): a bad argument that says the grid is too large
+        spec = f"x=0:0.5:{steps}"
+        out = run_cli(["estimate", "--x", "0.5", "--range", spec])
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert f"Error: Invalid value: range {spec!r} is too large" in out.stderr
 
 
 class TestErrorHandling:
