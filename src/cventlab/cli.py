@@ -81,6 +81,8 @@ def _grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
             raise click.BadParameter(f"unknown sweep key {key!r}")
         if key in axes:
             raise click.BadParameter(f"sweep key {key!r} is given twice")
+        _finite(key, start)  # linspace would start an infinite span with 0 inf = nan
+        _finite(key, stop)
         try:
             with np.errstate(all="ignore"):  # a non-finite grid point is rejected below
                 values = np.linspace(start, stop, steps).tolist()
@@ -166,12 +168,10 @@ def _table(command: str, whole: tuple[str, ...] = ()):
             try:
                 for g in _grid(params, ranges):
                     rows.append(row(g, seed, **inputs))
-            except (itf.TruncationError, gaussian_core.NonPhysicalStateError) as exc:
-                click.echo(f"numerical failure: {exc}", file=sys.stderr)
-                sys.exit(1)
-            except (ArithmeticError, MemoryError) as exc:
-                # Python's own text names neither the command nor the input it
-                # failed at: the row's inputs, or the --range of a grid too large
+            except (ArithmeticError, MemoryError, itf.TruncationError,
+                    gaussian_core.NonPhysicalStateError) as exc:
+                # the text names neither the command nor the input it failed
+                # at: the row's inputs, or the --range of a grid too large
                 shown = (" ".join(f"--range {spec}" for spec in ranges) if g is None else
                          ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items()
                                    if v is not None))

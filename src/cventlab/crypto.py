@@ -59,14 +59,14 @@ def bob_ideal_error(x: float, z0: complex, z1: complex) -> float:
     |<<z1|z0>>|^2 = exp(-|z0 - z1|^2 (1 + N)); for a large exponent the
     error approaches exp(-|z0 - z1|^2 (1 + N)) / 4.
     """
-    sep_sq = abs(complex(z0) - complex(z1)) ** 2
-    return helstrom_error(math.exp(-sep_sq * (1.0 + TwinBeamParams.from_x(x).N)))
+    sep = abs(complex(z0) - complex(z1))  # sep * sep is inf past the float range, not an error
+    return helstrom_error(math.exp(-sep * sep * (1.0 + TwinBeamParams.from_x(x).N)))
 
 
 def coherent_error(alpha0: complex, alpha1: complex) -> float:
     """Optimal-receiver error for the unentangled coherent-state encoding."""
-    sep_sq = abs(complex(alpha0) - complex(alpha1)) ** 2
-    return helstrom_error(math.exp(-sep_sq))
+    sep = abs(complex(alpha0) - complex(alpha1))
+    return helstrom_error(math.exp(-sep * sep))
 
 
 def eve_error_uniform() -> float:

@@ -2,40 +2,34 @@
 
 States are stored as a (d_max+1) x (d_max+1) complex amplitude matrix with
 entry (p, q) = <p, q|psi>.  The beam-mixing evolution exp(i phi J) with
-J = a^dag b + a b^dag conserves the total photon number, so it is applied
-block by block on the fixed-total-n subspaces, where J is a small symmetric
-tridiagonal matrix.  J also commutes with the swap of the two modes (it is
-2 J_x in the Schwinger picture), so each block splits exactly into a
-swap-even and a swap-odd sector of about half its size, and each sector is
-diagonalized on its own.  A twin-beam lies in the even sectors only.
+J = a^dag b + a b^dag conserves the total photon number n and commutes with
+the swap of the two modes (it is 2 J_x in the Schwinger picture), so it
+keeps the twin-beam's subspace: swap-symmetric states with even n.  It
+evolves only states in that subspace, where the block n = 2p is one sector,
+the p + 1 symmetric combinations of the |k, 2p-k>, and J on it is a small
+symmetric tridiagonal matrix.
 
-Both parities share one ordering of the entries A[k, m], k <= m, by block
-n = k + m and then by k, so a sector is one slice from its block's first
-entry; the odd coordinate is 0 on the diagonal, and an odd sector stops just
-before it.  The layout, with both parities' group indices, depends on d_max
-alone and is cached read-only for the last 8 truncations (365 kB at
-d_max = 109, 1.2 MB at 200).
+Sectors are evolved in groups of GROUP = 8 consecutive p from p0.  A group
+is a zero-padded stack of its sectors' eigenvectors and eigenvalues, which
+depend on the block alone, not on phi, the state or the truncation.  One
+evolution gathers each group's coordinates straight from the amplitudes,
+sqrt(2) A[k, 2p-k] for a pair and A[p, p] on the diagonal; skips a group
+whose coordinates are all zero; applies u exp(i phi w) u^T to an occupied
+one as two stacked BLAS products on real views of its coordinates; and
+writes the result to both triangles.  Where the coordinates sit depends on
+d_max alone: one small record per group, whose cut and padding rows point
+to a dummy slot, cached read-only for the last 8 truncations (122 kB at
+d_max = 109, 371 kB at 200).
 
-Sectors are evolved in groups of GROUP = 8 blocks n0, n0 + 2, ... of one
-parity of n, so a twin-beam, which fills only even blocks, never touches the
-odd-n groups.  A group is a zero-padded stack of its sectors' eigenvectors
-and eigenvalues, which depend on the block alone, not on phi, the state or
-the truncation.  One evolution gathers both coordinate vectors; finds the
-occupied groups from their nonzero coordinates (an all-zero parity costs
-nothing); applies u exp(i phi w) u^T to each occupied group as two stacked
-BLAS products on real views of its coordinates, read and written through
-the truncation's group index, whose cut and padding rows point to a dummy
-slot; and scatters the result back.
-
-One rule, decided by n0 alone, says which groups are kept.  A group from
-n0 <= 2 D_MAX_CAP (the cap of default_d_max) is diagonalized whole the
-first time it is occupied, and kept read-only for the process, shared by
-every truncation.  A group from further out, which only an explicit d_max
-above the cap reaches, is diagonalized on every evolution, and only for its
-occupied members.  So the kept groups reach up to 7 blocks past 2 d_max.
-A twin-beam at d_max = 109 (x = 0.9) keeps 4.2 MB, one at the cap 25.6 MB,
-and a state filling every sector of every kept group 96 MB; padding adds
-5-10 % to the sectors themselves.
+One rule, decided by p0 alone, says which groups are kept.  A group from
+p0 <= D_MAX_CAP (the cap of default_d_max) is diagonalized whole the first
+time it is occupied, and kept read-only for the process, shared by every
+truncation.  A group from further out, which only an explicit d_max above
+the cap reaches, is diagonalized on every evolution, and only for its
+occupied members.  So the kept groups reach 7 blocks past the cap, to
+p = D_MAX_CAP + 7.  A twin-beam at d_max = 109 (x = 0.9) keeps 4.2 MB, and
+one at the cap 25.6 MB, every group there is to keep; padding adds 5-10 %
+to the sectors themselves.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -54,9 +48,9 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-D_MAX_CAP = 200  # the cap of default_d_max; groups from n0 <= 2 D_MAX_CAP are kept
+D_MAX_CAP = 200  # the cap of default_d_max; groups from p0 <= D_MAX_CAP are kept
 
-GROUP = 8  # blocks of one parity of n per stacked group
+GROUP = 8  # consecutive blocks n = 2p per stacked group
 
 
 @dataclass(frozen=True)
@@ -109,164 +103,120 @@ def twin_beam_fock(x: float, d_max: int) -> FockTwoModeState:
     return FockTwoModeState(amps, d_max)
 
 
-def _sector_size(n, even: bool):
-    """Size of the swap-even or swap-odd sector of block n (n may be an array)."""
-    return n // 2 + 1 if even else (n + 1) // 2
+def _sector_generator(p: int) -> np.ndarray:
+    """J on the swap-symmetric basis of the block n = 2p.
 
-
-def _first_block(n):
-    """First block n0 of block n's group, the GROUP blocks n0, n0 + 2, ... of one parity of n."""
-    return n - 2 * (n // 2 % GROUP)
-
-
-def _sector_generator(n: int, even: bool) -> np.ndarray:
-    """J on the swap-even or swap-odd basis of the total-n block.
-
-    The basis is (|k, n-k> +- |n-k, k>)/sqrt(2) for k < n/2, with |n/2, n/2>
-    appended to the even sector when n is even.  J keeps the off-diagonals
-    m_k = sqrt((k+1)(n-k)) of the |k, n-k> basis, except at the middle:
-    the last even coupling of an even n is sqrt(2) m_{n/2-1}, and the last
-    diagonal entry of an odd n is +-m_{(n-1)/2} = +-(n+1)/2.
+    The basis is (|k, 2p-k> + |2p-k, k>)/sqrt(2) for k < p, then |p, p>.
+    J keeps the off-diagonals sqrt((k+1)(2p-k)) of the |k, 2p-k> basis,
+    except the last one, which couples |p, p> and is sqrt(2) times larger.
     """
-    size = _sector_size(n, even)
-    k = np.arange(size - 1)
-    off = np.sqrt((k + 1.0) * (n - k))
-    if even and n % 2 == 0 and n > 0:
-        off[-1] *= _SQRT2
-    j = np.zeros((size, size))
+    k = np.arange(p)
+    off = np.sqrt((k + 1.0) * (2 * p - k))
+    off[-1:] *= _SQRT2
+    j = np.zeros((p + 1, p + 1))
     j[k, k + 1] = j[k + 1, k] = off
-    if n % 2 == 1:
-        j[-1, -1] = (n + 1) / 2 if even else -(n + 1) / 2
     return j
 
 
-def _eig_stack(even: bool, n0: int,
-               live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The eigensystems (u, w) of the sectors of the group from block n0, stacked.
+def _eig_stack(p0: int, live: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystems (u, w) of the sectors of the group from block 2 p0, stacked.
 
-    Member j is block n0 + 2j: its eigenvectors fill the top-left corner of
+    Member j is block 2(p0 + j): its eigenvectors fill the top-left corner of
     u[j] and its eigenvalues the front of w[j]; the rest is zero padding.
     Without live, all GROUP members are diagonalized; with it, the stack has
     len(live) members and only those live marks are diagonalized: the others
     stay zero, which evolves their zero coordinates exactly.
     """
     m = GROUP if live is None else len(live)
-    size = _sector_size(n0 + 2 * m - 2, even)
-    u, w = np.zeros((m, size, size)), np.zeros((m, size))
+    u, w = np.zeros((m, p0 + m, p0 + m)), np.zeros((m, p0 + m))
     for j in range(m):
         if live is None or live[j]:
-            wj, uj = np.linalg.eigh(_sector_generator(n0 + 2 * j, even))
+            wj, uj = np.linalg.eigh(_sector_generator(p0 + j))
             u[j, :len(wj), :len(wj)], w[j, :len(wj)] = uj, wj
     u.flags.writeable = w.flags.writeable = False
     return u, w
 
 
-_kept_stack = functools.cache(_eig_stack)  # (even, n0) -> the whole group, for the process
+_kept_stack = functools.cache(_eig_stack)  # p0 -> the whole group, for the process
 
 
-class _Layout(NamedTuple):
-    """Where each sector coordinate of a (d+1) x (d+1) state lives, ordered by block n, then k.
+class _Group(NamedTuple):
+    """Where the sectors of the group from p0 sit in a truncation's flattened amplitudes.
 
-    Entry i, A[k, m] with k <= m, has the even coordinate
-    (A[k, m] + A[m, k]) gather[i], which is A[p, p] itself on the diagonal,
-    and the odd one (A[k, m] - A[m, k])/sqrt(2); both write back as
-    (even +- odd) scatter[i].  Indices into A are flat, k (d+1) + m.
-
-    index[even] maps each group's first block n0 to (lo, at): member j of
-    the group uses its eigenvector rows lo:lo + at.shape[1], and row lo + i
-    sits at coordinate at[j, i].  Rows the truncation cut (the first
-    max(0, n-d) of block n) and padding rows point to the dummy slot one
-    past the last coordinate, which reads 0 and is dropped on write-back.
+    Member j, the block n = 2p with p = p0 + j, uses its eigenvector rows
+    lo:lo + upper.shape[1]; row k = lo + i is A[k, 2p-k] at the flat index
+    upper[j, i] = k (d+1) + 2p-k and its mirror A[2p-k, k] at lower[j, i].
+    Rows the truncation cut (k < 2p - d) and padding rows (k > p) point to
+    the dummy slot (d+1)^2 past the last entry, which reads 0 and is dropped
+    on write-back.
     """
 
-    upper: np.ndarray  # A[k, m]
-    lower: np.ndarray  # A[m, k], the same entry on the diagonal
-    gather: np.ndarray  # 1/sqrt(2) for a pair, 1/2 on the diagonal
+    p0: int
+    lo: int
+    upper: np.ndarray
+    lower: np.ndarray
+    gather: np.ndarray  # sqrt(2) for a pair, 1 on the diagonal
     scatter: np.ndarray  # 1/sqrt(2) for a pair, 1 on the diagonal
-    group: np.ndarray  # first block of the group of each entry's block
-    index: tuple[dict[int, tuple[int, np.ndarray]], ...]  # odd, even
 
 
 @functools.lru_cache(maxsize=8)
-def _layout(d: int) -> _Layout:
-    """The sector layout of truncation d, as read-only arrays (365 kB at d = 109)."""
-    k, m = np.triu_indices(d + 1)
-    order = np.lexsort((k, k + m))
-    k, m = k[order], m[order]
-    n = k + m
-    pair = k < m
-    start = np.searchsorted(n, np.arange(2 * d + 2))  # block n's entries are start[n]:start[n+1]
-    index = ({}, {})
-    for n0 in np.unique(_first_block(n)).tolist():
-        blocks = np.arange(n0, min(n0 + 2 * GROUP, 2 * d + 1), 2)[:, None]
-        cut = np.maximum(blocks - d, 0)
-        for even in (False, True):
-            size = _sector_size(blocks, even)
-            row = np.arange(cut[0, 0], size[-1, 0])
-            at = np.where((row >= cut) & (row < size), start[blocks] + row - cut, start[-1])
-            at.flags.writeable = False
-            index[even][n0] = int(cut[0, 0]), at
-    layout = _Layout(
-        upper=k * (d + 1) + m, lower=m * (d + 1) + k,
-        gather=np.where(pair, 1.0 / _SQRT2, 0.5), scatter=np.where(pair, 1.0 / _SQRT2, 1.0),
-        group=_first_block(n), index=index,
-    )
-    for a in layout[:-1]:
-        a.flags.writeable = False
-    return layout
-
-
-def _evolve_sectors(c: np.ndarray, lay: _Layout, even: bool, phi: float) -> np.ndarray:
-    """exp(i phi J) on the flat coordinates c of every occupied sector of one parity.
-
-    Each occupied group runs u^T c, the phases and u t as one stacked product
-    each, on real (..., 2) views of the complex coordinates, so the real u
-    is never cast to complex.  A sector's coordinates are the rows
-    max(0, n-d): of its eigenvectors; the cut rows are neither read nor
-    written.  A group from n0 <= 2 D_MAX_CAP is kept whole; one past it is
-    diagonalized on every call, for its occupied members only.
-    """
-    out = np.zeros(len(c) + 1, dtype=complex)  # the last slot is the dummy
-    occupied = np.flatnonzero(c)
-    if occupied.size == 0:
-        return out[:-1]
-    c = np.append(c, 0.0)
-    with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises
-        for n0 in np.unique(lay.group[occupied]).tolist():
-            lo, at = lay.index[even][n0]
-            m, rows = at.shape
-            ct = c[at]
-            if n0 <= 2 * D_MAX_CAP:
-                u, w = _kept_stack(even, n0)
-            else:
-                u, w = _eig_stack(even, n0, ct.any(axis=1))
-            size = lo + rows
-            u = u[:m, lo:size, :size]
-            t = np.matmul(u.transpose(0, 2, 1), ct.view(float).reshape(m, rows, 2))
-            t = t.view(complex)[..., 0] * np.exp(1j * phi * w[:m, :size])
-            out[at] = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
-    return out[:-1]
+def _layout(d: int) -> tuple[_Group, ...]:
+    """The groups of truncation d, by p0, with read-only arrays (122 kB at d = 109)."""
+    groups = []
+    for p0 in range(0, d + 1, GROUP):
+        p = np.arange(p0, min(p0 + GROUP, d + 1))[:, None]
+        cut = np.maximum(2 * p - d, 0)
+        k = np.arange(cut[0, 0], p[-1, 0] + 1)
+        held, pair = (k >= cut) & (k <= p), k < p
+        group = _Group(
+            p0=p0, lo=int(cut[0, 0]),
+            upper=np.where(held, k * (d + 1) + 2 * p - k, (d + 1) ** 2),
+            lower=np.where(held, (2 * p - k) * (d + 1) + k, (d + 1) ** 2),
+            gather=np.where(pair, _SQRT2, 1.0), scatter=np.where(pair, 1.0 / _SQRT2, 1.0),
+        )
+        for a in group[2:]:
+            a.flags.writeable = False
+        groups.append(group)
+    return tuple(groups)
 
 
 def apply_jx_evolution(state: FockTwoModeState, phi: float) -> FockTwoModeState:
     """Apply exp(i phi (a^dag b + a b^dag)) block-diagonally in total photon number.
 
-    Each total-n block is evolved exactly in its full (n+1)-dimensional
-    subspace, split into its swap-even and swap-odd sectors; components
+    The state must be swap-symmetric with even total photon number, as every
+    twin-beam is; J keeps that subspace, so the result can be evolved again.
+    Each block is evolved exactly in its full symmetric sector; components
     pushed beyond the per-mode truncation d_max are dropped on write-back
     (their weight is bounded by the truncation tail for twin-beam inputs).
+
+    Each occupied group runs u^T c, the phases and u t as one stacked product
+    each, on real (..., 2) views of the complex coordinates c, so the real u
+    is never cast to complex.  The cut rows of a sector are neither read nor
+    written.  A group from p0 <= D_MAX_CAP is kept whole; one past it is
+    diagonalized on every call, for its occupied members only.
     """
-    d = state.d_max
-    lay = _layout(d)
-    a = state.amps.ravel()
-    upper, lower = a[lay.upper], a[lay.lower]
-    # weights multiply: dividing by a weight array would run complex division
-    even = _evolve_sectors((upper + lower) * lay.gather, lay, True, phi)
-    odd = _evolve_sectors((upper - lower) / _SQRT2, lay, False, phi)
+    amps, d = state.amps, state.d_max
+    # given the symmetry, amps[1::2, ::2] holds every entry of odd total n
+    if not np.array_equal(amps, amps.T) or amps[1::2, ::2].any():
+        raise ValueError("the Fock oracle evolves swap-symmetric states of even "
+                         "total photon number only")
+    a = np.append(amps.ravel(), 0.0)  # the last slot is the dummy
     out = np.zeros_like(a)
-    out[lay.lower] = (even - odd) * lay.scatter
-    out[lay.upper] = (even + odd) * lay.scatter
-    return FockTwoModeState(out.reshape(d + 1, d + 1), d)
+    with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises
+        for g in _layout(d):
+            # weights multiply: dividing by a weight array would run complex division
+            c = a[g.upper] * g.gather
+            if not c.any():
+                continue
+            m, rows = c.shape
+            u, w = _kept_stack(g.p0) if g.p0 <= D_MAX_CAP else _eig_stack(g.p0, c.any(axis=1))
+            size = g.lo + rows
+            u = u[:m, g.lo:size, :size]
+            t = np.matmul(u.transpose(0, 2, 1), c.view(float).reshape(m, rows, 2))
+            t = t.view(complex)[..., 0] * np.exp(1j * phi * w[:m, :size])
+            c = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
+            out[g.lower] = out[g.upper] = c * g.scatter
+    return FockTwoModeState(out[:-1].reshape(d + 1, d + 1), d)
 
 
 def overlap(a: FockTwoModeState, b: FockTwoModeState) -> complex:

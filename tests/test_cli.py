@@ -324,8 +324,6 @@ class TestErrorHandling:
         ("fiber", "--r0", "800", "--m", "0.5"): "fiber at gamma=1, m=0.5, r0=800",
         ("fiber", "--n", "1e308", "--m", "0.5"): "fiber at gamma=1, m=0.5, n=1e+308",
         ("discriminate", "--phases", "0,5e-324"): "discriminate at phases=0,5e-324",
-        ("crypto", "errors", "--x", "0.5", "--a", "1e200", "--kappa", "1"):
-            "crypto-errors at x=0.5, a=1e+200, kappa=1",
         ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--trials", "10"):
             "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=10",
         ("interfere", "--x", "0.5", "--phi", "1e308"):
@@ -343,6 +341,17 @@ class TestErrorHandling:
         assert out.stderr.startswith(f"numerical failure: {self.OVERFLOWS[tuple(args)]}: ")
         assert out.stderr.count("\n") == 1
         assert "Traceback" not in out.output
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, kappa", [("1e200", "1"), ("1e308", "1e-300")])
+    def test_crypto_errors_past_the_float_range(self, a, kappa):
+        # the squared separation is inf, not an overflow, and every error is 0
+        out = run_cli(["crypto", "errors", "--x", "0.5", "--a", a, "--kappa", kappa])
+        assert out.exit_code == 0
+        assert out.stderr == ""
+        (row,) = parse_csv(out.stdout)
+        for column in ("bob_ideal", "coherent", "bob_heterodyne", "eve_gaussian_key"):
+            assert row[column] == "0"
 
     def test_discriminate_overflow_names_the_phases(self):
         # the rows depend on --phases, not on the unused --samples of the grid
@@ -412,7 +421,8 @@ class TestErrorHandling:
                             lambda *args: calls.append(args))
         out = run_cli(["interfere", "--x", "0.95", "--phi", "0.3"])
         assert out.exit_code == 1
-        assert out.output == ("numerical failure: truncation tail 1.109e-09 above "
+        assert out.output == ("numerical failure: interfere at x=0.95, phi=0.3, q0=0.01, "
+                              "gamma_star=10: truncation tail 1.109e-09 above "
                               "1.0e-10; suggested d_max >= 224\n")
         assert calls == []
 
@@ -451,6 +461,9 @@ class TestErrorHandling:
         (["fiber", "--m", "0.5", "--range", "r0=nan:1:2"], "r0 must be finite"),
         (["discriminate", "--phases", "nan,1"], "--phases must be finite, got nan"),
         (["discriminate", "--phases", "0,-inf"], "--phases must be finite, got -inf"),
+        # an infinite end, not the nan that linspace makes of it
+        (["estimate", "--x", "0.5", "--range", "x=0:inf:3"], "x must be finite, got inf"),
+        (["estimate", "--x", "0.5", "--range", "x=-inf:0:3"], "x must be finite, got -inf"),
     ])
     def test_non_finite_grid_point_or_phase(self, args, message):
         out = run_cli(args)
