@@ -324,6 +324,8 @@ class TestErrorHandling:
         ("fiber", "--r0", "800", "--m", "0.5"): "fiber at gamma=1, m=0.5, r0=800",
         ("fiber", "--n", "1e308", "--m", "0.5"): "fiber at gamma=1, m=0.5, n=1e+308",
         ("discriminate", "--phases", "0,5e-324"): "discriminate at phases=0,5e-324",
+        ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--alpha", "1e308", "--trials", "10"):
+            "estimate at x=0.5, nbar_t=1e+308, alpha=1e+308, trials=10",
         ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--trials", "10"):
             "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=10",
         ("interfere", "--x", "0.5", "--phi", "1e308"):
