@@ -23,8 +23,8 @@ from cventlab.estimation import _correctly_rounded_mean
 
 
 def _drift(M: float) -> float:
-    """Drift coefficient gamma = 1/(2M+1) of the rescaled dynamics."""
-    return 1.0 / (2.0 * M + 1.0)
+    """Drift coefficient gamma = 1/(2M+1) of the rescaled dynamics, as 0.5/(M + 0.5)."""
+    return 0.5 / (M + 0.5)
 
 
 def _thermal_variance(gamma: float, tau: float) -> float:
@@ -36,7 +36,7 @@ def _log1p_over_2m(a: float, M: float) -> float:
     """log(1 + a/(2M)) for a > 0, math.inf at M = 0."""
     if M == 0.0:
         return math.inf
-    ratio = a / (2.0 * M)
+    ratio = a / 2.0 / M  # not a / (2M), which overflows to inf near the float maximum
     # at subnormal M the ratio overflows although its log, about 744, does not
     return math.log1p(ratio) if math.isfinite(ratio) else math.log(a) - math.log(2.0 * M)
 
@@ -65,14 +65,14 @@ def separability_time_rescaled(M: float, r0: float) -> float:
     Beyond tau_s the squeezed variance satisfies Sigma_-^2 >= 1/4 and the
     state is separable.  Diverges (math.inf) for M = 0: a zero-temperature
     fiber never disentangles the twin-beam.  Evaluated as
-    (2M + 1) log1p((1 - e^{-2 r0})/(2M)), since gamma/(1 - gamma) = 1/(2M),
-    which keeps full precision as M -> 0.
+    2 (M + 1/2) log1p((1 - e^{-2 r0})/(2M)), since gamma/(1 - gamma) = 1/(2M),
+    which keeps full precision as M -> 0 and does not overflow in 2M + 1.
     """
     if not r0 > 0:
         raise ValueError(f"r0 must be > 0, got {r0}")
     if not M >= 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    return (2.0 * M + 1.0) * _log1p_over_2m(-math.expm1(-2.0 * r0), M)
+    return 2.0 * ((M + 0.5) * _log1p_over_2m(-math.expm1(-2.0 * r0), M))
 
 
 def separability_time(Gamma: float, M: float, N: float) -> float:

@@ -47,7 +47,8 @@ class TwinBeamParams:
     @property
     def N(self) -> float:
         """Total mean photon number 2 sinh^2(r0) = 2 x^2 / (1 - x^2)."""
-        return 2.0 * math.sinh(self.r0) ** 2
+        s = math.sinh(self.r0)
+        return 2.0 * s * s
 
     @classmethod
     def from_x(cls, x: float) -> "TwinBeamParams":

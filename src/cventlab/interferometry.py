@@ -91,16 +91,18 @@ class TruncationError(RuntimeError):
 def mz_zero_count_probability(x: float, phi: float, d_max: int | None = None) -> float:
     """P(d = 0 | U_phi): zero difference-photocurrent probability of the evolved twin-beam.
 
-    Raises TruncationError when the Fock truncation tail exceeds 1e-10.
+    Raises TruncationError when d_max is below default_d_max(x, 1e-10), the
+    smallest truncation whose twin-beam tail x^{2(d_max+1)} is below 1e-10.
     """
     tail_tol = 1e-10
     if d_max is None:
         d_max = fock_oracle.default_d_max(x, tail_tol)
     state = fock_oracle.twin_beam_fock(x, d_max)
-    if state.tail > tail_tol:
+    suggested = fock_oracle.default_d_max(x, tail_tol, cap=10**6)
+    if d_max < suggested:
         raise TruncationError(
-            f"truncation tail {state.tail:.3e} above {tail_tol:.1e}; "
-            f"suggested d_max >= {fock_oracle.default_d_max(x, tail_tol, cap=10**6)}"
+            f"truncation tail {x ** (2 * (d_max + 1)):.3e} above {tail_tol:.1e}; "
+            f"suggested d_max >= {suggested}"
         )
     evolved = fock_oracle.apply_jx_evolution(state, phi)
     return fock_oracle.zero_difference_probability(evolved)

@@ -415,6 +415,36 @@ class TestErrorHandling:
         assert float(row["tau_s"]) == pytest.approx(float(row["t_s"]), rel=1e-12)
         assert float(row["t_s"]) < float(row["t_s_large_N"]) < 745.0
 
+    @pytest.mark.parametrize("x", ["1e-5", repr(10 ** -2.5), "0.09999999999999945",
+                                   repr(10 ** -0.2)])
+    def test_interfere_at_a_truncation_boundary(self, x):
+        # the tail x^{2(d_max+1)} is 1e-10 up to rounding at these x; the row
+        # runs at the d_max that default_d_max picks, which the check accepts
+        out = run_cli(["interfere", "--x", x, "--phi", "0.3"])
+        assert out.exit_code == 0, out.output
+        (row,) = parse_csv(out.stdout)
+        assert 0.0 < float(row["p_zero_count"]) <= 1.0
+
+    @pytest.mark.parametrize("args", [["--m", "1e308", "--n", "2"],
+                                      ["--m", "1.7e308", "--r0", "1"]])
+    def test_fiber_near_the_float_maximum_of_m(self, args):
+        # 2M + 1 overflows here; the drift and tau_s are computed from M + 1/2,
+        # and tau_s tends to 1 - e^{-2 r0} as M grows
+        out = run_cli(["fiber", *args])
+        assert out.exit_code == 0, out.output
+        (row,) = parse_csv(out.stdout)
+        limit = -math.expm1(-2.0 * float(row["r0"]))
+        assert float(row["tau_s"]) == pytest.approx(limit, rel=1e-11)
+        assert float(row["tau_s_scan"]) == pytest.approx(limit, rel=1e-11)
+
+    def test_fiber_overflow_message_is_text(self):
+        # N = 2 sinh^2(r0) overflows to inf, not to Python's errno tuple of a
+        # float **; the row then fails on the EPR variances
+        out = run_cli(["fiber", "--r0", "400", "--m", "0.9"])
+        assert out.exit_code == 1
+        assert out.stderr == ("numerical failure: fiber at gamma=1, m=0.9, r0=400: "
+                              "math range error\n")
+
     def test_truncation_fails_before_any_evolution(self, monkeypatch):
         # x = 0.95 needs d_max 224 > the cap of 200: the tail check must come
         # before the row's own evolution, not after it

@@ -18,11 +18,12 @@ class TestTwinBeamFock:
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.allclose(s.amps, expected)
-        assert s.tail == pytest.approx(0.0, abs=1e-15)
+        assert s.norm_sq == 1.0
 
     def test_tail_geometric(self):
+        # the truncation keeps all but the closed-form tail x^{2(d+1)}
         s = fo.twin_beam_fock(0.5, 10)
-        assert s.tail == pytest.approx(0.5 ** 22, rel=1e-9)
+        assert 1.0 - s.norm_sq == pytest.approx(0.5 ** 22, rel=1e-9)
 
     def test_thermal_marginal(self):
         # tracing out one beam leaves a thermal distribution (1-x^2) x^{2n}
@@ -62,16 +63,24 @@ class TestDefaultDmax:
                 call()
 
 
-def subspace_state(d, seed, n_max=None):
-    """A random state of the evolution's subspace on the blocks n <= n_max (default 2d).
+REFUSED = r"diagonal states sum_p a_p \|p, p> only"
 
-    Symmetrized, with every odd-n entry set to zero, and normalized.
-    """
+
+def diagonal_state(d, seed, ps=None):
+    """A random diagonal state sum_p a_p |p, p> on the given p (default all p <= d), normalized."""
+    rng = np.random.default_rng(seed)
+    ps = np.arange(d + 1) if ps is None else np.asarray(ps)
+    amps = np.zeros((d + 1, d + 1), dtype=complex)
+    amps[ps, ps] = rng.normal(size=ps.size) + 1j * rng.normal(size=ps.size)
+    return fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+
+
+def subspace_state(d, seed):
+    """A random state of the twin-beam's invariant subspace (swap-symmetric, even n), normalized."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
     amps = amps + amps.T
-    n = np.add.outer(np.arange(d + 1), np.arange(d + 1))
-    amps[(n % 2 == 1) | (n > (2 * d if n_max is None else n_max))] = 0.0
+    amps[np.add.outer(np.arange(d + 1), np.arange(d + 1)) % 2 == 1] = 0.0
     return fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
 
 
@@ -90,59 +99,86 @@ class TestJxEvolution:
         assert np.allclose(out.amps, s.amps, atol=1e-14)
 
     def test_single_photon_block(self):
-        # |1,0> has odd total photon number and is not swap-symmetric: refused
-        with pytest.raises(ValueError, match="swap-symmetric states of even total"):
+        # |1,0> is off the diagonal: refused
+        with pytest.raises(ValueError, match=REFUSED):
             fo.apply_jx_evolution(swap_pair(2, 1, 0, sign=0), 0.37)
 
     def test_half_swap_at_pi_over_two(self):
-        # exp(i pi/2 J) maps |k, m> to i^(k+m) |m, k>: on the symmetric block
-        # n = 2p, with every entry inside the truncation, that is (-1)^p
+        # exp(i pi/2 J) maps |k, m> to i^(k+m) |m, k>, so |p, p> to (-1)^p |p, p>
         d = 10
-        state = subspace_state(d, 17, n_max=d)
+        state = diagonal_state(d, 17, range(d // 2 + 1))
         out = fo.apply_jx_evolution(state, math.pi / 2)
         n = np.add.outer(np.arange(d + 1), np.arange(d + 1))
         assert np.allclose(out.amps, (-1.0) ** (n // 2) * state.amps, atol=1e-14)
 
     def test_norm_conserved_random_state(self):
-        # only total photon number <= d, so no weight can leak past d_max
-        s = subspace_state(12, 3, n_max=12)
-        out = fo.apply_jx_evolution(s, 1.234)
-        assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
+        # every occupied p <= d/2, so each block n = 2p <= d lies wholly inside
+        # the truncation and no weight can leak past d_max
+        for d in (12, 13, 40):
+            out = fo.apply_jx_evolution(diagonal_state(d, 3, range(d // 2 + 1)), 1.234)
+            assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
 
     def test_block_structure_preserved(self):
         # total photon number is conserved: no amplitude moves between blocks
-        state = swap_pair(4, 3, 1)  # total n = 4
+        state = diagonal_state(4, 7, [2])  # |2,2>, total n = 4
         out = fo.apply_jx_evolution(state, 0.8)
         p, q = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
         assert np.all(np.abs(out.amps[p + q != 4]) < 1e-15)
         assert not np.allclose(out.amps, state.amps)  # within the block it does move
 
     def test_unitarity_composition(self):
-        # support confined to total n <= d_max, so the roundtrip is exact
-        s = subspace_state(14, 8, n_max=14)
-        back = fo.apply_jx_evolution(fo.apply_jx_evolution(s, 0.9), -0.9)
-        assert np.allclose(back.amps, s.amps, atol=1e-12)
+        # <U(-a) s | U(b) t> = <s | U(a + b) t>: U(a)^dag = U(-a) and U(a) U(b)
+        # = U(a + b), with support on p <= d/2 so that no weight is cut
+        d, a, b = 14, 0.9, -0.35
+        s, t = diagonal_state(d, 8, range(8)), diagonal_state(d, 9, range(8))
+        lhs = fo.overlap(fo.apply_jx_evolution(s, -a), fo.apply_jx_evolution(t, b))
+        rhs = fo.overlap(s, fo.apply_jx_evolution(t, a + b))
+        assert lhs == pytest.approx(rhs, abs=1e-13)
+        assert abs(rhs) > 0.01
 
 
 class TestSubspace:
-    """The evolution's domain: swap-symmetric states of even total photon number."""
+    """The evolution's domain: finite diagonal states sum_p a_p |p, p>."""
 
     def test_round_trip_at_d_40(self):
-        # an evolved state lies in the subspace again, so it can be evolved back
-        s = subspace_state(40, 40, n_max=40)
-        back = fo.apply_jx_evolution(fo.apply_jx_evolution(s, 0.7), -0.7)
-        assert np.linalg.norm(back.amps - s.amps) <= 1e-13
+        # the dense reference takes any state, so it evolves the result back
+        s = diagonal_state(40, 40, range(21))
+        back = dense_block_evolution(fo.apply_jx_evolution(s, 0.7), -0.7)
+        assert np.linalg.norm(back - s.amps) <= 1e-13
 
     def test_last_bit_of_asymmetry_is_refused(self):
         amps = fo.twin_beam_fock(0.5, 6).amps.copy()
         amps[0, 2], amps[2, 0] = np.nextafter(0.25, 1.0), 0.25
-        with pytest.raises(ValueError, match="swap-symmetric states of even total"):
+        with pytest.raises(ValueError, match=REFUSED):
             fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
 
     def test_subnormal_odd_n_pair_is_refused(self):
         amps = fo.twin_beam_fock(0.5, 6).amps.copy()
         amps[1, 2] = amps[2, 1] = 5e-324
-        with pytest.raises(ValueError, match="swap-symmetric states of even total"):
+        with pytest.raises(ValueError, match=REFUSED):
+            fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
+
+    def test_pair_of_the_twin_beams_block_is_refused(self):
+        # |2,0> + |0,2> lies in the subspace exp(i phi J) keeps, but off the diagonal
+        with pytest.raises(ValueError, match=REFUSED):
+            fo.apply_jx_evolution(swap_pair(2, 2, 0), 0.3)
+
+    @pytest.mark.parametrize("d", [2, 13, 40])
+    def test_random_subspace_state_is_refused(self, d):
+        with pytest.raises(ValueError, match=REFUSED):
+            fo.apply_jx_evolution(subspace_state(d, d), 0.3)
+
+    def test_evolved_state_is_refused(self):
+        evolved = fo.apply_jx_evolution(fo.twin_beam_fock(0.5, 8), 0.3)
+        with pytest.raises(ValueError, match=REFUSED):
+            fo.apply_jx_evolution(evolved, -0.3)
+
+    @pytest.mark.parametrize("value", [math.nan, complex(0.5, math.nan), math.inf])
+    def test_non_finite_amplitude_is_refused(self, value):
+        # on the diagonal, so the message names the value, not the shape
+        amps = fo.twin_beam_fock(0.5, 6).amps.copy()
+        amps[1, 1] = value
+        with pytest.raises(ValueError, match="finite amplitudes only"):
             fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
 
 
@@ -174,14 +210,13 @@ def assert_matches_dense(state, phi):
 
 
 def assert_evolved_or_refused(state, phi):
-    """A subspace state matches the dense reference and stays symmetric; any other is refused."""
-    n = np.add.outer(np.arange(state.d_max + 1), np.arange(state.d_max + 1))
-    if np.array_equal(state.amps, state.amps.T) and not state.amps[n % 2 == 1].any():
+    """A diagonal state matches the dense reference and stays symmetric; any other is refused."""
+    if np.array_equal(state.amps, np.diag(np.diag(state.amps))):
         assert_matches_dense(state, phi)
         out = fo.apply_jx_evolution(state, phi).amps
         assert np.array_equal(out, out.T)
     else:
-        with pytest.raises(ValueError, match="swap-symmetric states of even total"):
+        with pytest.raises(ValueError, match=REFUSED):
             fo.apply_jx_evolution(state, phi)
 
 
@@ -190,27 +225,27 @@ class TestSwapSectorKernel:
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 8, 13, 40])
     def test_random_states_straddling_truncation(self, d):
-        # every even-n entry of the (d+1)^2 square is filled, so blocks with
-        # n > d are cut by the truncation on both sides
-        state = subspace_state(d, 100 + d)
+        # every |p, p>, p <= d, is filled, so the blocks n = 2p > d are cut
+        # by the truncation on both sides
+        state = diagonal_state(d, 100 + d)
         for phi in (0.3, -1.1, 2.7):
             assert_matches_dense(state, phi)
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("p, q", [(1, 0), (3, 0), (4, 1), (2, 0), (5, 1), (3, 1)])
     def test_pure_swap_sectors(self, p, q, sign):
-        # |p,q> +- |q,p> lies in one sector of the block n = p + q: the
-        # symmetric sector of an even n (2, 4, 6) is evolved and kept, and an
-        # odd n (1, 3, 5) or the antisymmetric sector is refused
+        # |p,q> +- |q,p>, p != q, lies in one sector of the block n = p + q,
+        # symmetric or not, even n or odd, and always off the diagonal: refused
         assert_evolved_or_refused(swap_pair(5, p, q, sign), 0.45)
 
     @pytest.mark.parametrize("n", [4, 5, 10, 11])
     def test_single_block_odd_and_even_n(self, n):
-        # a random symmetric state on block n: evolved for even n, refused for odd n
+        # block n alone: its diagonal entry |n/2, n/2> is evolved for even n;
+        # an odd n has none, and a symmetric state on it is refused
         rng = np.random.default_rng(n)
         amps = np.zeros((n + 1, n + 1), dtype=complex)
-        k = np.arange(n + 1)
-        v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        k = np.arange(n + 1) if n % 2 else np.array([n // 2])
+        v = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
         amps[k, n - k] = v + v[::-1]
         assert_evolved_or_refused(fo.FockTwoModeState(amps, n), 0.8)
 
@@ -219,23 +254,28 @@ class TestSwapSectorKernel:
         assert_matches_dense(fo.twin_beam_fock(x, fo.default_d_max(x)), 0.3)
 
     def test_odd_sectors_only(self):
-        # an antisymmetric A has no swap-symmetric component in any block
+        # an antisymmetric A has a zero diagonal and nothing but off-diagonal entries
         rng = np.random.default_rng(9)
         a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         state = fo.FockTwoModeState((a - a.T) / np.linalg.norm(a - a.T), 9)
-        with pytest.raises(ValueError, match="swap-symmetric states of even total"):
+        with pytest.raises(ValueError, match=REFUSED):
             fo.apply_jx_evolution(state, 0.6)
 
     def test_one_block_beyond_the_truncation(self):
-        # block n = 14 of d = 8 keeps only k = 6..8 of its 15 entries
-        rng = np.random.default_rng(13)
-        amps = np.zeros((9, 9), dtype=complex)
-        k = np.arange(6, 9)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        amps[k, 14 - k] = v + v[::-1]
-        state = fo.FockTwoModeState(amps, 8)
+        # |7, 7> alone: block n = 14 of d = 8 keeps only k = 6..8 of its 15 entries
+        state = diagonal_state(8, 13, [7])
         for phi in (0.4, 2.2):
             assert_matches_dense(state, phi)
+            out = fo.apply_jx_evolution(state, phi).amps
+            assert np.flatnonzero(out).tolist() == [6 * 9 + 8, 7 * 9 + 7, 8 * 9 + 6]
+
+    def test_x_zero_at_an_explicit_d_max(self, stacks, eigh_sizes):
+        # the vacuum at d = 20: the group from 0 alone is occupied and
+        # diagonalized; the all-zero groups from 8 and 16 are skipped
+        state = fo.twin_beam_fock(0.0, 20)
+        out = fo.apply_jx_evolution(state, 0.9)
+        assert np.array_equal(out.amps, state.amps)
+        assert eigh_sizes == list(range(1, fo.GROUP + 1))
 
     def test_d_zero(self):
         # the vacuum block n = 0 has J = 0
@@ -334,22 +374,11 @@ def kept_sizes(stacks):
     return sorted(p0 + j + 1 for p0 in stacks for j in range(fo.GROUP))
 
 
-def block_state(d, blocks, seed):
-    """A random subspace state on the given blocks n = 2p only, normalized."""
-    rng = np.random.default_rng(seed)
-    amps = np.zeros((d + 1, d + 1), dtype=complex)
-    for n in blocks:
-        k = np.arange(max(0, n - d), min(n, d) + 1)
-        v = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
-        amps[k, n - k] = v + v[::-1]
-    return fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
-
-
 class TestEigensystemMemo:
     def test_memoized_evolution_is_bit_identical(self, stacks, eigh_sizes):
-        # a random subspace state fills the sector of every block n = 2p,
-        # p <= d = 13: the groups from 0 and 8, whole
-        state = subspace_state(13, 21)
+        # a random diagonal state occupies every block n = 2p, p <= d = 13:
+        # the groups from 0 and 8, whole
+        state = diagonal_state(13, 21)
         fresh = fo.apply_jx_evolution(state, 0.7).amps
         assert sorted(stacks) == [0, 8]
         assert len(eigh_sizes) == sum(len(w) for _, w in stacks.values()) == 2 * fo.GROUP
@@ -360,9 +389,9 @@ class TestEigensystemMemo:
 
     def test_extended_stacks_are_bit_identical(self, stacks, eigh_sizes):
         # groups kept at d = 20 and shared at d = 30 evolve as fresh ones do
-        fo.apply_jx_evolution(subspace_state(20, 1), 0.4)
+        fo.apply_jx_evolution(diagonal_state(20, 1), 0.4)
         assert len(eigh_sizes) == 3 * fo.GROUP  # p <= 20: the groups from 0, 8 and 16
-        state = subspace_state(30, 2)
+        state = diagonal_state(30, 2)
         extended = fo.apply_jx_evolution(state, 0.4).amps
         assert len(eigh_sizes) == 4 * fo.GROUP  # only the group from 24 added
         assert sorted(eigh_sizes) == kept_sizes(stacks)  # no sector twice
@@ -423,16 +452,18 @@ class TestEigensystemMemo:
         self, stacks, eigh_sizes, monkeypatch
     ):
         # at a cap of 8 the groups from 0 and 8 are kept whole, and the groups
-        # from 16 and 24 are not kept; block 48 of d = 24 keeps only |24, 24>
+        # from 16, 24, 32 and 40 are not kept; of these, p = 18 occupies the
+        # group from 16 and p = 40 the one-member group from 40 of d = 40
         monkeypatch.setattr(fo, "D_MAX_CAP", 8)
-        state = block_state(24, (14, 16, 22, 36, 48), 5)
+        state = diagonal_state(40, 5, (3, 7, 11, 18, 40))
         first = fo.apply_jx_evolution(state, 0.3).amps
         assert {k: w.shape for k, (_, w) in stacks.items()} == {0: (8, 8), 8: (8, 16)}
-        # the sectors of blocks 36 and 48 (p = 18 and 24), and no other
-        assert sorted(eigh_sizes) == sorted(kept_sizes(stacks) + [19, 25])
+        # the group from 16 whole (sizes 17 ... 24) and p = 40, and no other
+        past = list(range(17, 25)) + [41]
+        assert sorted(eigh_sizes) == sorted(kept_sizes(stacks) + past)
         eigh_sizes.clear()
         again = fo.apply_jx_evolution(state, 0.3).amps
-        assert sorted(eigh_sizes) == [19, 25]
+        assert sorted(eigh_sizes) == past
         assert fo._kept_stack.cache_info().currsize == 2
         assert np.array_equal(again, first)
         ref = dense_block_evolution(state, 0.3)
@@ -442,14 +473,12 @@ class TestEigensystemMemo:
                                    2 * fo.D_MAX_CAP + 6])
     def test_eigensystem_is_read_only(self, stacks, p):
         # a kept group, the last kept one, and two members of a group past
-        # the cap: the sector of block 2p alone, at the smallest truncation
-        # that holds its pair |p-1, p+1> + |p+1, p-1>
-        fo.apply_jx_evolution(swap_pair(p + 1, p - 1, p + 1), 0.3)
+        # the cap: |p, p> alone, at d = p, the last member of its group there
+        fo.apply_jx_evolution(diagonal_state(p, p, [p]), 0.3)
         p0 = p - p % fo.GROUP
         kept = p0 <= fo.D_MAX_CAP
         assert list(stacks) == ([p0] if kept else [])
-        live = np.arange(fo.GROUP) == p - p0
-        for a in (*stacks.get(p0, ()), *fo._eig_stack(p0, live)):
+        for a in (*stacks.get(p0, ()), *fo._eig_stack(p0, p - p0 + 1)):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
 
@@ -467,16 +496,20 @@ class TestGroupBoundaries:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [16, 18, 17, 31, 30])
     def test_one_occupied_sector_in_an_empty_group(self, n, sign):
-        # |k, n-k> +- |n-k, k> in block n, the only one of its group occupied:
-        # blocks 16, 18 and 30 are the first, a middle and the last member
-        # (p = 8, 9, 15) of the group from 8; an odd n or the minus sign is refused
-        k = n // 2 - 3
-        assert_evolved_or_refused(swap_pair(20, k, n - k, sign), 0.45)
+        # +-|p, p>, n = 2p, the only block of its group occupied: blocks 16, 18
+        # and 30 are the first, a middle and the last member (p = 8, 9, 15) of
+        # the group from 8; an odd n has no diagonal entry, and its pair
+        # |k, n-k> +- |n-k, k> is refused
+        if n % 2 == 0:
+            state = fo.FockTwoModeState(sign * swap_pair(20, n // 2, n // 2, 0).amps, 20)
+        else:
+            state = swap_pair(20, n // 2 - 3, n // 2 + 4, sign)
+        assert_evolved_or_refused(state, 0.45)
 
     def test_groups_with_holes(self):
         # blocks 0, 6 and 14 of the group from 0, 20 of the group from 8 and
         # 36 of the group from 16
-        state = block_state(24, (0, 6, 14, 20, 36), 4)
+        state = diagonal_state(24, 4, (0, 3, 7, 10, 18))
         for phi in (0.3, -1.7):
             assert_matches_dense(state, phi)
 
@@ -484,7 +517,7 @@ class TestGroupBoundaries:
     def test_last_group_partial(self, d):
         # blocks p <= d: the last group holds 1, 2, 7, 8 and 1 members; the
         # truncation cuts block 2d to its diagonal row |d, d>
-        state = subspace_state(d, 300 + d)
+        state = diagonal_state(d, 300 + d)
         for phi in (0.8, 2.4):
             assert_matches_dense(state, phi)
 
@@ -532,24 +565,25 @@ class TestSectorLayout:
         assert sum(a.nbytes for layout in layouts for a in layout_arrays(layout)) < 2e6
 
     def test_layout_bytes_at_109_and_at_the_cap(self):
-        # one record per group: 122 kB at d = 109 and 371 kB at d = 200
+        # one record per group: 92 kB at d = 109 and 278 kB at d = 200
         size = {d: sum(a.nbytes for a in layout_arrays(fo._layout(d))) for d in (109, 200)}
-        assert size[109] < 125e3 and size[200] < 375e3
+        assert size[109] < 95e3 and size[200] < 280e3
 
 
 class TestSectorGenerator:
     @pytest.mark.parametrize("even", [True, False])
     @pytest.mark.parametrize("n", range(9))
     def test_shape_is_the_sector_size(self, n, even):
-        # the symmetric sector of an even block n = 2p is the subspace's, and
-        # J on it is (p+1) x (p+1); a state in any other sector is refused
-        # (the antisymmetric sector of block 0 is empty: its state is zero)
+        # J on the symmetric sector of an even block n = 2p is (p+1) x (p+1);
+        # |0, n> +- |n, 0> is off the diagonal and refused for every n > 0
+        # (at n = 0 it is 2 |0, 0>, or zero for the minus sign: both diagonal)
         if even and n % 2 == 0:
             assert fo._sector_generator(n // 2).shape == (n // 2 + 1, n // 2 + 1)
         assert_evolved_or_refused(swap_pair(n, 0, n, 1 if even else -1), 0.5)
 
     def test_empty_sector_has_no_eigenvalue(self):
-        # a member a past-cap stack does not mark live stays zero
-        u, w = fo._eig_stack(0, np.array([False, True]))
-        assert not u[0].any() and not w[0].any()
+        # a two-member stack: the one-entry sector of block 0 leaves the
+        # padding of its member empty, no eigenvector and no eigenvalue there
+        u, w = fo._eig_stack(0, 2)
+        assert np.array_equal(u[0], [[1.0, 0.0], [0.0, 0.0]]) and not w[0].any()
         assert w.shape == (2, 2) and np.allclose(w[1], [-2.0, 2.0])

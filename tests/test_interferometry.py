@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cventlab import fock_oracle
 from cventlab import interferometry as itf
 
 
@@ -122,6 +123,25 @@ class TestMZZeroCount:
     def test_truncation_error(self):
         with pytest.raises(itf.TruncationError):
             itf.mz_zero_count_probability(0.9, 0.1, d_max=5)
+
+    def test_default_truncation_passes_its_own_check(self):
+        # at x = 10^(-5/(d+1)) the tail x^{2(d+1)} is 1e-10 up to rounding; the
+        # complement 1 - |amps|^2 read just above it at some of these x, and
+        # rejected the d_max it went on to suggest
+        for d in range(200):
+            x = 10 ** (-5 / (d + 1))
+            assert 0.0 < itf.mz_zero_count_probability(x, 0.3) <= 1.0
+            suggested = fock_oracle.default_d_max(x, 1e-10, cap=10**6)
+            assert suggested in (d, d + 1)
+            if suggested > 0:  # rejected exactly below the d_max it suggests
+                with pytest.raises(itf.TruncationError, match=rf"d_max >= {suggested}$"):
+                    itf.mz_zero_count_probability(x, 0.3, d_max=suggested - 1)
+
+    def test_truncation_message_prints_the_closed_form_tail(self):
+        # 0.5^6 = 0.015625 exactly, which rounds to even at 4 digits
+        with pytest.raises(itf.TruncationError, match=r"^truncation tail 1\.562e-02 above "
+                                                      r"1\.0e-10; suggested d_max >= 16$"):
+            itf.mz_zero_count_probability(0.5, 0.3, d_max=2)
 
     def test_frozen_oracle_value(self):
         # x = 0.5, phi = 0.05: regression pin of the truncated-Fock value
