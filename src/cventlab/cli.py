@@ -269,7 +269,8 @@ def interfere(g, seed):
     p_zero = itf.mz_zero_count_probability(g["x"], g["phi"], d)
     probe = fock_oracle.twin_beam_fock(g["x"], d)
     evolved = fock_oracle.apply_jx_evolution(probe, g["phi"])
-    kappa_oracle = abs(fock_oracle.overlap(probe, evolved)) ** 2
+    kappa = abs(fock_oracle.overlap(probe.amps.diagonal(), evolved))
+    kappa_oracle = kappa * kappa
     phi_min = (
         itf.min_detectable_phase_ideal(g["q0"], g["gamma_star"], n_mean)
         if n_mean > 0 else None

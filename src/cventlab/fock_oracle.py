@@ -9,26 +9,22 @@ the block n = 2p holds one entry of such a state, |p, p>, and exp(i phi J)
 keeps it in the p + 1 symmetric combinations of the |k, 2p-k>, the block's
 swap-symmetric sector, on which J is a small symmetric tridiagonal matrix.
 
-Sectors are evolved in groups of GROUP = 8 consecutive p from p0.  A group
-is a zero-padded stack of its sectors' eigenvectors and eigenvalues, which
-depend on the block alone, not on phi, the state or the truncation.  a_p is
-the coordinate of the sector's last basis vector |p, p>, so u^T c is a row
-pick, a_p times row p of the eigenvectors.  One evolution skips a group
-whose a_p are all zero; for an occupied one, it picks the rows, applies the
-phases exp(i phi w) and one stacked BLAS product u t on real views; and it
-writes the result to both triangles.  Where the result goes depends on
-d_max alone: one small record per group, whose cut and padding rows point
-to a dummy slot, cached read-only for the last 8 truncations (92 kB at
-d_max = 109, 278 kB at 200).
+Every reader of an evolved state (the zero-difference probability, the
+overlap with a twin-beam probe) reads only its diagonal, so that is what the
+evolution returns: <p, p|exp(i phi J)|psi> = a_p D_p, with the survival
+amplitude D_p = sum_i v_i exp(i phi w_i) of the sector p.  Here w holds the
+sector's eigenvalues and v the squared last row of its eigenvectors, the
+weights of |p, p> on them.  The rows the truncation cuts never enter D_p, so
+it is the same at every d_max.
 
-One rule, decided by p0 alone, says which groups are kept.  A group from
-p0 <= D_MAX_CAP (the cap of default_d_max) is diagonalized whole the first
-time it is occupied, and kept read-only for the process, shared by every
-truncation.  A group from further out, which only an explicit d_max above
-the cap reaches, is diagonalized whole on every evolution.  So the kept
-groups reach 7 blocks past the cap, to p = D_MAX_CAP + 7.  A twin-beam at
-d_max = 109 (x = 0.9) keeps 4.2 MB, and one at the cap 25.6 MB, every
-group there is to keep; padding adds 5-10 % to the sectors themselves.
+(w, v) depend on p alone, not on phi, the state or the truncation.  Those
+of p <= D_MAX_CAP (the cap of default_d_max) are computed the first time
+sector p is occupied and kept read-only for the process, 0.33 MB at the
+cap; a sector past it, which only an explicit d_max above the cap reaches,
+is diagonalized on every evolution.  An unoccupied sector is never
+diagonalized.  As w holds integers, one evolution takes its phases from one
+table of exp(i phi k); the sums over i are numpy's fixed-order reduceat,
+not a BLAS product, so LAPACK's eigh is the only library call in the oracle.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -41,15 +37,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-D_MAX_CAP = 200  # the cap of default_d_max; groups from p0 <= D_MAX_CAP are kept
-
-GROUP = 8  # consecutive blocks n = 2p per stacked group
+D_MAX_CAP = 200  # the cap of default_d_max; the sectors p <= D_MAX_CAP are kept
 
 
 @dataclass(frozen=True)
@@ -66,10 +59,6 @@ class FockTwoModeState:
                 f"amps must be {(self.d_max + 1, self.d_max + 1)}, got {amps.shape}"
             )
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 def _check_schmidt(x: float) -> None:
@@ -112,112 +101,64 @@ def _sector_generator(p: int) -> np.ndarray:
     return j
 
 
-def _eig_stack(p0: int, m: int = GROUP) -> tuple[np.ndarray, np.ndarray]:
-    """The eigensystems (u, w) of the m sectors of the group from block 2 p0, stacked.
-
-    Member j is block 2(p0 + j): its eigenvectors fill the top-left corner of
-    u[j] and its eigenvalues the front of w[j]; the rest is zero padding.
-    """
-    u, w = np.zeros((m, p0 + m, p0 + m)), np.zeros((m, p0 + m))
-    for j in range(m):
-        wj, uj = np.linalg.eigh(_sector_generator(p0 + j))
-        u[j, :len(wj), :len(wj)], w[j, :len(wj)] = uj, wj
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
-
-
-_kept_stack = functools.cache(_eig_stack)  # p0 -> the whole group, for the process
+def _sector(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of sector p: J's eigenvalues there and the weights of |p, p> on its eigenvectors."""
+    w, u = np.linalg.eigh(_sector_generator(p))
+    # The block n = 2p is the spin-p multiplet of the Schwinger picture, and
+    # J = 2 J_x has the even integers -2p ... 2p as its spectrum there.  Rounding
+    # w to them drops the eigensolver's roundoff, which phi w would magnify at
+    # large phi.  This is angular-momentum algebra, not the closed form the
+    # oracle is checked against.
+    w = 2 * np.rint(0.5 * w).astype(np.intp)
+    v = u[-1] ** 2  # |p, p> is the sector's last basis vector
+    w.flags.writeable = v.flags.writeable = False
+    return w, v
 
 
-class _Group(NamedTuple):
-    """Where the evolved sectors of the group from p0 go in a truncation's flat amplitudes.
-
-    Member j, the block n = 2p with p = p0 + j, writes its eigenvector rows
-    lo:lo + upper.shape[1]; row k = lo + i is A[k, 2p-k] at the flat index
-    upper[j, i] = k (d+1) + 2p-k and its mirror A[2p-k, k] at lower[j, i].
-    Rows the truncation cut (k < 2p - d) and padding rows (k > p) point to
-    the dummy slot (d+1)^2 past the last entry, which is dropped.
-    """
-
-    p0: int
-    lo: int
-    upper: np.ndarray
-    lower: np.ndarray
-    scatter: np.ndarray  # 1/sqrt(2) for a pair, 1 on the diagonal
+_kept_sector = functools.cache(_sector)  # p -> (w, v) for p <= D_MAX_CAP, for the process
 
 
-@functools.lru_cache(maxsize=8)
-def _layout(d: int) -> tuple[_Group, ...]:
-    """The groups of truncation d, by p0, with read-only arrays (92 kB at d = 109)."""
-    groups = []
-    for p0 in range(0, d + 1, GROUP):
-        p = np.arange(p0, min(p0 + GROUP, d + 1))[:, None]
-        cut = np.maximum(2 * p - d, 0)
-        k = np.arange(cut[0, 0], p[-1, 0] + 1)
-        held = (k >= cut) & (k <= p)
-        group = _Group(
-            p0=p0, lo=int(cut[0, 0]),
-            upper=np.where(held, k * (d + 1) + 2 * p - k, (d + 1) ** 2),
-            lower=np.where(held, (2 * p - k) * (d + 1) + k, (d + 1) ** 2),
-            scatter=np.where(k < p, 1.0 / _SQRT2, 1.0),
-        )
-        for a in group[2:]:
-            a.flags.writeable = False
-        groups.append(group)
-    return tuple(groups)
-
-
-def apply_jx_evolution(state: FockTwoModeState, phi: float) -> FockTwoModeState:
-    """Apply exp(i phi (a^dag b + a b^dag)) block-diagonally in total photon number.
+def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
+    """The diagonal <p, p|exp(i phi (a^dag b + a b^dag))|psi>, p = 0 ... d_max.
 
     The state must be diagonal, sum_p a_p |p, p>, as every twin-beam is, with
-    finite amplitudes; any other raises ValueError.  The result is not
-    diagonal, so it cannot be evolved again.  Each block is evolved exactly
-    in its full symmetric sector; components pushed beyond the per-mode
-    truncation d_max are dropped on write-back (their weight is bounded by
-    the truncation tail for twin-beam inputs).
-
-    a_p sits on the last basis vector |p, p> of its sector, so u^T c is a_p
-    times row p of the sector's eigenvectors, one row pick per group.  The
-    phases and u t run as one stacked product on a real (..., 2) view, so
-    the real u is never cast to complex there.  The cut rows of a sector are
-    not written.  A group from p0 <= D_MAX_CAP is kept whole; one past it is
-    diagonalized whole on every call.
+    finite amplitudes; any other raises ValueError.  Entry p is a_p D_p, with
+    D_p the survival amplitude of |p, p> in its whole symmetric sector, so
+    no truncation enters it.  A phi whose product with an eigenvalue
+    overflows raises FloatingPointError.
     """
-    amps, d = state.amps, state.d_max
+    amps = state.amps
     if not np.isfinite(amps).all():
         raise ValueError("the Fock oracle evolves states with finite amplitudes only")
     diag = amps.diagonal()
     if np.count_nonzero(amps) != np.count_nonzero(diag):
         raise ValueError("the Fock oracle evolves diagonal states sum_p a_p |p, p> only")
-    out = np.zeros((d + 1) ** 2 + 1, dtype=complex)  # the last slot is the dummy
+    out = np.zeros_like(diag)
+    occupied = np.flatnonzero(diag)
+    if occupied.size == 0:
+        return out
+    sectors = [_kept_sector(p) if p <= D_MAX_CAP else _sector(p) for p in occupied.tolist()]
+    w, v = (np.concatenate(parts) for parts in zip(*sectors))
+    top = 2 * int(occupied[-1])  # the largest |w| there
     with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises
-        for g in _layout(d):
-            m, rows = g.upper.shape
-            c = diag[g.p0:g.p0 + m]
-            if not c.any():
-                continue
-            u, w = _kept_stack(g.p0) if g.p0 <= D_MAX_CAP else _eig_stack(g.p0, m)
-            size = g.lo + rows
-            j = np.arange(m)
-            t = c[:, None] * u[j, g.p0 + j, :size] * np.exp(1j * phi * w[:m, :size])
-            u = u[:m, g.lo:size, :size]
-            c = np.matmul(u, t.view(float).reshape(m, size, 2)).view(complex)[..., 0]
-            out[g.lower] = out[g.upper] = c * g.scatter
-    return FockTwoModeState(out[:-1].reshape(d + 1, d + 1), d)
+        phases = np.exp(1j * phi * np.arange(-top, top + 1.0))  # exp(i phi k), |k| <= top
+    sizes = occupied + 1
+    survival = np.add.reduceat(v * phases[w + top], np.cumsum(sizes) - sizes)  # D_p
+    out[occupied] = diag[occupied] * survival
+    return out
 
 
-def overlap(a: FockTwoModeState, b: FockTwoModeState) -> complex:
-    """Inner product <a|b> = sum conj(a) * b.
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product sum conj(a) * b of two diagonals, such as a probe's and an evolved one.
 
     numpy's pairwise sum fixes the order of the reduction, so unlike BLAS
     zdotc (np.vdot) the result does not depend on the BLAS thread count.
     """
-    if a.d_max != b.d_max:
-        raise ValueError(f"d_max mismatch: {a.d_max} != {b.d_max}")
-    return complex(np.sum(np.conj(a.amps) * b.amps))
+    if a.shape != b.shape:
+        raise ValueError(f"d_max mismatch: {a.size - 1} != {b.size - 1}")
+    return complex(np.sum(np.conj(a) * b))
 
 
-def zero_difference_probability(state: FockTwoModeState) -> float:
-    """Probability of zero difference photocurrent, sum_n |<n,n|psi>|^2."""
-    return float(np.sum(np.abs(np.diag(state.amps)) ** 2))
+def zero_difference_probability(diag: np.ndarray) -> float:
+    """Probability of zero difference photocurrent, sum_n |<n,n|psi>|^2, from the diagonal."""
+    return float(np.sum(np.abs(diag) ** 2))

@@ -41,24 +41,30 @@ def twin_beam_overlap_sq(N: float, phi: float) -> float:
     """Survival probability |<<x|U_phi|x>>|^2 = [1 + N(N+2) sin^2 phi]^(-1)."""
     if not N >= 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return 1.0 / (1.0 + N * (N + 2.0) * math.sin(phi) ** 2)
+    s = math.sin(phi)
+    return 1.0 / (1.0 + N * (N + 2.0) * (s * s))
 
 
 def acceptance_threshold(q0: float, gamma_star: float) -> float:
     """g(Q0, gamma*): overlap deficit 1 - |kappa|^2 at which Q_phi/Q_0 = gamma*.
 
     The paper's Lambda(Q0, gamma*) is this same quantity under another name.
+    With a = sqrt(gamma* (1-q0)) and b = sqrt(1 - gamma* q0) it is
+    q0 (a - b)^2 = q0 (gamma* - 1)^2 / (a + b)^2, since a^2 - b^2 = gamma* - 1;
+    the second form does not cancel as gamma* -> 1.
     """
     if not gamma_star >= 1.0:
         raise ValueError(f"gamma_star must be >= 1, got {gamma_star}")
     if not 0.0 <= q0 <= 1.0:
         raise ValueError(f"q0 must be in [0, 1], got {q0}")
-    rad = gamma_star * (1.0 - q0) * (1.0 - gamma_star * q0)
-    if rad < 0:
+    if gamma_star * q0 > 1.0:
         raise ValueError(
             f"gamma_star * q0 = {gamma_star * q0} > 1: no acceptance solution"
         )
-    return q0 * (1.0 + gamma_star * (1.0 - 2.0 * q0) - 2.0 * math.sqrt(rad))
+    a, b = math.sqrt(gamma_star * (1.0 - q0)), math.sqrt(1.0 - gamma_star * q0)
+    # a + b = 0 only at q0 = 1, where gamma* = 1 and there is no deficit
+    t = (gamma_star - 1.0) / (a + b) if a + b else 0.0
+    return q0 * t * t
 
 
 def acceptance_probability(p_prior: float, gamma_star: float) -> float:

@@ -110,7 +110,7 @@ class TestCriterion3Interferometry:
             n_mean = 2 * x * x / (1 - x * x)
             for phi in (0.1, 0.5, 1.0):
                 evolved = fock_oracle.apply_jx_evolution(probe, phi)
-                oracle = abs(fock_oracle.overlap(probe, evolved)) ** 2
+                oracle = abs(fock_oracle.overlap(probe.amps.diagonal(), evolved)) ** 2
                 ok &= abs(oracle - itf.twin_beam_overlap_sq(n_mean, phi)) < 1e-8
 
         # log-log slope of the minimum detectable phase, both schemes

@@ -87,7 +87,7 @@ class TestSeedResolution:
 
 
 # every README command, and interfere up to the largest default truncation
-# below the cap, where the Fock kernel's products and the overlap are largest
+# below the cap, where the Fock kernel's sums and the overlap are longest
 THREAD_PROBE_ARGS = [
     ["fiber", "--gamma", "1", "--m", "0.5", "--n", "2"],
     ["discriminate", "--phases", "0,1.5708", "--samples", "20000"],
@@ -573,6 +573,23 @@ class TestConsistencyColumns:
         row = json.loads(out.output)["rows"][0]
         assert row["kappa_sq_oracle"] == pytest.approx(kappa_oracle, rel=0, abs=1e-14)
         assert row["p_zero_count"] == pytest.approx(p_zero, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("x", ["0.5", "0.9"])
+    def test_interfere_oracle_agreement_at_a_huge_phase(self, x):
+        # phi w reaches 2e10 here: the kept eigenvalues are exact even integers,
+        # so phi does not magnify the eigensolver's roundoff in them
+        out = run_cli(["interfere", "--x", x, "--phi", "1e8", "--format", "json"])
+        assert out.exit_code == 0, out.output
+        row = json.loads(out.output)["rows"][0]
+        assert abs(row["kappa_diff"]) < 1e-10
+
+    def test_interfere_gamma_star_just_above_one(self):
+        # the acceptance threshold q0 (gamma* - 1)^2 / (a + b)^2 is 2.5e-19 here,
+        # where 1 + gamma* (1 - 2 q0) - 2 sqrt(...) cancelled to 0
+        out = run_cli(["interfere", "--x", "0.5", "--phi", "0.3", "--gamma-star", "1.00000001"])
+        assert out.exit_code == 0, out.output
+        (row,) = parse_csv(out.stdout)
+        assert float(row["phi_min_ideal"]) == pytest.approx(3.76889177499e-10, rel=1e-11)
 
     def test_crypto_errors_oracle_agreement(self):
         out = run_cli(["crypto", "errors", "--x", "0.5"])

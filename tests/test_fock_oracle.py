@@ -12,18 +12,22 @@ from cventlab import fock_oracle as fo
 from cventlab import interferometry as itf
 
 
+def norm_sq(state):
+    return float(np.sum(np.abs(state.amps) ** 2))
+
+
 class TestTwinBeamFock:
     def test_x_zero_is_vacuum(self):
         s = fo.twin_beam_fock(0.0, 5)
         expected = np.zeros((6, 6))
         expected[0, 0] = 1.0
         assert np.allclose(s.amps, expected)
-        assert s.norm_sq == 1.0
+        assert norm_sq(s) == 1.0
 
     def test_tail_geometric(self):
         # the truncation keeps all but the closed-form tail x^{2(d+1)}
         s = fo.twin_beam_fock(0.5, 10)
-        assert 1.0 - s.norm_sq == pytest.approx(0.5 ** 22, rel=1e-9)
+        assert 1.0 - norm_sq(s) == pytest.approx(0.5 ** 22, rel=1e-9)
 
     def test_thermal_marginal(self):
         # tracing out one beam leaves a thermal distribution (1-x^2) x^{2n}
@@ -92,11 +96,54 @@ def swap_pair(d, k, m, sign=1):
     return fo.FockTwoModeState(amps, d)
 
 
+def dense_block_evolution(state, phi):
+    """Reference: eigh of the whole (n+1) x (n+1) J of each total-n block, the full state."""
+    d = state.d_max
+    out = np.zeros_like(state.amps)
+    for n in range(2 * d + 1):
+        lo, hi = max(0, n - d), min(n, d)
+        v = np.zeros(n + 1, dtype=complex)
+        for k in range(lo, hi + 1):
+            v[k] = state.amps[k, n - k]
+        if not np.any(v):
+            continue
+        j = np.zeros((n + 1, n + 1))
+        for k in range(n):
+            j[k, k + 1] = j[k + 1, k] = math.sqrt((k + 1) * (n - k))
+        w, u = np.linalg.eigh(j)
+        v = u @ (np.exp(1j * phi * w) * (u.conj().T @ v))
+        for k in range(lo, hi + 1):
+            out[k, n - k] = v[k]
+    return out
+
+
+def assert_matches_dense(state, phi):
+    """The evolved diagonal is the diagonal of the dense reference."""
+    got = fo.apply_jx_evolution(state, phi)
+    ref = dense_block_evolution(state, phi).diagonal()
+    assert got.shape == (state.d_max + 1,)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(state.amps)
+
+
+def assert_evolved_or_refused(state, phi):
+    """A diagonal state matches the dense reference; any other is refused."""
+    if np.array_equal(state.amps, np.diag(np.diag(state.amps))):
+        assert_matches_dense(state, phi)
+    else:
+        with pytest.raises(ValueError, match=REFUSED):
+            fo.apply_jx_evolution(state, phi)
+
+
+def survival(d, phi):
+    """D_p, p = 0 ... d: the evolved diagonal of sum_p |p, p>."""
+    return fo.apply_jx_evolution(fo.FockTwoModeState(np.eye(d + 1), d), phi)
+
+
 class TestJxEvolution:
     def test_phi_zero_identity(self):
         s = fo.twin_beam_fock(0.7, 20)
         out = fo.apply_jx_evolution(s, 0.0)
-        assert np.allclose(out.amps, s.amps, atol=1e-14)
+        assert np.allclose(out, s.amps.diagonal(), atol=1e-14)
 
     def test_single_photon_block(self):
         # |1,0> is off the diagonal: refused
@@ -106,45 +153,52 @@ class TestJxEvolution:
     def test_half_swap_at_pi_over_two(self):
         # exp(i pi/2 J) maps |k, m> to i^(k+m) |m, k>, so |p, p> to (-1)^p |p, p>
         d = 10
-        state = diagonal_state(d, 17, range(d // 2 + 1))
-        out = fo.apply_jx_evolution(state, math.pi / 2)
-        n = np.add.outer(np.arange(d + 1), np.arange(d + 1))
-        assert np.allclose(out.amps, (-1.0) ** (n // 2) * state.amps, atol=1e-14)
+        a = diagonal_state(d, 17, range(d // 2 + 1)).amps.diagonal()
+        out = fo.apply_jx_evolution(fo.FockTwoModeState(np.diag(a), d), math.pi / 2)
+        assert np.allclose(out, (-1.0) ** np.arange(d + 1) * a, atol=1e-14)
 
     def test_norm_conserved_random_state(self):
-        # every occupied p <= d/2, so each block n = 2p <= d lies wholly inside
-        # the truncation and no weight can leak past d_max
+        # |exp(i phi w)| = 1, so the evolved state's norm is sum_p |a_p|^2 sum_i v_i,
+        # from the kept (w, v) of the occupied sectors alone
         for d in (12, 13, 40):
-            out = fo.apply_jx_evolution(diagonal_state(d, 3, range(d // 2 + 1)), 1.234)
-            assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
+            a = diagonal_state(d, 3, range(d // 2 + 1)).amps.diagonal()
+            evolved = sum(abs(a[p]) ** 2 * fo._sector(p)[1].sum() for p in range(d + 1))
+            assert evolved == pytest.approx(1.0, abs=1e-12)
 
     def test_block_structure_preserved(self):
-        # total photon number is conserved: no amplitude moves between blocks
+        # total photon number is conserved: |2,2> alone keeps a diagonal on p = 2 only
         state = diagonal_state(4, 7, [2])  # |2,2>, total n = 4
         out = fo.apply_jx_evolution(state, 0.8)
-        p, q = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-        assert np.all(np.abs(out.amps[p + q != 4]) < 1e-15)
-        assert not np.allclose(out.amps, state.amps)  # within the block it does move
+        assert np.flatnonzero(out).tolist() == [2]
+        assert abs(out[2]) < 0.9 * abs(state.amps[2, 2])  # within the block it does move
 
     def test_unitarity_composition(self):
         # <U(-a) s | U(b) t> = <s | U(a + b) t>: U(a)^dag = U(-a) and U(a) U(b)
-        # = U(a + b), with support on p <= d/2 so that no weight is cut
+        # = U(a + b).  The left side is the dense reference's full states, the
+        # right the kernel's diagonal; support on p <= d/2, so no weight is cut
         d, a, b = 14, 0.9, -0.35
         s, t = diagonal_state(d, 8, range(8)), diagonal_state(d, 9, range(8))
-        lhs = fo.overlap(fo.apply_jx_evolution(s, -a), fo.apply_jx_evolution(t, b))
-        rhs = fo.overlap(s, fo.apply_jx_evolution(t, a + b))
+        lhs = np.sum(np.conj(dense_block_evolution(s, -a)) * dense_block_evolution(t, b))
+        rhs = fo.overlap(s.amps.diagonal(), fo.apply_jx_evolution(t, a + b))
         assert lhs == pytest.approx(rhs, abs=1e-13)
         assert abs(rhs) > 0.01
+
+    def test_survival_amplitude_identities(self):
+        # sum_i v_i = 1, |D_p| <= 1, D_p(-phi) = conj D_p(phi), D_p(pi/2) = (-1)^p,
+        # for every sector up to past the cap
+        d = fo.D_MAX_CAP + 3
+        for p in (0, 1, 2, 7, 50, fo.D_MAX_CAP, d):
+            assert fo._sector(p)[1].sum() == pytest.approx(1.0, abs=1e-13)
+        for phi in (1e-6, 0.3, 1.1, 2.9):
+            plus, minus = survival(d, phi), survival(d, -phi)
+            assert np.abs(plus).max() <= 1.0 + 1e-13
+            assert np.abs(minus - np.conj(plus)).max() <= 1e-13
+        p = np.arange(d + 1)
+        assert np.abs(survival(d, math.pi / 2) - (-1.0) ** p).max() <= 1e-13
 
 
 class TestSubspace:
     """The evolution's domain: finite diagonal states sum_p a_p |p, p>."""
-
-    def test_round_trip_at_d_40(self):
-        # the dense reference takes any state, so it evolves the result back
-        s = diagonal_state(40, 40, range(21))
-        back = dense_block_evolution(fo.apply_jx_evolution(s, 0.7), -0.7)
-        assert np.linalg.norm(back - s.amps) <= 1e-13
 
     def test_last_bit_of_asymmetry_is_refused(self):
         amps = fo.twin_beam_fock(0.5, 6).amps.copy()
@@ -169,9 +223,10 @@ class TestSubspace:
             fo.apply_jx_evolution(subspace_state(d, d), 0.3)
 
     def test_evolved_state_is_refused(self):
-        evolved = fo.apply_jx_evolution(fo.twin_beam_fock(0.5, 8), 0.3)
+        # the whole evolved twin-beam, which the dense reference gives, is off the diagonal
+        evolved = dense_block_evolution(fo.twin_beam_fock(0.5, 8), 0.3)
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(evolved, -0.3)
+            fo.apply_jx_evolution(fo.FockTwoModeState(evolved, 8), -0.3)
 
     @pytest.mark.parametrize("value", [math.nan, complex(0.5, math.nan), math.inf])
     def test_non_finite_amplitude_is_refused(self, value):
@@ -180,44 +235,6 @@ class TestSubspace:
         amps[1, 1] = value
         with pytest.raises(ValueError, match="finite amplitudes only"):
             fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
-
-
-def dense_block_evolution(state, phi):
-    """Reference: eigh of the whole (n+1) x (n+1) J of each total-n block."""
-    d = state.d_max
-    out = np.zeros_like(state.amps)
-    for n in range(2 * d + 1):
-        lo, hi = max(0, n - d), min(n, d)
-        v = np.zeros(n + 1, dtype=complex)
-        for k in range(lo, hi + 1):
-            v[k] = state.amps[k, n - k]
-        if not np.any(v):
-            continue
-        j = np.zeros((n + 1, n + 1))
-        for k in range(n):
-            j[k, k + 1] = j[k + 1, k] = math.sqrt((k + 1) * (n - k))
-        w, u = np.linalg.eigh(j)
-        v = u @ (np.exp(1j * phi * w) * (u.conj().T @ v))
-        for k in range(lo, hi + 1):
-            out[k, n - k] = v[k]
-    return out
-
-
-def assert_matches_dense(state, phi):
-    got = fo.apply_jx_evolution(state, phi).amps
-    ref = dense_block_evolution(state, phi)
-    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-def assert_evolved_or_refused(state, phi):
-    """A diagonal state matches the dense reference and stays symmetric; any other is refused."""
-    if np.array_equal(state.amps, np.diag(np.diag(state.amps))):
-        assert_matches_dense(state, phi)
-        out = fo.apply_jx_evolution(state, phi).amps
-        assert np.array_equal(out, out.T)
-    else:
-        with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(state, phi)
 
 
 class TestSwapSectorKernel:
@@ -262,36 +279,36 @@ class TestSwapSectorKernel:
             fo.apply_jx_evolution(state, 0.6)
 
     def test_one_block_beyond_the_truncation(self):
-        # |7, 7> alone: block n = 14 of d = 8 keeps only k = 6..8 of its 15 entries
+        # |7, 7> alone: block n = 14 of d = 8 keeps only k = 6..8 of its 15
+        # entries, but its survival amplitude runs over the whole sector
         state = diagonal_state(8, 13, [7])
         for phi in (0.4, 2.2):
             assert_matches_dense(state, phi)
-            out = fo.apply_jx_evolution(state, phi).amps
-            assert np.flatnonzero(out).tolist() == [6 * 9 + 8, 7 * 9 + 7, 8 * 9 + 6]
+            assert np.flatnonzero(fo.apply_jx_evolution(state, phi)).tolist() == [7]
 
-    def test_x_zero_at_an_explicit_d_max(self, stacks, eigh_sizes):
-        # the vacuum at d = 20: the group from 0 alone is occupied and
-        # diagonalized; the all-zero groups from 8 and 16 are skipped
+    def test_x_zero_at_an_explicit_d_max(self, sectors, eigh_sizes):
+        # the vacuum at d = 20: sector 0 alone is occupied and diagonalized
         state = fo.twin_beam_fock(0.0, 20)
         out = fo.apply_jx_evolution(state, 0.9)
-        assert np.array_equal(out.amps, state.amps)
-        assert eigh_sizes == list(range(1, fo.GROUP + 1))
+        assert np.array_equal(out, state.amps.diagonal())
+        assert eigh_sizes == [1]
 
     def test_d_zero(self):
         # the vacuum block n = 0 has J = 0
         state = fo.FockTwoModeState(np.array([[0.6 - 0.8j]]), 0)
         assert_matches_dense(state, 0.9)
-        assert np.array_equal(fo.apply_jx_evolution(state, 0.9).amps, state.amps)
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.9), [0.6 - 0.8j])
 
 
 class TestOverlap:
     def test_self_overlap(self):
         s = fo.twin_beam_fock(0.5, 25)
-        assert fo.overlap(s, s).real == pytest.approx(s.norm_sq, rel=1e-12)
+        a = s.amps.diagonal()
+        assert fo.overlap(a, a).real == pytest.approx(norm_sq(s), rel=1e-12)
 
     def test_conjugate_symmetry(self):
-        a = fo.twin_beam_fock(0.5, 20)
-        b = fo.apply_jx_evolution(a, 0.4)
+        s = fo.twin_beam_fock(0.5, 20)
+        a, b = s.amps.diagonal(), fo.apply_jx_evolution(s, 0.4)
         assert fo.overlap(a, b) == pytest.approx(np.conj(fo.overlap(b, a)), abs=1e-14)
 
     def test_closed_form_survival(self):
@@ -300,24 +317,25 @@ class TestOverlap:
         N = 2 * x * x / (1 - x * x)
         s = fo.twin_beam_fock(x, fo.default_d_max(x, 1e-14, cap=300))
         evolved = fo.apply_jx_evolution(s, phi)
-        got = abs(fo.overlap(s, evolved)) ** 2
+        got = abs(fo.overlap(s.amps.diagonal(), evolved)) ** 2
         expected = 1.0 / (1.0 + N * (N + 2.0) * math.sin(phi) ** 2)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_dmax_mismatch(self):
-        with pytest.raises(ValueError):
-            fo.overlap(fo.twin_beam_fock(0.3, 5), fo.twin_beam_fock(0.3, 6))
+        with pytest.raises(ValueError, match="d_max mismatch: 5 != 6"):
+            fo.overlap(fo.twin_beam_fock(0.3, 5).amps.diagonal(),
+                       fo.twin_beam_fock(0.3, 6).amps.diagonal())
 
 
 class TestZeroDifferenceProbability:
     def test_unevolved_twin_beam(self):
         s = fo.twin_beam_fock(0.5, 40)
-        assert fo.zero_difference_probability(s) == pytest.approx(
-            s.norm_sq, rel=1e-12
+        assert fo.zero_difference_probability(s.amps.diagonal()) == pytest.approx(
+            norm_sq(s), rel=1e-12
         )
 
     def test_vacuum(self):
-        assert fo.zero_difference_probability(fo.twin_beam_fock(0.0, 3)) == 1.0
+        assert fo.zero_difference_probability(fo.twin_beam_fock(0.0, 3).amps.diagonal()) == 1.0
 
     def test_small_phase_leading_coefficient(self):
         # P(d=0) = 1 - N(N+2) phi^2 + O(phi^4)
@@ -333,15 +351,15 @@ class TestZeroDifferenceProbability:
 
 
 @pytest.fixture
-def stacks(monkeypatch):
-    """The groups kept during the test, p0 -> (u, w), in a fresh cache."""
+def sectors(monkeypatch):
+    """The sectors kept during the test, p -> (w, v), in a fresh cache."""
     kept = {}
 
-    def recording(p0):
-        kept[p0] = fo._eig_stack(p0)
-        return kept[p0]
+    def recording(p):
+        kept[p] = fo._sector(p)
+        return kept[p]
 
-    monkeypatch.setattr(fo, "_kept_stack", functools.cache(recording))
+    monkeypatch.setattr(fo, "_kept_sector", functools.cache(recording))
     return kept
 
 
@@ -359,146 +377,104 @@ def eigh_sizes(monkeypatch):
     return sizes
 
 
-def twin_beam_stack_sizes(x):
-    """Every sector size an x twin-beam at its default d_max diagonalizes, once each.
-
-    A twin-beam fills the sector, of size p + 1, of each block n = 2p,
-    p <= d_max, and its groups are diagonalized whole, GROUP blocks each.
-    """
-    groups = fo.default_d_max(x) // fo.GROUP + 1
-    return list(range(1, groups * fo.GROUP + 1))
-
-
-def kept_sizes(stacks):
-    """The sector sizes of the kept groups, as they were passed to eigh."""
-    return sorted(p0 + j + 1 for p0 in stacks for j in range(fo.GROUP))
+def twin_beam_sector_sizes(x):
+    """Every sector size, p + 1, that an x twin-beam at its default d_max fills: once each."""
+    return list(range(1, fo.default_d_max(x) + 2))
 
 
 class TestEigensystemMemo:
-    def test_memoized_evolution_is_bit_identical(self, stacks, eigh_sizes):
-        # a random diagonal state occupies every block n = 2p, p <= d = 13:
-        # the groups from 0 and 8, whole
+    def test_memoized_evolution_is_bit_identical(self, sectors, eigh_sizes):
+        # a random diagonal state occupies every sector p <= d = 13
         state = diagonal_state(13, 21)
-        fresh = fo.apply_jx_evolution(state, 0.7).amps
-        assert sorted(stacks) == [0, 8]
-        assert len(eigh_sizes) == sum(len(w) for _, w in stacks.values()) == 2 * fo.GROUP
+        fresh = fo.apply_jx_evolution(state, 0.7)
+        assert sorted(sectors) == list(range(14))
+        assert eigh_sizes == list(range(1, 15))
         eigh_sizes.clear()
-        memoized = fo.apply_jx_evolution(state, 0.7).amps
+        memoized = fo.apply_jx_evolution(state, 0.7)
         assert eigh_sizes == []
         assert np.array_equal(memoized, fresh)
 
-    def test_extended_stacks_are_bit_identical(self, stacks, eigh_sizes):
-        # groups kept at d = 20 and shared at d = 30 evolve as fresh ones do
+    def test_shared_sectors_are_bit_identical(self, sectors, eigh_sizes):
+        # sectors kept at d = 20 and shared at d = 30 evolve as fresh ones do
         fo.apply_jx_evolution(diagonal_state(20, 1), 0.4)
-        assert len(eigh_sizes) == 3 * fo.GROUP  # p <= 20: the groups from 0, 8 and 16
+        assert len(eigh_sizes) == 21
         state = diagonal_state(30, 2)
-        extended = fo.apply_jx_evolution(state, 0.4).amps
-        assert len(eigh_sizes) == 4 * fo.GROUP  # only the group from 24 added
-        assert sorted(eigh_sizes) == kept_sizes(stacks)  # no sector twice
-        fo._kept_stack.cache_clear()
-        assert np.array_equal(fo.apply_jx_evolution(state, 0.4).amps, extended)
+        shared = fo.apply_jx_evolution(state, 0.4)
+        assert eigh_sizes == list(range(1, 32))  # only the sectors 21 ... 30 added
+        fo._kept_sector.cache_clear()
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.4), shared)
 
-    def test_interfere_row_diagonalizes_each_sector_once(self, stacks, eigh_sizes):
+    def test_interfere_row_diagonalizes_each_sector_once(self, sectors, eigh_sizes):
         # the row evolves the twin-beam twice: for P(d=0) and for the overlap
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.9", "--phi", "0.3"],
                                  catch_exceptions=False)
         assert out.exit_code == 0
-        # d_max = 109: 14 whole groups of the blocks p = 0 ... 111
-        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.9) == list(range(1, 113))
+        # d_max = 109: the sectors p = 0 ... 109
+        assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.9) == list(range(1, 111))
 
-    def test_range_sweep_diagonalizes_each_sector_once(self, stacks, eigh_sizes):
-        # five truncations, d = 16 ... 109, share the groups of the smaller ones
+    def test_range_sweep_diagonalizes_each_sector_once(self, sectors, eigh_sizes):
+        # five truncations, d = 16 ... 109, share the sectors of the smaller ones
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.5", "--phi", "0.3",
                                             "--range", "x=0.5:0.9:5"],
                                  catch_exceptions=False)
         assert out.exit_code == 0
         assert len(out.output.splitlines()) == 6
-        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.9)
+        assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.9)
 
-    def test_repeat_solve_calls_eigh_zero_times(self, stacks, eigh_sizes):
+    def test_repeat_solve_calls_eigh_zero_times(self, sectors, eigh_sizes):
         first = itf.mz_min_phase_numeric(0.01, 0.6)
-        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.6)
+        assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.6)
         eigh_sizes.clear()
         assert itf.mz_min_phase_numeric(0.01, 0.6) == first
         assert eigh_sizes == []
 
-    def test_kept_groups_live_in_one_process_cache(self, eigh_sizes):
+    def test_kept_sectors_live_in_one_process_cache(self, eigh_sizes):
         # the module's own cache, which the other tests swap for a fresh one
-        fo._kept_stack.cache_clear()
+        fo._kept_sector.cache_clear()
         state = fo.twin_beam_fock(0.6, fo.default_d_max(0.6))
-        first = fo.apply_jx_evolution(state, 0.2).amps
-        assert np.array_equal(fo.apply_jx_evolution(state, 0.2).amps, first)
-        assert sorted(eigh_sizes) == twin_beam_stack_sizes(0.6)
-        assert fo._kept_stack.cache_info().currsize == 3  # the groups from 0, 8 and 16
-
-    def test_group_from_twice_the_cap_is_kept_whole(self, stacks, eigh_sizes):
-        cap = fo.D_MAX_CAP
-        assert fo.default_d_max(0.9999) == cap
-        # |cap, cap> and |cap+5, cap+5>: the blocks 2 cap and 2 cap + 10, the
-        # first and sixth members of the last kept group, which is kept whole
-        amps = np.zeros((cap + 11, cap + 11), dtype=complex)
-        amps[cap, cap] = amps[cap + 5, cap + 5] = 1 / math.sqrt(2)
-        state = fo.FockTwoModeState(amps, cap + 10)
-        first = fo.apply_jx_evolution(state, 0.4).amps
-        assert np.array_equal(fo.apply_jx_evolution(state, 0.4).amps, first)
-        assert [(k, w.shape) for k, (_, w) in stacks.items()] == [
-            (cap, (fo.GROUP, cap + fo.GROUP))]
-        assert eigh_sizes == list(range(cap + 1, cap + fo.GROUP + 1))
-        # a truncation at the cap shares the kept group
-        fo.apply_jx_evolution(fo.FockTwoModeState(amps[:cap + 1, :cap + 1], cap), 0.4)
-        assert eigh_sizes == list(range(cap + 1, cap + fo.GROUP + 1))
+        first = fo.apply_jx_evolution(state, 0.2)
+        assert np.array_equal(fo.apply_jx_evolution(state, 0.2), first)
+        assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.6)
+        assert fo._kept_sector.cache_info().currsize == state.d_max + 1
 
     def test_blocks_past_the_cap_are_diagonalized_where_occupied(
-        self, stacks, eigh_sizes, monkeypatch
+        self, sectors, eigh_sizes, monkeypatch
     ):
-        # at a cap of 8 the groups from 0 and 8 are kept whole, and the groups
-        # from 16, 24, 32 and 40 are not kept; of these, p = 18 occupies the
-        # group from 16 and p = 40 the one-member group from 40 of d = 40
+        # at a cap of 8 the sectors p <= 8 are kept and the others are not; of
+        # these, p = 9, 18 and 40 are occupied, and are diagonalized on every call
         monkeypatch.setattr(fo, "D_MAX_CAP", 8)
-        state = diagonal_state(40, 5, (3, 7, 11, 18, 40))
-        first = fo.apply_jx_evolution(state, 0.3).amps
-        assert {k: w.shape for k, (_, w) in stacks.items()} == {0: (8, 8), 8: (8, 16)}
-        # the group from 16 whole (sizes 17 ... 24) and p = 40, and no other
-        past = list(range(17, 25)) + [41]
-        assert sorted(eigh_sizes) == sorted(kept_sizes(stacks) + past)
+        state = diagonal_state(40, 5, (3, 7, 8, 9, 18, 40))
+        first = fo.apply_jx_evolution(state, 0.3)
+        assert sorted(sectors) == [3, 7, 8]
+        past = [10, 19, 41]
+        assert eigh_sizes == [4, 8, 9] + past
         eigh_sizes.clear()
-        again = fo.apply_jx_evolution(state, 0.3).amps
-        assert sorted(eigh_sizes) == past
-        assert fo._kept_stack.cache_info().currsize == 2
+        again = fo.apply_jx_evolution(state, 0.3)
+        assert eigh_sizes == past
+        assert fo._kept_sector.cache_info().currsize == 3
         assert np.array_equal(again, first)
-        ref = dense_block_evolution(state, 0.3)
-        assert np.linalg.norm(first - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert_matches_dense(state, 0.3)
 
     @pytest.mark.parametrize("p", [7, fo.D_MAX_CAP + 6, 2 * fo.D_MAX_CAP + 1,
                                    2 * fo.D_MAX_CAP + 6])
-    def test_eigensystem_is_read_only(self, stacks, p):
-        # a kept group, the last kept one, and two members of a group past
-        # the cap: |p, p> alone, at d = p, the last member of its group there
+    def test_eigensystem_is_read_only(self, sectors, p):
+        # a kept sector, and three past the cap: |p, p> alone, at d = p
         fo.apply_jx_evolution(diagonal_state(p, p, [p]), 0.3)
-        p0 = p - p % fo.GROUP
-        kept = p0 <= fo.D_MAX_CAP
-        assert list(stacks) == ([p0] if kept else [])
-        for a in (*stacks.get(p0, ()), *fo._eig_stack(p0, p - p0 + 1)):
+        kept = p <= fo.D_MAX_CAP
+        assert list(sectors) == ([p] if kept else [])
+        for a in (*sectors.get(p, ()), *fo._sector(p)):
             with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 0.0
-
-    def test_stacks_stay_near_the_per_sector_eigensystems(self, stacks):
-        # zero padding adds 9.5 % to the 3.85 MB of the twin-beam's whole groups at x = 0.9
-        fo.apply_jx_evolution(fo.twin_beam_fock(0.9, fo.default_d_max(0.9)), 0.3)
-        sectors = sum(8 * (s * s + s) for s in twin_beam_stack_sizes(0.9))
-        held = sum(u.nbytes + w.nbytes for u, w in stacks.values())
-        assert sectors < held < 1.10 * sectors
+                a[0] = 0
 
 
 class TestGroupBoundaries:
-    """The stacked groups against the dense reference where groups begin, end and break."""
+    """Sparse and lone occupied sectors against the dense reference."""
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [16, 18, 17, 31, 30])
     def test_one_occupied_sector_in_an_empty_group(self, n, sign):
-        # +-|p, p>, n = 2p, the only block of its group occupied: blocks 16, 18
-        # and 30 are the first, a middle and the last member (p = 8, 9, 15) of
-        # the group from 8; an odd n has no diagonal entry, and its pair
+        # +-|p, p>, n = 2p, the only sector occupied among its neighbours
+        # (p = 8, 9, 15); an odd n has no diagonal entry, and its pair
         # |k, n-k> +- |n-k, k> is refused
         if n % 2 == 0:
             state = fo.FockTwoModeState(sign * swap_pair(20, n // 2, n // 2, 0).amps, 20)
@@ -507,67 +483,55 @@ class TestGroupBoundaries:
         assert_evolved_or_refused(state, 0.45)
 
     def test_groups_with_holes(self):
-        # blocks 0, 6 and 14 of the group from 0, 20 of the group from 8 and
-        # 36 of the group from 16
+        # the sectors 0, 3, 7, 10 and 18, with empty ones between them, the
+        # last one past the truncation's diagonal half
         state = diagonal_state(24, 4, (0, 3, 7, 10, 18))
         for phi in (0.3, -1.7):
             assert_matches_dense(state, phi)
 
     @pytest.mark.parametrize("d", [8, 9, 14, 15, 16])
     def test_last_group_partial(self, d):
-        # blocks p <= d: the last group holds 1, 2, 7, 8 and 1 members; the
-        # truncation cuts block 2d to its diagonal row |d, d>
+        # every sector p <= d; the truncation cuts block 2d to its diagonal row |d, d>
         state = diagonal_state(d, 300 + d)
         for phi in (0.8, 2.4):
             assert_matches_dense(state, phi)
 
 
-def layout_arrays(layout):
-    """Every array of a layout, all its groups' records."""
-    return [a for group in layout for a in group[2:]]
+def kept_bytes(sectors):
+    return sum(w.nbytes + v.nbytes for w, v in sectors.values())
 
 
 class TestSectorLayout:
-    def test_zero_state_calls_eigh_zero_times(self, stacks, eigh_sizes):
+    """What is kept per sector p <= D_MAX_CAP: (w, v), 16 (p + 1) bytes, read-only."""
+
+    def test_zero_state_calls_eigh_zero_times(self, sectors, eigh_sizes):
         state = fo.FockTwoModeState(np.zeros((12, 12)), 11)
         out = fo.apply_jx_evolution(state, 0.5)
-        assert np.array_equal(out.amps, np.zeros((12, 12)))
+        assert np.array_equal(out, np.zeros(12))
         assert eigh_sizes == []
 
-    def test_layout_is_cached_and_read_only(self):
-        layout = fo._layout(6)
-        assert fo._layout(6) is layout
-        for a in layout_arrays(layout):
+    def test_layout_is_cached_and_read_only(self, sectors):
+        w, v = fo._kept_sector(6)
+        assert fo._kept_sector(6)[0] is w and fo._kept_sector(6)[1] is v
+        assert np.array_equal(w, fo._sector(6)[0]) and np.array_equal(v, fo._sector(6)[1])
+        for a in (w, v):
             with pytest.raises(ValueError):
-                a[(0,) * a.ndim] = 0
+                a[0] = 0
 
-    def test_group_index_is_cached_and_read_only(self):
-        # d = 20: the groups from 0, 8 and 16, the last one cut to the rows
-        # k >= 12; together they gather every even-n entry of the upper
-        # triangle once, and their mirrors in the lower one
-        d = 20
-        layout = fo._layout(d)
-        assert fo._layout(d) is layout
-        assert [(g.p0, g.lo, g.upper.shape) for g in layout] == [
-            (0, 0, (8, 8)), (8, 0, (8, 16)), (16, 12, (5, 9))]
-        k, m = np.triu_indices(d + 1)
-        even = (k + m) % 2 == 0
-        for name, flat in (("upper", k * (d + 1) + m), ("lower", m * (d + 1) + k)):
-            held = np.concatenate([getattr(g, name).ravel() for g in layout])
-            held = held[held < (d + 1) ** 2]
-            assert sorted(held.tolist()) == sorted(flat[even].tolist())
-        for a in layout_arrays(layout):
-            with pytest.raises(ValueError):
-                a[0, 0] = 0
+    def test_stream_truncations_take_under_2_mb(self, sectors):
+        # the benchmark's interfere truncations share the sectors of the largest, d = 109
+        for d in (16, 22, 51, 109):
+            fo.apply_jx_evolution(fo.twin_beam_fock(0.5, d), 0.3)
+        assert kept_bytes(sectors) == 16 * 110 * 111 // 2 < 2e6
 
-    def test_stream_truncations_take_under_2_mb(self):
-        layouts = [fo._layout(d) for d in (16, 22, 51, 109)]
-        assert sum(a.nbytes for layout in layouts for a in layout_arrays(layout)) < 2e6
-
-    def test_layout_bytes_at_109_and_at_the_cap(self):
-        # one record per group: 92 kB at d = 109 and 278 kB at d = 200
-        size = {d: sum(a.nbytes for a in layout_arrays(fo._layout(d))) for d in (109, 200)}
-        assert size[109] < 95e3 and size[200] < 280e3
+    def test_layout_bytes_at_109_and_at_the_cap(self, sectors):
+        # 98 kB at d = 109 and 0.33 MB at d = 200, every sector there is to keep
+        size = {}
+        for d in (109, fo.D_MAX_CAP):
+            fo.apply_jx_evolution(fo.twin_beam_fock(0.9999, d), 0.3)
+            size[d] = kept_bytes(sectors)
+        assert size == {109: 97_680, fo.D_MAX_CAP: 324_816}
+        assert size[fo.D_MAX_CAP] < 1e6
 
 
 class TestSectorGenerator:
@@ -581,9 +545,11 @@ class TestSectorGenerator:
             assert fo._sector_generator(n // 2).shape == (n // 2 + 1, n // 2 + 1)
         assert_evolved_or_refused(swap_pair(n, 0, n, 1 if even else -1), 0.5)
 
-    def test_empty_sector_has_no_eigenvalue(self):
-        # a two-member stack: the one-entry sector of block 0 leaves the
-        # padding of its member empty, no eigenvector and no eigenvalue there
-        u, w = fo._eig_stack(0, 2)
-        assert np.array_equal(u[0], [[1.0, 0.0], [0.0, 0.0]]) and not w[0].any()
-        assert w.shape == (2, 2) and np.allclose(w[1], [-2.0, 2.0])
+    def test_spectrum_is_every_other_even_integer(self):
+        # 2 J_x of spin p on the swap-symmetric sector: -2p, -2p + 4, ..., 2p.
+        # The kept w rounds eigh's eigenvalues to these; it moves them by roundoff only
+        for p in (0, 1, 2, 5, 40, fo.D_MAX_CAP):
+            expected = np.arange(-2 * p, 2 * p + 1, 4)
+            w = np.linalg.eigvalsh(fo._sector_generator(p))
+            assert np.abs(w - expected).max() <= 1e-12 * max(p, 1)
+            assert np.array_equal(fo._sector(p)[0], expected)

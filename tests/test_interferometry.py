@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -58,7 +59,7 @@ class TestTwinBeamOverlap:
                 s = fo.twin_beam_fock(x, fo.default_d_max(x, 1e-14, cap=300))
                 ev = fo.apply_jx_evolution(s, phi)
                 assert itf.twin_beam_overlap_sq(N, phi) == pytest.approx(
-                    abs(fo.overlap(s, ev)) ** 2, abs=1e-10
+                    abs(fo.overlap(s.amps.diagonal(), ev)) ** 2, abs=1e-10
                 )
 
 
@@ -72,14 +73,31 @@ class TestAcceptanceThreshold:
                 gs, rel=1e-9
             )
 
+    # (q0, gamma*) up to 10 within gamma* q0 <= 1
+    REFERENCE_POINTS = [(q0, gs) for q0 in (0.01, 0.3)
+                        for gs in (1 + 1e-8, 1 + 1e-6, 1 + 1e-4, 1.1, 10.0) if gs * q0 <= 1]
+
+    @pytest.mark.parametrize("q0, gamma_star", REFERENCE_POINTS)
+    def test_against_50_digit_reference(self, q0, gamma_star):
+        # q0 (1 + gamma* (1 - 2 q0) - 2 sqrt(gamma* (1-q0) (1 - gamma* q0))) at 50
+        # digits; in floats that form loses every digit at gamma* = 1 + 1e-8
+        got = itf.acceptance_threshold(q0, gamma_star)
+        with mpmath.workdps(50):
+            q, g = mpmath.mpf(q0), mpmath.mpf(gamma_star)
+            ref = q * (1 + g * (1 - 2 * q) - 2 * mpmath.sqrt(g * (1 - q) * (1 - g * q)))
+            assert abs(got - ref) <= 4e-16 * ref
+
     def test_gamma_one_trivial(self):
         assert itf.acceptance_threshold(0.3, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert itf.acceptance_threshold(1.0, 1.0) == 0.0  # a = b = 0 there
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             itf.acceptance_threshold(0.3, 0.5)
         with pytest.raises(ValueError):
             itf.acceptance_threshold(0.5, 10.0)  # gamma* q0 > 1
+        with pytest.raises(ValueError, match=r"gamma_star \* q0 = 2.0 > 1"):
+            itf.acceptance_threshold(1.0, 2.0)  # q0 = 1 too, where a = 0
 
 
 class TestMinDetectablePhaseIdeal:
