@@ -8,6 +8,9 @@ exists, its value and the difference from the closed form are extra columns.
 A command is its options plus a row function ``row(g, seed)`` of one grid
 point ``g``, a dict of option values.  ``_table`` adds the common options and
 owns the run: seed, grid, rows, exit code of a failure, ``meta`` and output.
+
+The modules that load numpy are imported inside the rows that use them, so
+``--version``, the help pages, an argument error and ``fiber`` run without it.
 """
 
 from __future__ import annotations
@@ -22,14 +25,9 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from cventlab import __version__
-from cventlab import crypto as crypto_mod
-from cventlab import discrimination as disc
-from cventlab import estimation as est
 from cventlab import fiber as fiber_mod
-from cventlab import fock_oracle
 from cventlab import gaussian_core
 from cventlab import interferometry as itf
 
@@ -83,6 +81,7 @@ def _grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
             raise click.BadParameter(f"sweep key {key!r} is given twice")
         _finite(key, start)  # linspace would start an infinite span with 0 inf = nan
         _finite(key, stop)
+        import numpy as np  # here, so a run without --range need not load it
         try:
             with np.errstate(all="ignore"):  # a non-finite grid point is rejected below
                 values = np.linspace(start, stop, steps).tolist()
@@ -204,6 +203,7 @@ def main():
 @_table("estimate")
 def estimate(g, seed):
     """Displacement estimation: twin-beam vs vacuum probe variances."""
+    from cventlab import estimation as est
     setting = est.EstimationSetting(x=g["x"], nbar_T=g["nbar_t"], alpha=g["alpha"])
     v = est.conditional_variance(setting)
     sim = est.simulate_estimation(setting, g["trials"], seed)
@@ -230,6 +230,7 @@ def estimate(g, seed):
 @_table("discriminate", whole=("phases",))
 def discriminate(g, seed, phases):
     """Minimum-error discrimination of two unitaries from their eigenphases."""
+    from cventlab import discrimination as disc
     try:
         phase_list = tuple(_finite("--phases", float(p)) for p in phases.split(","))
     except ValueError:
@@ -262,6 +263,7 @@ def discriminate(g, seed, phases):
 @_table("interfere")
 def interfere(g, seed):
     """Phase detection: ideal NP scheme and Mach-Zehnder zero-count scheme."""
+    from cventlab import fock_oracle
     n_mean = gaussian_core.TwinBeamParams.from_x(g["x"]).N
     kappa_closed = itf.twin_beam_overlap_sq(n_mean, g["phi"])
     d = g["d_max"] if g["d_max"] is not None else fock_oracle.default_d_max(g["x"])
@@ -302,6 +304,7 @@ def crypto():
 @_table("crypto-errors")
 def crypto_errors(g, seed):
     """Closed-form error probabilities for Bob and Eve."""
+    from cventlab import crypto as crypto_mod
     margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])
     eve = margin.eve_err
     eve_oracle = 0.5 * (1.0 - crypto_mod.splus_numeric(g["a"], g["kappa"]))
@@ -329,6 +332,7 @@ def crypto_errors(g, seed):
 @_table("crypto-simulate")
 def crypto_simulate(g, seed):
     """Monte Carlo of the binary protocol against the closed forms."""
+    from cventlab import crypto as crypto_mod
     config = crypto_mod.ProtocolConfig(x=g["x"], a=g["a"], kappa_key=g["kappa"])
     sim = crypto_mod.simulate_binary_protocol(config, g["bits"], seed)
     margin = crypto_mod.security_margin(g["x"], g["kappa"], g["a"])

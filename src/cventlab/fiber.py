@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from cventlab import gaussian_core
-from cventlab.estimation import _correctly_rounded_mean
 
 
 def _drift(M: float) -> float:
@@ -101,6 +98,23 @@ def separability_time_large_n(Gamma: float, M: float) -> float:
     return _log1p_over_2m(1.0, M) / Gamma
 
 
+def _scan_grid(tau_max: float, steps: int) -> list[float]:
+    """np.linspace(0.0, tau_max, steps).tolist() for steps >= 2, without numpy.
+
+    The same IEEE operations as numpy: point i is i * step + 0.0 and the last
+    is tau_max itself; where the step underflows to 0 (a subnormal tau_max),
+    point i is (i / div) * tau_max + 0.0, as in numpy's branch for that case.
+    """
+    div = steps - 1
+    step = tau_max / div
+    if step == 0:
+        taus = [i / div * tau_max + 0.0 for i in range(steps)]
+    else:
+        taus = [i * step + 0.0 for i in range(steps)]
+    taus[-1] = tau_max
+    return taus
+
+
 def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float | None:
     """Numeric separability threshold via PPT on a grid plus bisection.
 
@@ -111,7 +125,7 @@ def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float 
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    taus = np.linspace(0.0, tau_max, steps)
+    taus = _scan_grid(tau_max, steps)
 
     def separable(tau: float) -> bool:
         return gaussian_core.ppt_separable(evolved_state(r0, M, tau), tol=0.0).separable
@@ -149,6 +163,8 @@ def simulate_ou_variances(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    import numpy as np  # here, so that the closed forms and the scan load no numpy
+    from cventlab.estimation import _correctly_rounded_mean
     gamma = _drift(M)
     rng = np.random.default_rng(seed)
     decay_amp = math.exp(-gamma * tau / 2.0)

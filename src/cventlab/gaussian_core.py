@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Vacuum variance per quadrature in this convention.
 VACUUM_VAR = 0.25
@@ -142,7 +144,8 @@ def heterodyne_mean_and_variance(state: TwinBeamFamilyState) -> tuple[complex, f
 
 def complex_gaussian_pdf(z: complex, mu: complex, variance: float) -> float:
     """Isotropic complex-Gaussian density exp(-|z - mu|^2 / v) / (pi v)."""
-    return math.exp(-abs(complex(z) - mu) ** 2 / variance) / (math.pi * variance)
+    d = abs(complex(z) - mu)  # squared as d * d: libm's pow can miss the rounded square
+    return math.exp(-(d * d) / variance) / (math.pi * variance)
 
 
 def heterodyne_pdf(state: TwinBeamFamilyState, z: complex) -> float:
@@ -157,6 +160,7 @@ def sample_heterodyne(
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
     """Draw i.i.d. heterodyne outcomes; deterministic for a given seed."""
+    import numpy as np  # here, so that the package imports without numpy
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     mu, delta_sq = heterodyne_mean_and_variance(state)

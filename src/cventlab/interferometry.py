@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import sys
 
-from cventlab import fock_oracle
-
 
 def np_detection_probability(q0: float, kappa_sq: float) -> float:
     """NP detection probability at false-alarm q0 for pure states with overlap kappa_sq.
@@ -32,9 +30,8 @@ def np_detection_probability(q0: float, kappa_sq: float) -> float:
         raise ValueError(f"kappa_sq must be in [0, 1], got {kappa_sq}")
     if q0 > kappa_sq:
         return 1.0
-    return (
-        math.sqrt(q0 * kappa_sq) + math.sqrt((1.0 - q0) * (1.0 - kappa_sq))
-    ) ** 2
+    s = math.sqrt(q0 * kappa_sq) + math.sqrt((1.0 - q0) * (1.0 - kappa_sq))
+    return s * s  # not s ** 2: libm's pow can miss the correctly rounded square
 
 
 def twin_beam_overlap_sq(N: float, phi: float) -> float:
@@ -100,6 +97,7 @@ def mz_zero_count_probability(x: float, phi: float, d_max: int | None = None) ->
     Raises TruncationError when d_max is below default_d_max(x, 1e-10), the
     smallest truncation whose twin-beam tail x^{2(d_max+1)} is below 1e-10.
     """
+    from cventlab import fock_oracle  # here, so that the closed forms load no numpy
     tail_tol = 1e-10
     if d_max is None:
         d_max = fock_oracle.default_d_max(x, tail_tol)

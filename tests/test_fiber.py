@@ -18,6 +18,12 @@ def mp_sigma_minus_sq(r0, m, tau):
         return decay * mpmath.exp(-2 * mpmath.mpf(r0)) / 4 + (1 - decay) / (4 * gamma)
 
 
+def assert_grid_is_numpy_linspace(tau_max, steps):
+    """The scan's grid is np.linspace(0, tau_max, steps) bit for bit, signs of zero too."""
+    expected = np.linspace(0.0, tau_max, steps).tolist()
+    assert [t.hex() for t in fiber._scan_grid(tau_max, steps)] == [t.hex() for t in expected]
+
+
 class TestEvolveVariances:
     def test_initial_condition(self):
         v = fiber.evolve_variances(1.0, 0.5, 0.0)
@@ -138,6 +144,18 @@ class TestScan:
     def test_bad_steps(self):
         with pytest.raises(ValueError):
             fiber.scan_separability(1.0, 0.5, 1.0, steps=1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tau_max=st.floats(0.0, 1e308), steps=st.integers(2, 1024))
+    def test_grid_is_numpy_linspace(self, tau_max, steps):
+        assert_grid_is_numpy_linspace(tau_max, steps)
+
+    # at 5e-324 and 4 steps the step underflows to 0: i * step would give
+    # [0, 0, 0, 5e-324], numpy's (i / div) * tau_max gives [0, 0, 5e-324, 5e-324]
+    @pytest.mark.parametrize("steps", [2, 3, 4, 7, 256, 1023, 1024])
+    @pytest.mark.parametrize("tau_max", [0.0, 5e-324, 3.5e-323, 1.0, 3.4138244104, 1e308])
+    def test_grid_edges_are_numpy_linspace(self, tau_max, steps):
+        assert_grid_is_numpy_linspace(tau_max, steps)
 
     def test_no_linalg_call(self, monkeypatch):
         # the scan works on the EPR variances alone

@@ -1,9 +1,12 @@
-"""Import budget: no command and no library oracle loads scipy.
+"""Import budget: no command or library oracle loads scipy; the cold path loads no numpy.
 
 scipy is a test-only dependency.  Every CLI call is a fresh process, and
-importing scipy costs more than the rest of the package together.  Each check
-runs in a fresh interpreter so the modules loaded by other tests do not leak
-in.
+importing scipy costs more than the rest of the package together.  numpy
+about doubles the time of a run that does not use it, so ``import cventlab``,
+``--version``, every help page, a refused argument and ``fiber`` (scalar math
+only) load none of it; the other commands load it inside their rows.  Each
+check runs in a fresh interpreter so the modules loaded by other tests do not
+leak in.
 """
 
 import json
@@ -19,8 +22,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import json, sys
 {body}
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print("\\nSCIPY_MODULES=" + json.dumps(loaded))
+loaded = sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + "."))
+print("\\nMODULES=" + json.dumps(loaded))
 """
 
 RUN_CLI = """
@@ -29,9 +32,23 @@ code = cli.main({args!r}, standalone_mode=False)
 assert code in (None, 0), code
 """
 
+# a bad argument exits 2 with a usage error, as on the command line
+RUN_CLI_REFUSED = """
+import click
+from cventlab import cli
+try:
+    cli.main({args!r}, standalone_mode=False)
+except click.UsageError as exc:
+    assert exc.exit_code == 2, exc.exit_code
+else:
+    raise AssertionError("not refused")
+"""
+
+FIBER_GOLDEN = ["fiber", "--gamma", "1", "--m", "0.5", "--n", "2"]
+
 SCIPY_FREE_COMMANDS = [
     ["--version"],
-    ["fiber", "--gamma", "1", "--m", "0.5", "--n", "2"],
+    FIBER_GOLDEN,
     ["crypto", "simulate", "--x", "0.8", "--bits", "20000", "--seed", "7"],
     ["estimate", "--x", "0.5", "--trials", "20000", "--format", "json"],
     ["estimate", "--x", "0.9", "--nbar-t", "0.5", "--range", "nbar_t=0:1.5:7"],
@@ -48,31 +65,66 @@ SCIPY_FREE_CALLS = [
     "interferometry.mz_min_phase_numeric(0.01, 0.6)",
 ]
 
+NUMPY_FREE_COMMANDS = [
+    ["--version"],
+    FIBER_GOLDEN,
+    *([*command.split(), "--help"] for command in (
+        "", "estimate", "discriminate", "interfere", "crypto", "crypto errors",
+        "crypto simulate", "fiber")),
+]
 
-def scipy_modules_after(body: str) -> list[str]:
-    """Run ``body`` in a fresh interpreter; return the scipy modules it loaded."""
+NUMPY_FREE_REFUSALS = [
+    ["fiber", "--m", "abc"],  # click's conversion of an option
+    ["estimate", "--x", "nan"],  # the table's finiteness check of a grid point
+    ["crypto", "simulate", "--a", "0.5"],  # a required option missing
+]
+
+
+def modules_after(body: str, package: str) -> list[str]:
+    """Run ``body`` in a fresh interpreter; return the modules of ``package`` it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body)],
+        [sys.executable, "-c", PROBE.format(body=body, package=package)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.rstrip().splitlines()[-1]
-    assert last.startswith("SCIPY_MODULES="), proc.stdout
-    return json.loads(last[len("SCIPY_MODULES="):])
+    assert last.startswith("MODULES="), proc.stdout
+    return json.loads(last[len("MODULES="):])
 
 
 @pytest.mark.parametrize("module", ["cventlab", "cventlab.cli"])
 def test_import_loads_no_scipy(module):
-    assert scipy_modules_after(f"import {module}") == []
+    assert modules_after(f"import {module}", "scipy") == []
 
 
 @pytest.mark.parametrize("args", SCIPY_FREE_COMMANDS, ids=" ".join)
 def test_command_loads_no_scipy(args):
-    assert scipy_modules_after(RUN_CLI.format(args=args)) == []
+    assert modules_after(RUN_CLI.format(args=args), "scipy") == []
 
 
 @pytest.mark.parametrize("body", SCIPY_FREE_CALLS, ids=lambda b: b.split("\n")[1])
 def test_oracle_call_loads_no_scipy(body):
-    assert scipy_modules_after(body) == []
+    assert modules_after(body, "scipy") == []
+
+
+@pytest.mark.parametrize("module", ["cventlab", "cventlab.cli"])
+def test_import_loads_no_numpy(module):
+    assert modules_after(f"import {module}", "numpy") == []
+
+
+@pytest.mark.parametrize("args", NUMPY_FREE_COMMANDS, ids=" ".join)
+def test_command_loads_no_numpy(args):
+    assert modules_after(RUN_CLI.format(args=args), "numpy") == []
+
+
+@pytest.mark.parametrize("args", NUMPY_FREE_REFUSALS, ids=" ".join)
+def test_refused_argument_loads_no_numpy(args):
+    assert modules_after(RUN_CLI_REFUSED.format(args=args), "numpy") == []
+
+
+def test_probe_sees_numpy_loaded_in_a_row():
+    # the estimate row draws samples: the probe must report numpy there
+    args = ["estimate", "--x", "0.5", "--trials", "10"]
+    assert "numpy" in modules_after(RUN_CLI.format(args=args), "numpy")

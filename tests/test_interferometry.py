@@ -1,6 +1,7 @@
 """Tests for phase-perturbation detection (ideal NP and Mach-Zehnder schemes)."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -29,6 +30,14 @@ class TestNPDetectionProbability:
         q0s = np.linspace(0.0, 0.5, 50)
         vals = [itf.np_detection_probability(q, 0.5) for q in q0s]
         assert np.all(np.diff(vals) > 0)
+
+    # arguments where float ** 2, through glibc's pow, is one ulp off
+    @pytest.mark.parametrize("q0, kappa_sq",
+                             [(0.001, 0.582), (0.406, 0.772), (0.461, 0.856), (0.257, 0.61)])
+    def test_correctly_rounded_square(self, q0, kappa_sq):
+        s = math.sqrt(q0 * kappa_sq) + math.sqrt((1.0 - q0) * (1.0 - kappa_sq))
+        expected = float(Fraction(s) ** 2)
+        assert itf.np_detection_probability(q0, kappa_sq).hex() == expected.hex()
 
     def test_domain(self):
         with pytest.raises(ValueError):
