@@ -216,8 +216,8 @@ def estimate(g, seed):
         "threshold_nbar": est.convenience_threshold(g["x"]),
         "rms_entangled": sim.rms_entangled,
         "rms_unentangled": sim.rms_unentangled,
-        "diff_entangled": sim.rms_entangled**2 - v.entangled,
-        "diff_unentangled": sim.rms_unentangled**2 - v.unentangled,
+        "diff_entangled": sim.rms_entangled * sim.rms_entangled - v.entangled,
+        "diff_unentangled": sim.rms_unentangled * sim.rms_unentangled - v.unentangled,
     }
 
 

@@ -84,51 +84,6 @@ def _probe_state(setting: EstimationSetting, entangled: bool):
     return state
 
 
-_BLOCK = 1 << 15  # samples per block; a block and its scratch stay in cache
-
-
-def _correctly_rounded_mean(values: np.ndarray) -> float:
-    """``math.fsum(values) / len(values)`` for a 1-D array of floats, vectorised.
-
-    The sum is correctly rounded, so the result does not depend on the order
-    in which numpy adds, or on the build.  Each block is split by error-free
-    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189 (2008)):
-    ``hi = (v + sigma) - sigma`` with sigma a power of two above the block's
-    (size + 1) * max|v|, so every ``hi`` and every partial sum of them is a
-    multiple of ulp(sigma)/2 below sigma and ``np.sum(hi)`` is exact in any
-    order.  The remainder ``v - hi`` is exact too and is summed in floating
-    point, with the error bound gamma_(m-1) * m * ulp(sigma)/2 for any order.
-    ``math.fsum`` combines the block sums; if the accumulated bound could
-    change the rounding, or a block is out of the extraction's exponent range,
-    the mean falls back to ``math.fsum`` over all values.
-    """
-    n = len(values)
-    parts = []
-    bound = 0.0
-    scratch = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        block = values[start:start + _BLOCK]
-        m = len(block)
-        peak = max(block.max(), -block.min())
-        # sigma = 2**k = 2**bit_length(m) * 2**exponent(peak) > (m + 1) * peak
-        k = math.frexp(peak)[1] + m.bit_length()
-        # the range keeps sigma finite and ulp(sigma) and the bound normal
-        if not (math.isfinite(peak) and -900 <= k <= 1023):
-            return math.fsum(values) / n
-        sigma = math.ldexp(1.0, k)
-        hi = np.add(block, sigma, out=scratch[:m])
-        hi -= sigma
-        parts.append(float(hi.sum()))
-        parts.append(float(np.subtract(block, hi, out=hi).sum()))
-        # gamma_(m-1) * m * 2**(k-53) < m**2 * 2**(k-106); the spare factor 2
-        # covers the rounding of this running bound
-        bound += math.ldexp(m * m, k - 105)
-    low = math.fsum(parts + [-bound])
-    if low != math.fsum(parts + [bound]):
-        return math.fsum(values) / n
-    return low / n
-
-
 @dataclass(frozen=True)
 class EstimationSimulation:
     rms_entangled: float
@@ -145,8 +100,15 @@ def simulate_estimation(
     channels, so the RMS error converges to the conditional sigma.  Each
     squared error (Re d)^2 + (Im d)^2, d = z - alpha, is formed from
     elementwise IEEE operations only, not numpy's complex ``abs`` kernel, and
-    the mean is correctly rounded (``_correctly_rounded_mean``), so for a given
-    seed the result is the same on every numpy build.
+    the mean is correctly rounded (``gaussian_core._correctly_rounded_mean``),
+    so for a given seed the result is the same on every numpy build.
+
+    Working memory is 16 bytes per trial: the one whole array is a probe's
+    complex outcomes, which ``sample_heterodyne`` returns (it draws them block
+    by block).  d is formed and squared in place, (Re d)^2 + (Im d)^2 is
+    summed into the real parts, and the mean reads their strided view one
+    block at a time.  The first probe's array is freed before the second
+    probe is drawn.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -159,7 +121,10 @@ def simulate_estimation(
         samples -= setting.alpha
         d = samples.view(np.float64)  # Re d, Im d interleaved; squared in place
         d *= d
-        rms[label] = math.sqrt(_correctly_rounded_mean(d[0::2] + d[1::2]))
+        sq = d[0::2]
+        sq += d[1::2]
+        rms[label] = math.sqrt(gaussian_core._correctly_rounded_mean(sq))
+        del samples, d, sq
     return EstimationSimulation(
         rms_entangled=rms["ent"], rms_unentangled=rms["sep"], n_trials=n_trials
     )

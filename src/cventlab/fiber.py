@@ -160,18 +160,27 @@ def simulate_ou_variances(
     1/8), so an exact one-step OU update of samples drawn from the initial
     twin-beam Wigner function reproduces Sigma_pm^2(tau).  The mean of q^2 is
     correctly rounded, so a seed gives the same result on every numpy build.
+
+    Per quadrature the stream is all initial samples q0, then all kicks, so
+    q0 is held whole (8 bytes per sample) and updated in place: scaled by
+    the decay, the kicks added one block of ``gaussian_core._BLOCK`` at a
+    time, then squared.  It is freed before the next quadrature is drawn.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     import numpy as np  # here, so that the closed forms and the scan load no numpy
-    from cventlab.estimation import _correctly_rounded_mean
     gamma = _drift(M)
     rng = np.random.default_rng(seed)
     decay_amp = math.exp(-gamma * tau / 2.0)
-    kick_var = _thermal_variance(gamma, tau)
+    kick_sd = math.sqrt(_thermal_variance(gamma, tau))
     out = []
     for sigma0_sq in gaussian_core.TwinBeamParams(r0).epr_variances:
-        q0 = rng.normal(0.0, math.sqrt(sigma0_sq), size=n_samples)
-        q = decay_amp * q0 + rng.normal(0.0, math.sqrt(kick_var), size=n_samples)
-        out.append(_correctly_rounded_mean(q * q))
+        q = rng.normal(0.0, math.sqrt(sigma0_sq), size=n_samples)
+        q *= decay_amp
+        for start in range(0, n_samples, gaussian_core._BLOCK):
+            block = q[start:start + gaussian_core._BLOCK]
+            block += rng.normal(0.0, kick_sd, size=len(block))
+        q *= q
+        out.append(gaussian_core._correctly_rounded_mean(q))
+        del q, block
     return OUSimulation(Sigma_plus_sq=out[0], Sigma_minus_sq=out[1], n_samples=n_samples)

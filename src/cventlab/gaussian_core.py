@@ -154,12 +154,23 @@ def heterodyne_pdf(state: TwinBeamFamilyState, z: complex) -> float:
     return complex_gaussian_pdf(z, mu, delta_sq)
 
 
+# Samples per block of the Monte Carlo kernels; a block and its scratch stay
+# in cache.  Consecutive draws on one Generator continue one stream, so a
+# kernel that draws its samples block by block draws the same numbers.
+_BLOCK = 1 << 15
+
+
 def sample_heterodyne(
     state: TwinBeamFamilyState,
     n_samples: int,
     seed: int | np.random.SeedSequence,
 ) -> np.ndarray:
-    """Draw i.i.d. heterodyne outcomes; deterministic for a given seed."""
+    """Draw i.i.d. heterodyne outcomes; deterministic for a given seed.
+
+    The stream is all real parts, then all imaginary parts.  Only the
+    returned complex array (16 bytes per sample) is held whole; each part is
+    drawn into it one block of ``_BLOCK`` samples at a time.
+    """
     import numpy as np  # here, so that the package imports without numpy
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -168,9 +179,55 @@ def sample_heterodyne(
     scale = math.sqrt(delta_sq / 2.0)
     # filled part by part: re + 1j * im would multiply 0 by an infinite im
     out = np.empty(n_samples, dtype=complex)
-    out.real = rng.normal(mu.real, scale, size=n_samples)
-    out.imag = rng.normal(mu.imag, scale, size=n_samples)
+    for part, loc in ((out.real, mu.real), (out.imag, mu.imag)):
+        for start in range(0, n_samples, _BLOCK):
+            block = part[start:start + _BLOCK]
+            block[...] = rng.normal(loc, scale, size=len(block))
     return out
+
+
+def _correctly_rounded_mean(values: np.ndarray) -> float:
+    """``math.fsum(values) / len(values)`` for a 1-D array of floats, vectorised.
+
+    The sum is correctly rounded, so the result does not depend on the order
+    in which numpy adds, or on the build.  Each block is split by error-free
+    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189 (2008)):
+    ``hi = (v + sigma) - sigma`` with sigma a power of two above the block's
+    (size + 1) * max|v|, so every ``hi`` and every partial sum of them is a
+    multiple of ulp(sigma)/2 below sigma and ``np.sum(hi)`` is exact in any
+    order.  The remainder ``v - hi`` is exact too and is summed in floating
+    point, with the error bound gamma_(m-1) * m * ulp(sigma)/2 for any order.
+    ``math.fsum`` combines the block sums; if the accumulated bound could
+    change the rounding, or a block is out of the extraction's exponent range,
+    the mean falls back to ``math.fsum`` over all values.  ``values`` may be a
+    strided view; the only scratch is one block.
+    """
+    import numpy as np
+    n = len(values)
+    parts = []
+    bound = 0.0
+    scratch = np.empty(min(n, _BLOCK))
+    for start in range(0, n, _BLOCK):
+        block = values[start:start + _BLOCK]
+        m = len(block)
+        peak = max(block.max(), -block.min())
+        # sigma = 2**k = 2**bit_length(m) * 2**exponent(peak) > (m + 1) * peak
+        k = math.frexp(peak)[1] + m.bit_length()
+        # the range keeps sigma finite and ulp(sigma) and the bound normal
+        if not (math.isfinite(peak) and -900 <= k <= 1023):
+            return math.fsum(values) / n
+        sigma = math.ldexp(1.0, k)
+        hi = np.add(block, sigma, out=scratch[:m])
+        hi -= sigma
+        parts.append(float(hi.sum()))
+        parts.append(float(np.subtract(block, hi, out=hi).sum()))
+        # gamma_(m-1) * m * 2**(k-53) < m**2 * 2**(k-106); the spare factor 2
+        # covers the rounding of this running bound
+        bound += math.ldexp(m * m, k - 105)
+    low = math.fsum(parts + [-bound])
+    if low != math.fsum(parts + [bound]):
+        return math.fsum(values) / n
+    return low / n
 
 
 @dataclass(frozen=True)

@@ -153,16 +153,16 @@ def _values(kind: str, n: int) -> np.ndarray:
 class TestCorrectlyRoundedMean:
     """The Monte Carlo mean is math.fsum(values) / n in every summation order."""
 
-    @pytest.mark.parametrize("n", [1, est._BLOCK, est._BLOCK + 1, 10**6])
+    @pytest.mark.parametrize("n", [1, gaussian_core._BLOCK, gaussian_core._BLOCK + 1, 10**6])
     @pytest.mark.parametrize(
         "kind", ["zeros", "squared-errors", "huge-range", "tiny", "cancelling"]
     )
     def test_equals_fsum_and_ignores_order(self, kind, n):
         v = _values(kind, n)
-        mean = est._correctly_rounded_mean(v)
+        mean = gaussian_core._correctly_rounded_mean(v)
         assert mean.hex() == (math.fsum(v) / n).hex()
         shuffled = np.random.default_rng(7).permutation(v)
-        assert est._correctly_rounded_mean(shuffled).hex() == mean.hex()
+        assert gaussian_core._correctly_rounded_mean(shuffled).hex() == mean.hex()
 
     @pytest.mark.parametrize(
         "values, total",
@@ -176,7 +176,7 @@ class TestCorrectlyRoundedMean:
         n = len(values)
         assert math.fsum(values) == total
         for order in (values, values[::-1]):
-            got = est._correctly_rounded_mean(np.array(order))
+            got = gaussian_core._correctly_rounded_mean(np.array(order))
             assert got.hex() == (total / n).hex()
 
     def test_fallback_taken_only_near_a_tie(self, monkeypatch):
@@ -187,8 +187,8 @@ class TestCorrectlyRoundedMean:
             exact.append(isinstance(values, np.ndarray))
             return fsum(values)
 
-        monkeypatch.setattr(est.math, "fsum", spy)
-        est._correctly_rounded_mean(_values("squared-errors", 10**6))
+        monkeypatch.setattr(gaussian_core.math, "fsum", spy)
+        gaussian_core._correctly_rounded_mean(_values("squared-errors", 10**6))
         assert exact and not any(exact)
-        assert est._correctly_rounded_mean(np.array([1.0, 2.0**-53])) == 0.5
+        assert gaussian_core._correctly_rounded_mean(np.array([1.0, 2.0**-53])) == 0.5
         assert exact[-1]
