@@ -98,34 +98,19 @@ def separability_time_large_n(Gamma: float, M: float) -> float:
     return _log1p_over_2m(1.0, M) / Gamma
 
 
-def _scan_grid(tau_max: float, steps: int) -> list[float]:
-    """np.linspace(0.0, tau_max, steps).tolist() for steps >= 2, without numpy.
-
-    The same IEEE operations as numpy: point i is i * step + 0.0 and the last
-    is tau_max itself; where the step underflows to 0 (a subnormal tau_max),
-    point i is (i / div) * tau_max + 0.0, as in numpy's branch for that case.
-    """
-    div = steps - 1
-    step = tau_max / div
-    if step == 0:
-        taus = [i / div * tau_max + 0.0 for i in range(steps)]
-    else:
-        taus = [i * step + 0.0 for i in range(steps)]
-    taus[-1] = tau_max
-    return taus
-
-
 def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float | None:
     """Numeric separability threshold via PPT on a grid plus bisection.
 
     Independent of the closed forms: evolves the EPR variances forward and
-    applies the PPT test at each grid point, then bisects the first
-    entangled-to-separable transition down to a bracket of 1e-12.  Returns
-    that tau, or None when no transition lies in [0, tau_max].
+    applies the PPT test at each point of np.linspace(0, tau_max, steps),
+    which gaussian_core._linspace gives without numpy, as for every --range
+    grid; then bisects the first entangled-to-separable transition down to a
+    bracket of 1e-12.  Returns that tau, or None when no transition lies in
+    [0, tau_max].
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    taus = _scan_grid(tau_max, steps)
+    taus = gaussian_core._linspace(0.0, tau_max, steps)
 
     def separable(tau: float) -> bool:
         return gaussian_core.ppt_separable(evolved_state(r0, M, tau), tol=0.0).separable

@@ -17,14 +17,14 @@ sector's eigenvalues and v the squared last row of its eigenvectors, the
 weights of |p, p> on them.  The rows the truncation cuts never enter D_p, so
 it is the same at every d_max.
 
-(w, v) depend on p alone, not on phi, the state or the truncation.  Those
-of p <= D_MAX_CAP (the cap of default_d_max) are computed the first time
-sector p is occupied and kept read-only for the process, 0.33 MB at the
-cap; a sector past it, which only an explicit d_max above the cap reaches,
-is diagonalized on every evolution.  An unoccupied sector is never
-diagonalized.  As w holds integers, one evolution takes its phases from one
-table of exp(i phi k); the sums over i are numpy's fixed-order reduceat,
-not a BLAS product, so LAPACK's eigh is the only library call in the oracle.
+(w, v) depend on p alone, not on phi, the state or the truncation.  They
+are computed the first time sector p is occupied and kept read-only for the
+process, 16 (p + 1) bytes: 0.33 MB up to D_MAX_CAP (the cap of
+default_d_max), and up to any d at most half the 16 (d + 1)^2 bytes of the
+state that occupies them.  An unoccupied sector is never diagonalized.  As
+w holds integers, one evolution takes its phases from one table of
+exp(i phi k); the sums over i are numpy's fixed-order reduceat, not a BLAS
+product, so LAPACK's eigh is the only library call in the oracle.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -42,7 +42,7 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-D_MAX_CAP = 200  # the cap of default_d_max; the sectors p <= D_MAX_CAP are kept
+D_MAX_CAP = 200  # the cap of default_d_max
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _sector(p: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-_kept_sector = functools.cache(_sector)  # p -> (w, v) for p <= D_MAX_CAP, for the process
+_kept_sector = functools.cache(_sector)  # p -> (w, v) of every sector occupied, for the process
 
 
 def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
@@ -137,7 +137,7 @@ def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
     occupied = np.flatnonzero(diag)
     if occupied.size == 0:
         return out
-    sectors = [_kept_sector(p) if p <= D_MAX_CAP else _sector(p) for p in occupied.tolist()]
+    sectors = [_kept_sector(p) for p in occupied.tolist()]
     w, v = (np.concatenate(parts) for parts in zip(*sectors))
     top = 2 * int(occupied[-1])  # the largest |w| there
     with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises

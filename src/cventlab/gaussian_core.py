@@ -160,6 +160,26 @@ def heterodyne_pdf(state: TwinBeamFamilyState, z: complex) -> float:
 _BLOCK = 1 << 15
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 1, without numpy.
+
+    The same IEEE operations as numpy: point i is i * step + start, or
+    i / div * delta + start where the step underflows to 0 (a subnormal
+    span), and the last point is stop itself; one point is 0.0 * delta + start.
+    """
+    delta = stop - start
+    div = num - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def sample_heterodyne(
     state: TwinBeamFamilyState,
     n_samples: int,

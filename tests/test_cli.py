@@ -277,24 +277,42 @@ class TestSweeps:
         assert "Error: Invalid value: sweep key 'x' is given twice" in out.stderr
 
     def test_grid_too_large_for_memory(self):
-        # numpy's 7.11 PiB allocation is refused at once, with a MemoryError:
-        # a numerical failure that names the command and the --range spec
+        # 10**15 points (7.11 PiB as a numpy array) are refused by their
+        # count, before any point is computed: a bad argument naming the spec
         spec = "x=0:0.5:1000000000000000"
         out = run_cli(["estimate", "--x", "0.5", "--range", spec])
-        assert out.exit_code == 1
+        assert out.exit_code == 2
         assert out.stdout == ""
-        assert out.stderr.startswith(f"numerical failure: estimate at --range {spec}: ")
-        assert out.stderr.count("\n") == 1
+        assert f"Error: Invalid value: range {spec!r} is too large" in out.stderr
 
     @pytest.mark.parametrize("steps", [2**62, 2**63, 10**30])
     def test_grid_past_numpy_length_bound(self, steps):
-        # numpy refuses these lengths before allocating (ValueError, or an
-        # IndexError past 2**63): a bad argument that says the grid is too large
+        # lengths that numpy could not even index: a bad argument that says
+        # the grid is too large
         spec = f"x=0:0.5:{steps}"
         out = run_cli(["estimate", "--x", "0.5", "--range", spec])
         assert out.exit_code == 2
         assert out.stdout == ""
         assert f"Error: Invalid value: range {spec!r} is too large" in out.stderr
+
+    @pytest.mark.parametrize("ranges, n_rows", [
+        (["x=0.2:0.4:2", "nbar_t=0:1:3"], 6),
+        (["x=0.2:0.4:7"], None),
+        (["x=0.2:0.4:3", "nbar_t=0:1:3"], None),
+    ])
+    def test_grid_refused_by_its_point_count(self, monkeypatch, ranges, n_rows):
+        # at a cap of 6 points a 2 x 3 grid runs; 7 points, or 3 x 3, exit 2
+        monkeypatch.setattr(cli, "_MAX_POINTS", 6)
+        args = ["estimate", "--x", "0.5", "--trials", "10", "--format", "json"]
+        out = run_cli([*args, *(word for spec in ranges for word in ("--range", spec))])
+        if n_rows is not None:
+            assert out.exit_code == 0
+            assert json.loads(out.stdout)["meta"]["n_rows"] == n_rows
+        else:
+            assert out.exit_code == 2
+            assert out.stdout == ""
+            assert f"Error: Invalid value: range {ranges[-1]!r} is too large" in out.stderr
+            assert "points, more than 6" in out.stderr
 
 
 class TestErrorHandling:

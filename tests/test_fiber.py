@@ -18,10 +18,12 @@ def mp_sigma_minus_sq(r0, m, tau):
         return decay * mpmath.exp(-2 * mpmath.mpf(r0)) / 4 + (1 - decay) / (4 * gamma)
 
 
-def assert_grid_is_numpy_linspace(tau_max, steps):
-    """The scan's grid is np.linspace(0, tau_max, steps) bit for bit, signs of zero too."""
-    expected = np.linspace(0.0, tau_max, steps).tolist()
-    assert [t.hex() for t in fiber._scan_grid(tau_max, steps)] == [t.hex() for t in expected]
+def assert_grid_is_numpy_linspace(start, stop, num):
+    """The grid of the scan and of --range is np.linspace bit for bit, signed zeros and nan too."""
+    with np.errstate(all="ignore"):  # an infinite span makes numpy's first point nan
+        expected = np.linspace(start, stop, num).tolist()
+    got = gaussian_core._linspace(start, stop, num)
+    assert [t.hex() for t in got] == [t.hex() for t in expected]
 
 
 class TestEvolveVariances:
@@ -148,14 +150,22 @@ class TestScan:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(tau_max=st.floats(0.0, 1e308), steps=st.integers(2, 1024))
     def test_grid_is_numpy_linspace(self, tau_max, steps):
-        assert_grid_is_numpy_linspace(tau_max, steps)
+        assert_grid_is_numpy_linspace(0.0, tau_max, steps)
 
     # at 5e-324 and 4 steps the step underflows to 0: i * step would give
     # [0, 0, 0, 5e-324], numpy's (i / div) * tau_max gives [0, 0, 5e-324, 5e-324]
     @pytest.mark.parametrize("steps", [2, 3, 4, 7, 256, 1023, 1024])
     @pytest.mark.parametrize("tau_max", [0.0, 5e-324, 3.5e-323, 1.0, 3.4138244104, 1e308])
     def test_grid_edges_are_numpy_linspace(self, tau_max, steps):
-        assert_grid_is_numpy_linspace(tau_max, steps)
+        assert_grid_is_numpy_linspace(0.0, tau_max, steps)
+
+    def test_scan_uses_the_one_linspace(self, monkeypatch):
+        calls = []
+        linspace = gaussian_core._linspace
+        monkeypatch.setattr(gaussian_core, "_linspace",
+                            lambda *args: calls.append(args) or linspace(*args))
+        assert fiber.scan_separability(1.0, 0.5, tau_max=5.0, steps=64) is not None
+        assert calls == [(0.0, 5.0, 64)]
 
     def test_no_linalg_call(self, monkeypatch):
         # the scan works on the EPR variances alone
@@ -166,6 +176,27 @@ class TestScan:
                                     lambda *a, _name=name, **k: calls.append(_name))
         assert fiber.scan_separability(1.0, 0.5, tau_max=5.0, steps=64) is not None
         assert calls == []
+
+
+class TestLinspace:
+    """gaussian_core._linspace, the grid of every --range sweep and of the scan."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(start=st.floats(-1e308, 1e308), stop=st.floats(-1e308, 1e308),
+           num=st.integers(1, 1024))
+    def test_is_numpy_linspace(self, start, stop, num):
+        assert_grid_is_numpy_linspace(start, stop, num)
+
+    # -1e308:1e308 spans inf, so its first point is 0 * inf + start = nan, as
+    # in numpy; the subnormal spans have a step that underflows to 0
+    @pytest.mark.parametrize("num", [1, 2, 3, 4, 7, 256, 1023])
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.5, 1.5), (0.2, 0.8),
+        (-3.0, 2.5), (7.0, -1.0), (-1e308, 1e308), (1e308, -1e308),
+        (5e-324, 1e-323), (-5e-324, 5e-324), (1e-320, 0.0), (3.5e-323, -3.5e-323),
+    ])
+    def test_edges_are_numpy_linspace(self, start, stop, num):
+        assert_grid_is_numpy_linspace(start, stop, num)
 
 
 class TestOUSimulation:

@@ -437,32 +437,37 @@ class TestEigensystemMemo:
         assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.6)
         assert fo._kept_sector.cache_info().currsize == state.d_max + 1
 
-    def test_blocks_past_the_cap_are_diagonalized_where_occupied(
-        self, sectors, eigh_sizes, monkeypatch
-    ):
-        # at a cap of 8 the sectors p <= 8 are kept and the others are not; of
-        # these, p = 9, 18 and 40 are occupied, and are diagonalized on every call
-        monkeypatch.setattr(fo, "D_MAX_CAP", 8)
-        state = diagonal_state(40, 5, (3, 7, 8, 9, 18, 40))
+    def test_blocks_past_the_cap_are_diagonalized_where_occupied(self, sectors, eigh_sizes):
+        # the sectors p = 3, 7, 200, 201 and 206 are occupied, two of them past
+        # the cap of default_d_max: each is kept, and diagonalized once
+        cap = fo.D_MAX_CAP
+        ps = (3, 7, cap, cap + 1, cap + 6)
+        state = diagonal_state(cap + 6, 5, ps)
         first = fo.apply_jx_evolution(state, 0.3)
-        assert sorted(sectors) == [3, 7, 8]
-        past = [10, 19, 41]
-        assert eigh_sizes == [4, 8, 9] + past
+        assert sorted(sectors) == list(ps)
+        assert eigh_sizes == [p + 1 for p in ps]
         eigh_sizes.clear()
         again = fo.apply_jx_evolution(state, 0.3)
-        assert eigh_sizes == past
-        assert fo._kept_sector.cache_info().currsize == 3
+        assert eigh_sizes == []
+        assert fo._kept_sector.cache_info().currsize == len(ps)
         assert np.array_equal(again, first)
-        assert_matches_dense(state, 0.3)
+        # and each entry is a_p D_p, with D_p from a fresh eigensystem
+        a = state.amps.diagonal()
+        for p in ps:
+            w, v = fo._sector(p)
+            assert again[p] == pytest.approx(a[p] * np.sum(v * np.exp(0.3j * w)), abs=1e-13)
 
     @pytest.mark.parametrize("p", [7, fo.D_MAX_CAP + 6, 2 * fo.D_MAX_CAP + 1,
                                    2 * fo.D_MAX_CAP + 6])
-    def test_eigensystem_is_read_only(self, sectors, p):
-        # a kept sector, and three past the cap: |p, p> alone, at d = p
-        fo.apply_jx_evolution(diagonal_state(p, p, [p]), 0.3)
-        kept = p <= fo.D_MAX_CAP
-        assert list(sectors) == ([p] if kept else [])
-        for a in (*sectors.get(p, ()), *fo._sector(p)):
+    def test_eigensystem_is_read_only(self, sectors, eigh_sizes, p):
+        # |p, p> alone, at d = p, below and past the cap: the sector is kept,
+        # and diagonalized once over two evolutions
+        state = diagonal_state(p, p, [p])
+        fo.apply_jx_evolution(state, 0.3)
+        fo.apply_jx_evolution(state, -0.3)
+        assert list(sectors) == [p]
+        assert eigh_sizes == [p + 1]
+        for a in (*sectors[p], *fo._sector(p)):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -502,7 +507,7 @@ def kept_bytes(sectors):
 
 
 class TestSectorLayout:
-    """What is kept per sector p <= D_MAX_CAP: (w, v), 16 (p + 1) bytes, read-only."""
+    """What is kept per occupied sector p: (w, v), 16 (p + 1) bytes, read-only."""
 
     def test_zero_state_calls_eigh_zero_times(self, sectors, eigh_sizes):
         state = fo.FockTwoModeState(np.zeros((12, 12)), 11)

@@ -4,7 +4,8 @@ scipy is a test-only dependency.  Every CLI call is a fresh process, and
 importing scipy costs more than the rest of the package together.  numpy
 about doubles the time of a run that does not use it, so ``import cventlab``,
 ``--version``, every help page, a refused argument and ``fiber`` (scalar math
-only) load none of it; the other commands load it inside their rows.  Each
+only, with or without ``--range``) load none of it; the other commands load
+it inside their rows.  Each
 check runs in a fresh interpreter so the modules loaded by other tests do not
 leak in.
 """
@@ -68,6 +69,7 @@ SCIPY_FREE_CALLS = [
 NUMPY_FREE_COMMANDS = [
     ["--version"],
     FIBER_GOLDEN,
+    ["fiber", "--m", "0.5", "--n", "2", "--range", "m=0.25:1:4"],
     *([*command.split(), "--help"] for command in (
         "", "estimate", "discriminate", "interfere", "crypto", "crypto errors",
         "crypto simulate", "fiber")),
