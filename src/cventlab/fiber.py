@@ -14,7 +14,7 @@ the closed-form threshold where the squeezed variance crosses 1/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cventlab import gaussian_core
 
@@ -42,7 +42,7 @@ def evolve_variances(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamF
     """The twin-beam after rescaled time tau in the fibers, as its EPR variances."""
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    plus, minus = gaussian_core.TwinBeamParams(r0).epr_variances  # checks r0 >= 0
+    plus, minus = gaussian_core._epr_variances(r0)  # checks r0 >= 0
     gamma = _drift(M)
     decay = math.exp(-gamma * tau)
     d_sq = _thermal_variance(gamma, tau)
@@ -128,8 +128,7 @@ def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float 
     return None
 
 
-@dataclass(frozen=True)
-class OUSimulation:
+class OUSimulation(NamedTuple):
     Sigma_plus_sq: float
     Sigma_minus_sq: float
     n_samples: int
@@ -159,7 +158,7 @@ def simulate_ou_variances(
     decay_amp = math.exp(-gamma * tau / 2.0)
     kick_sd = math.sqrt(_thermal_variance(gamma, tau))
     out = []
-    for sigma0_sq in gaussian_core.TwinBeamParams(r0).epr_variances:
+    for sigma0_sq in gaussian_core._epr_variances(r0):
         q = rng.normal(0.0, math.sqrt(sigma0_sq), size=n_samples)
         q *= decay_amp
         for start in range(0, n_samples, gaussian_core._BLOCK):

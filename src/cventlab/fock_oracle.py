@@ -18,13 +18,18 @@ weights of |p, p> on them.  The rows the truncation cuts never enter D_p, so
 it is the same at every d_max.
 
 (w, v) depend on p alone, not on phi, the state or the truncation.  They
-are computed the first time sector p is occupied and kept read-only for the
-process, 16 (p + 1) bytes: 0.33 MB up to D_MAX_CAP (the cap of
-default_d_max), and up to any d at most half the 16 (d + 1)^2 bytes of the
-state that occupies them.  An unoccupied sector is never diagonalized.  As
-w holds integers, one evolution takes its phases from one table of
-exp(i phi k); the sums over i are numpy's fixed-order reduceat, not a BLAS
-product, so LAPACK's eigh is the only library call in the oracle.
+are kept for the process in one prefix table: sector p's p + 1 entries sit
+at offset p (p + 1) / 2 of two flat read-only arrays, w as intp and v as
+float64, so sectors 0 ... top take 8 (top + 1)(top + 2) bytes: 97,680 B at
+d_max = 109, 0.33 MB up to D_MAX_CAP (the cap of default_d_max), and up to
+any d at most 8 (d + 1)(d + 2), about half the 16 (d + 1)^2 bytes of the
+state that occupies them.  A sector is diagonalized the first time it is
+occupied, and an unoccupied one never: its slot holds v = 0.  The table is
+reallocated once per evolution that needs a new sector or a higher top.
+An evolution runs over the prefix up to its top sector; as w holds
+integers, it takes its phases from one table of exp(i phi k), and the sums
+over i are numpy's fixed-order reduceat over the per-sector segments, not a
+BLAS product, so LAPACK's eigh is the only library call in the oracle.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -34,7 +39,6 @@ overlap tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,8 +85,7 @@ def twin_beam_fock(x: float, d_max: int) -> FockTwoModeState:
     if d_max < 0:
         raise ValueError(f"d_max must be >= 0, got {d_max}")
     amps = np.zeros((d_max + 1, d_max + 1), dtype=complex)
-    p = np.arange(d_max + 1)
-    amps[p, p] = math.sqrt(1.0 - x * x) * x ** p
+    amps.reshape(-1)[:: d_max + 2] = math.sqrt(1.0 - x * x) * x ** np.arange(d_max + 1)
     return FockTwoModeState(amps, d_max)
 
 
@@ -111,11 +114,48 @@ def _sector(p: int) -> tuple[np.ndarray, np.ndarray]:
     # oracle is checked against.
     w = 2 * np.rint(0.5 * w).astype(np.intp)
     v = u[-1] ** 2  # |p, p> is the sector's last basis vector
-    w.flags.writeable = v.flags.writeable = False
     return w, v
 
 
-_kept_sector = functools.cache(_sector)  # p -> (w, v) of every sector occupied, for the process
+class _SectorTable:
+    """(w, v) of every sector occupied so far, sector p at offset p (p + 1) / 2.
+
+    One object for the process; growing it rebinds its arrays, never the
+    module's name.  ``kept`` marks the sectors diagonalized, ``starts`` holds
+    the offsets; all four arrays are read-only.
+    """
+
+    def __init__(self):
+        self.kept = np.zeros(0, dtype=bool)
+        self.starts = np.zeros(0, dtype=np.intp)
+        self.w = np.zeros(0, dtype=np.intp)
+        self.v = np.zeros(0)
+
+    def prefix(self, occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, v, starts) of the sectors 0 ... occupied[-1], every occupied one filled."""
+        top = int(occupied[-1])
+        if top >= self.kept.size or not self.kept[occupied].all():
+            self._fill(occupied)
+        end = (top + 1) * (top + 2) // 2
+        return self.w[:end], self.v[:end], self.starts[: top + 1]
+
+    def _fill(self, occupied: np.ndarray) -> None:
+        size = max(self.kept.size, int(occupied[-1]) + 1)
+        p = np.arange(size)
+        starts = p * (p + 1) // 2
+        kept = np.zeros(size, dtype=bool)
+        w = np.zeros(size * (size + 1) // 2, dtype=np.intp)
+        v = np.zeros(w.size)
+        kept[: self.kept.size], w[: self.w.size], v[: self.v.size] = self.kept, self.w, self.v
+        for q in occupied[~kept[occupied]].tolist():
+            w[starts[q]: starts[q] + q + 1], v[starts[q]: starts[q] + q + 1] = _sector(q)
+        kept[occupied] = True
+        for a in (kept, starts, w, v):
+            a.flags.writeable = False
+        self.kept, self.starts, self.w, self.v = kept, starts, w, v
+
+
+_TABLE = _SectorTable()
 
 
 def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
@@ -128,23 +168,24 @@ def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
     overflows raises FloatingPointError.
     """
     amps = state.amps
-    if not np.isfinite(amps).all():
+    # every real and imaginary part as one float array: a view at any order
+    # and sign of the strides, a copy where the amplitudes are not contiguous
+    parts = amps.ravel(order="K").view(np.float64)
+    if not np.isfinite(parts).all():
         raise ValueError("the Fock oracle evolves states with finite amplitudes only")
     diag = amps.diagonal()
-    if np.count_nonzero(amps) != np.count_nonzero(diag):
+    if np.count_nonzero(parts) != np.count_nonzero(diag.real) + np.count_nonzero(diag.imag):
         raise ValueError("the Fock oracle evolves diagonal states sum_p a_p |p, p> only")
     out = np.zeros_like(diag)
     occupied = np.flatnonzero(diag)
     if occupied.size == 0:
         return out
-    sectors = [_kept_sector(p) for p in occupied.tolist()]
-    w, v = (np.concatenate(parts) for parts in zip(*sectors))
+    w, v, starts = _TABLE.prefix(occupied)
     top = 2 * int(occupied[-1])  # the largest |w| there
     with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises
         phases = np.exp(1j * phi * np.arange(-top, top + 1.0))  # exp(i phi k), |k| <= top
-    sizes = occupied + 1
-    survival = np.add.reduceat(v * phases[w + top], np.cumsum(sizes) - sizes)  # D_p
-    out[occupied] = diag[occupied] * survival
+    survival = np.add.reduceat(v * phases[w + top], starts)  # D_p
+    out[occupied] = diag[occupied] * survival[occupied]
     return out
 
 
@@ -161,4 +202,4 @@ def overlap(a: np.ndarray, b: np.ndarray) -> complex:
 
 def zero_difference_probability(diag: np.ndarray) -> float:
     """Probability of zero difference photocurrent, sum_n |<n,n|psi>|^2, from the diagonal."""
-    return float(np.sum(np.abs(diag) ** 2))
+    return float(np.add.reduce(np.abs(diag) ** 2))

@@ -15,8 +15,7 @@ detection of the joint photocurrent measures the commuting pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,17 +28,27 @@ class NonPhysicalStateError(ValueError):
     """Covariance matrix violates the bona fide state condition."""
 
 
-@dataclass(frozen=True)
-class TwinBeamParams:
+def _squeezing(r0: float) -> float:
+    """r0 as a float, checked to be >= 0."""
+    r0 = float(r0)
+    if not r0 >= 0:
+        raise ValueError(f"squeezing parameter must be >= 0, got {r0}")
+    return r0
+
+
+def _epr_variances(r0: float) -> tuple[float, float]:
+    """(Sigma_plus_sq, Sigma_minus_sq) = (e^{2 r0}/4, e^{-2 r0}/4) of a twin-beam, r0 checked."""
+    r0 = _squeezing(r0)
+    return math.exp(2.0 * r0) / 4.0, math.exp(-2.0 * r0) / 4.0
+
+
+class TwinBeamParams(NamedTuple("TwinBeamParams", [("r0", float)])):
     """Squeezing of a twin-beam: r0, with x = tanh r0 and N = 2 sinh^2 r0."""
 
-    r0: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        r0 = float(self.r0)
-        if not r0 >= 0:
-            raise ValueError(f"squeezing parameter must be >= 0, got {r0}")
-        object.__setattr__(self, "r0", r0)
+    def __new__(cls, r0: float) -> "TwinBeamParams":
+        return super().__new__(cls, _squeezing(r0))
 
     @property
     def x(self) -> float:
@@ -69,28 +78,26 @@ class TwinBeamParams:
     @property
     def epr_variances(self) -> tuple[float, float]:
         """(Sigma_plus_sq, Sigma_minus_sq) = (e^{2 r0}/4, e^{-2 r0}/4) of the twin-beam."""
-        return math.exp(2.0 * self.r0) / 4.0, math.exp(-2.0 * self.r0) / 4.0
+        return _epr_variances(self.r0)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(NamedTuple("NoiseParams", [("nbar", float)])):
     """Gaussian noise channel with complex-plane variance nbar.
 
     nbar is the mean thermal photon number of the random-displacement
     channel; each quadrature variance grows by nbar/2.
     """
 
-    nbar: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        nbar = float(self.nbar)
+    def __new__(cls, nbar: float) -> "NoiseParams":
+        nbar = float(nbar)
         if not nbar >= 0:
             raise ValueError(f"nbar must be >= 0, got {nbar}")
-        object.__setattr__(self, "nbar", nbar)
+        return super().__new__(cls, nbar)
 
 
-@dataclass(frozen=True)
-class TwinBeamFamilyState:
+class TwinBeamFamilyState(NamedTuple):
     """Twin-beam family state given by its EPR variances and heterodyne mean.
 
     Sigma_plus_sq is the variance of (x1 + x2)/sqrt(2) and (y1 - y2)/sqrt(2),
@@ -110,7 +117,7 @@ class TwinBeamFamilyState:
 
     def displaced(self, alpha: complex) -> "TwinBeamFamilyState":
         """Displace mode 1 by alpha: the heterodyne mean shifts by alpha."""
-        return replace(self, mean=self.mean + complex(alpha))
+        return self._replace(mean=self.mean + complex(alpha))
 
     def with_noise(self, noise: NoiseParams, modes: int = 2) -> "TwinBeamFamilyState":
         """Gaussian noise channel on mode 1 (modes=1) or on both modes (modes=2).
@@ -124,8 +131,8 @@ class TwinBeamFamilyState:
         if modes not in (1, 2):
             raise ValueError(f"modes must be 1 or 2, got {modes!r}")
         added = modes * noise.nbar / 4.0
-        return replace(self, Sigma_plus_sq=self.Sigma_plus_sq + added,
-                       Sigma_minus_sq=self.Sigma_minus_sq + added)
+        return self._replace(Sigma_plus_sq=self.Sigma_plus_sq + added,
+                             Sigma_minus_sq=self.Sigma_minus_sq + added)
 
 
 def make_twin_beam(params: TwinBeamParams) -> TwinBeamFamilyState:
@@ -250,8 +257,7 @@ def _correctly_rounded_mean(values: np.ndarray) -> float:
     return low / n
 
 
-@dataclass(frozen=True)
-class SeparabilityResult:
+class SeparabilityResult(NamedTuple):
     separable: bool
     witness: float  # smallest symplectic eigenvalue of the transposed covariance
 

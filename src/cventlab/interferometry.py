@@ -99,10 +99,10 @@ def mz_zero_count_probability(x: float, phi: float, d_max: int | None = None) ->
     """
     from cventlab import fock_oracle  # here, so that the closed forms load no numpy
     tail_tol = 1e-10
-    if d_max is None:
-        d_max = fock_oracle.default_d_max(x, tail_tol)
-    state = fock_oracle.twin_beam_fock(x, d_max)
     suggested = fock_oracle.default_d_max(x, tail_tol, cap=10**6)
+    if d_max is None:
+        d_max = min(suggested, fock_oracle.D_MAX_CAP)  # default_d_max(x, tail_tol)
+    state = fock_oracle.twin_beam_fock(x, d_max)
     if d_max < suggested:
         raise TruncationError(
             f"truncation tail {x ** (2 * (d_max + 1)):.3e} above {tail_tol:.1e}; "

@@ -140,6 +140,34 @@ class TestScan:
             assert tau_scan is not None
             assert tau_scan == pytest.approx(tau_s, abs=1e-8)
 
+    def test_matches_an_inline_scan(self):
+        # evolve_variances and ppt_separable at each grid point, then the bisection
+        def inline_scan(r0, m, tau_max, steps):
+            def separable(tau):
+                state = fiber.evolve_variances(r0, m, tau)
+                return gaussian_core.ppt_separable(state, tol=0.0).separable
+
+            taus = gaussian_core._linspace(0.0, tau_max, steps)
+            for lo, hi in zip(taus[:-1], taus[1:]):
+                if separable(hi):
+                    while hi - lo > 1e-12:
+                        mid = (lo + hi) / 2.0
+                        lo, hi = (lo, mid) if separable(mid) else (mid, hi)
+                    return (lo + hi) / 2.0
+            return None
+
+        rng = np.random.default_rng(404)
+        found = 0
+        for _ in range(400):
+            r0 = float(rng.uniform(0.01, 3.0))
+            m = float(10.0 ** rng.uniform(-3.0, 1.0))
+            tau_max = float(rng.uniform(0.1, 6.0))
+            steps = int(rng.integers(2, 300))
+            got = fiber.scan_separability(r0, m, tau_max, steps)
+            assert got == inline_scan(r0, m, tau_max, steps)
+            found += got is not None
+        assert 100 < found < 300  # both outcomes are exercised
+
     def test_no_transition_at_zero_temperature(self):
         assert fiber.scan_separability(1.0, 0.0, tau_max=1000.0, steps=501) is None
 

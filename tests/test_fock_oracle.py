@@ -286,7 +286,7 @@ class TestSwapSectorKernel:
             assert_matches_dense(state, phi)
             assert np.flatnonzero(fo.apply_jx_evolution(state, phi)).tolist() == [7]
 
-    def test_x_zero_at_an_explicit_d_max(self, sectors, eigh_sizes):
+    def test_x_zero_at_an_explicit_d_max(self, table, eigh_sizes):
         # the vacuum at d = 20: sector 0 alone is occupied and diagonalized
         state = fo.twin_beam_fock(0.0, 20)
         out = fo.apply_jx_evolution(state, 0.9)
@@ -351,16 +351,20 @@ class TestZeroDifferenceProbability:
 
 
 @pytest.fixture
-def sectors(monkeypatch):
-    """The sectors kept during the test, p -> (w, v), in a fresh cache."""
-    kept = {}
+def table(monkeypatch):
+    """A fresh sector table for the test, in place of the process's own."""
+    fresh = fo._SectorTable()
+    monkeypatch.setattr(fo, "_TABLE", fresh)
+    return fresh
 
-    def recording(p):
-        kept[p] = fo._sector(p)
-        return kept[p]
 
-    monkeypatch.setattr(fo, "_kept_sector", functools.cache(recording))
-    return kept
+def kept_sectors(table):
+    """The sectors p whose (w, v) the table holds."""
+    return np.flatnonzero(table.kept).tolist()
+
+
+def table_arrays(table):
+    return table.kept, table.starts, table.w, table.v
 
 
 @pytest.fixture
@@ -383,28 +387,28 @@ def twin_beam_sector_sizes(x):
 
 
 class TestEigensystemMemo:
-    def test_memoized_evolution_is_bit_identical(self, sectors, eigh_sizes):
+    def test_memoized_evolution_is_bit_identical(self, table, eigh_sizes):
         # a random diagonal state occupies every sector p <= d = 13
         state = diagonal_state(13, 21)
         fresh = fo.apply_jx_evolution(state, 0.7)
-        assert sorted(sectors) == list(range(14))
+        assert kept_sectors(table) == list(range(14))
         assert eigh_sizes == list(range(1, 15))
         eigh_sizes.clear()
         memoized = fo.apply_jx_evolution(state, 0.7)
         assert eigh_sizes == []
         assert np.array_equal(memoized, fresh)
 
-    def test_shared_sectors_are_bit_identical(self, sectors, eigh_sizes):
+    def test_shared_sectors_are_bit_identical(self, table, eigh_sizes, monkeypatch):
         # sectors kept at d = 20 and shared at d = 30 evolve as fresh ones do
         fo.apply_jx_evolution(diagonal_state(20, 1), 0.4)
         assert len(eigh_sizes) == 21
         state = diagonal_state(30, 2)
         shared = fo.apply_jx_evolution(state, 0.4)
         assert eigh_sizes == list(range(1, 32))  # only the sectors 21 ... 30 added
-        fo._kept_sector.cache_clear()
+        monkeypatch.setattr(fo, "_TABLE", fo._SectorTable())
         assert np.array_equal(fo.apply_jx_evolution(state, 0.4), shared)
 
-    def test_interfere_row_diagonalizes_each_sector_once(self, sectors, eigh_sizes):
+    def test_interfere_row_diagonalizes_each_sector_once(self, table, eigh_sizes):
         # the row evolves the twin-beam twice: for P(d=0) and for the overlap
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.9", "--phi", "0.3"],
                                  catch_exceptions=False)
@@ -412,7 +416,7 @@ class TestEigensystemMemo:
         # d_max = 109: the sectors p = 0 ... 109
         assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.9) == list(range(1, 111))
 
-    def test_range_sweep_diagonalizes_each_sector_once(self, sectors, eigh_sizes):
+    def test_range_sweep_diagonalizes_each_sector_once(self, table, eigh_sizes):
         # five truncations, d = 16 ... 109, share the sectors of the smaller ones
         out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.5", "--phi", "0.3",
                                             "--range", "x=0.5:0.9:5"],
@@ -421,7 +425,7 @@ class TestEigensystemMemo:
         assert len(out.output.splitlines()) == 6
         assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.9)
 
-    def test_repeat_solve_calls_eigh_zero_times(self, sectors, eigh_sizes):
+    def test_repeat_solve_calls_eigh_zero_times(self, table, eigh_sizes):
         first = itf.mz_min_phase_numeric(0.01, 0.6)
         assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.6)
         eigh_sizes.clear()
@@ -429,28 +433,37 @@ class TestEigensystemMemo:
         assert eigh_sizes == []
 
     def test_kept_sectors_live_in_one_process_cache(self, eigh_sizes):
-        # the module's own cache, which the other tests swap for a fresh one
-        fo._kept_sector.cache_clear()
+        # the module's own table, which the other tests swap for a fresh one:
+        # one object, which diagonalizes only the sectors it did not yet hold
+        table = fo._TABLE
+        before = table.kept.copy()
         state = fo.twin_beam_fock(0.6, fo.default_d_max(0.6))
         first = fo.apply_jx_evolution(state, 0.2)
         assert np.array_equal(fo.apply_jx_evolution(state, 0.2), first)
-        assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.6)
-        assert fo._kept_sector.cache_info().currsize == state.d_max + 1
+        assert fo._TABLE is table
+        added = [p + 1 for p in range(state.d_max + 1) if p >= before.size or not before[p]]
+        assert sorted(eigh_sizes) == added
+        assert table.kept[: state.d_max + 1].all()
 
-    def test_blocks_past_the_cap_are_diagonalized_where_occupied(self, sectors, eigh_sizes):
+    def test_blocks_past_the_cap_are_diagonalized_where_occupied(self, table, eigh_sizes):
         # the sectors p = 3, 7, 200, 201 and 206 are occupied, two of them past
         # the cap of default_d_max: each is kept, and diagonalized once
         cap = fo.D_MAX_CAP
         ps = (3, 7, cap, cap + 1, cap + 6)
         state = diagonal_state(cap + 6, 5, ps)
         first = fo.apply_jx_evolution(state, 0.3)
-        assert sorted(sectors) == list(ps)
+        assert kept_sectors(table) == list(ps)
         assert eigh_sizes == [p + 1 for p in ps]
         eigh_sizes.clear()
         again = fo.apply_jx_evolution(state, 0.3)
         assert eigh_sizes == []
-        assert fo._kept_sector.cache_info().currsize == len(ps)
+        assert np.count_nonzero(table.kept) == len(ps)
         assert np.array_equal(again, first)
+        # the slots of the unoccupied sectors hold v = 0
+        filled = np.zeros(table.v.size, dtype=bool)
+        for p in ps:
+            filled[table.starts[p]: table.starts[p] + p + 1] = True
+        assert not table.v[~filled].any()
         # and each entry is a_p D_p, with D_p from a fresh eigensystem
         a = state.amps.diagonal()
         for p in ps:
@@ -459,15 +472,15 @@ class TestEigensystemMemo:
 
     @pytest.mark.parametrize("p", [7, fo.D_MAX_CAP + 6, 2 * fo.D_MAX_CAP + 1,
                                    2 * fo.D_MAX_CAP + 6])
-    def test_eigensystem_is_read_only(self, sectors, eigh_sizes, p):
+    def test_eigensystem_is_read_only(self, table, eigh_sizes, p):
         # |p, p> alone, at d = p, below and past the cap: the sector is kept,
         # and diagonalized once over two evolutions
         state = diagonal_state(p, p, [p])
         fo.apply_jx_evolution(state, 0.3)
         fo.apply_jx_evolution(state, -0.3)
-        assert list(sectors) == [p]
+        assert kept_sectors(table) == [p]
         assert eigh_sizes == [p + 1]
-        for a in (*sectors[p], *fo._sector(p)):
+        for a in (*table_arrays(table), *table.prefix(np.array([p]))):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -502,39 +515,57 @@ class TestGroupBoundaries:
             assert_matches_dense(state, phi)
 
 
-def kept_bytes(sectors):
-    return sum(w.nbytes + v.nbytes for w, v in sectors.values())
+def kept_bytes(table):
+    return table.w.nbytes + table.v.nbytes
 
 
 class TestSectorLayout:
-    """What is kept per occupied sector p: (w, v), 16 (p + 1) bytes, read-only."""
+    """The prefix table: sector p's (w, v) at offset p (p + 1) / 2, 16 bytes an entry, read-only."""
 
-    def test_zero_state_calls_eigh_zero_times(self, sectors, eigh_sizes):
+    def test_zero_state_calls_eigh_zero_times(self, table, eigh_sizes):
         state = fo.FockTwoModeState(np.zeros((12, 12)), 11)
         out = fo.apply_jx_evolution(state, 0.5)
         assert np.array_equal(out, np.zeros(12))
         assert eigh_sizes == []
+        assert table.kept.size == table.w.size == 0
 
-    def test_layout_is_cached_and_read_only(self, sectors):
-        w, v = fo._kept_sector(6)
-        assert fo._kept_sector(6)[0] is w and fo._kept_sector(6)[1] is v
-        assert np.array_equal(w, fo._sector(6)[0]) and np.array_equal(v, fo._sector(6)[1])
-        for a in (w, v):
+    def test_layout_is_cached_and_read_only(self, table):
+        # |6, 6> alone: sector 6 at offset 21, the slots of sectors 0 ... 5 empty
+        state = diagonal_state(6, 6, [6])
+        fo.apply_jx_evolution(state, 0.3)
+        w, v = table.w, table.v
+        fo.apply_jx_evolution(state, 0.3)
+        assert table.w is w and table.v is v  # not reallocated
+        assert w.size == v.size == 28 and table.starts.tolist() == [0, 1, 3, 6, 10, 15, 21]
+        assert np.array_equal(w[21:], fo._sector(6)[0]) and np.array_equal(v[21:], fo._sector(6)[1])
+        assert not w[:21].any() and not v[:21].any()
+        for a in table_arrays(table):
             with pytest.raises(ValueError):
                 a[0] = 0
 
-    def test_stream_truncations_take_under_2_mb(self, sectors):
+    def test_sparse_state_takes_at_most_half_its_bytes(self, table):
+        # the sectors 0, 3, 7, 10 and 18 at d = 24: the prefix up to 18,
+        # 8 (top + 1)(top + 2) bytes, against the state's 16 (d + 1)^2
+        state = diagonal_state(24, 4, (0, 3, 7, 10, 18))
+        fo.apply_jx_evolution(state, 0.3)
+        assert kept_bytes(table) == 8 * 19 * 20 <= state.amps.nbytes / 2
+        # the lone |406, 406>: 8 (d + 1)(d + 2) bytes, about half the state's
+        state = diagonal_state(406, 406, [406])
+        fo.apply_jx_evolution(state, 0.3)
+        assert kept_bytes(table) == 8 * 407 * 408 <= state.amps.nbytes / 2 + 8 * 407
+
+    def test_stream_truncations_take_under_2_mb(self, table):
         # the benchmark's interfere truncations share the sectors of the largest, d = 109
         for d in (16, 22, 51, 109):
             fo.apply_jx_evolution(fo.twin_beam_fock(0.5, d), 0.3)
-        assert kept_bytes(sectors) == 16 * 110 * 111 // 2 < 2e6
+        assert kept_bytes(table) == 16 * 110 * 111 // 2 < 2e6
 
-    def test_layout_bytes_at_109_and_at_the_cap(self, sectors):
+    def test_layout_bytes_at_109_and_at_the_cap(self, table):
         # 98 kB at d = 109 and 0.33 MB at d = 200, every sector there is to keep
         size = {}
         for d in (109, fo.D_MAX_CAP):
             fo.apply_jx_evolution(fo.twin_beam_fock(0.9999, d), 0.3)
-            size[d] = kept_bytes(sectors)
+            size[d] = kept_bytes(table)
         assert size == {109: 97_680, fo.D_MAX_CAP: 324_816}
         assert size[fo.D_MAX_CAP] < 1e6
 
@@ -558,3 +589,91 @@ class TestSectorGenerator:
             w = np.linalg.eigvalsh(fo._sector_generator(p))
             assert np.abs(w - expected).max() <= 1e-12 * max(p, 1)
             assert np.array_equal(fo._sector(p)[0], expected)
+
+
+_reference_sector = functools.cache(fo._sector)
+
+
+def per_sector_evolution(state, phi):
+    """Reference: the survival sums over each occupied sector's own (w, v), concatenated.
+
+    The same phase table, products and per-sector reduceat as the kernel,
+    without the prefix table.
+    """
+    diag = state.amps.diagonal()
+    out = np.zeros_like(diag)
+    occupied = np.flatnonzero(diag)
+    if occupied.size == 0:
+        return out
+    w, v = (np.concatenate(parts)
+            for parts in zip(*(_reference_sector(p) for p in occupied.tolist())))
+    top = 2 * int(occupied[-1])
+    phases = np.exp(1j * phi * np.arange(-top, top + 1.0))
+    sizes = occupied + 1
+    out[occupied] = diag[occupied] * np.add.reduceat(v * phases[w + top],
+                                                     np.cumsum(sizes) - sizes)
+    return out
+
+
+def bit_identity_states():
+    """Twin-beams at their default d_max, the holes state and the lone |406, 406>."""
+    states = [fo.twin_beam_fock(x, fo.default_d_max(x)) for x in (0.0, 0.1, 0.5, 0.9, 0.94)]
+    states.append(diagonal_state(24, 4, (0, 3, 7, 10, 18)))
+    states.append(diagonal_state(406, 406, [406]))
+    return states
+
+
+PHASES = [0.0, 1e-9, 0.3, -1.3, 1e3, -7.7e5]
+
+
+class TestPrefixTable:
+    """The prefix table gives the bytes of a per-sector evaluation, in any growth order."""
+
+    @pytest.mark.parametrize("phi", PHASES)
+    def test_bit_identical_to_per_sector_sums(self, monkeypatch, phi):
+        states = bit_identity_states()
+        for order in (states, states[::-1]):  # growing by one sector, and filling holes
+            monkeypatch.setattr(fo, "_TABLE", fo._SectorTable())
+            for state in order:
+                got = fo.apply_jx_evolution(state, phi)
+                assert got.tobytes() == per_sector_evolution(state, phi).tobytes()
+
+    def test_occupied_sectors_diagonalized_once_in_any_order(self, table, eigh_sizes):
+        states = bit_identity_states()
+        for phi in PHASES:
+            for state in states[::-1]:
+                fo.apply_jx_evolution(state, phi)
+        occupied = sorted({p for state in states
+                           for p in np.flatnonzero(state.amps.diagonal()).tolist()})
+        assert kept_sectors(table) == occupied
+        assert sorted(eigh_sizes) == [p + 1 for p in occupied]
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided", "reversed"])
+    def test_any_memory_layout_evolves_and_refuses_alike(self, layout):
+        def laid_out(amps):
+            if layout == "transposed":  # the same state where it is diagonal
+                return amps.T
+            if layout == "fortran":
+                return np.asfortranarray(amps)
+            if layout == "strided":
+                wide = np.zeros((amps.shape[0], 2 * amps.shape[1]), dtype=complex)
+                wide[:, ::2] = amps
+                return wide[:, ::2]
+            return amps[::-1, ::-1].copy()[::-1, ::-1]
+
+        evolved = [diagonal_state(24, 4, (0, 3, 7, 10, 18)), fo.twin_beam_fock(0.5, 16),
+                   diagonal_state(13, 21)]
+        for state in evolved:
+            moved = fo.FockTwoModeState(laid_out(state.amps), state.d_max)
+            assert not moved.amps.flags.c_contiguous
+            for phi in (0.3, -1.3):
+                assert (fo.apply_jx_evolution(moved, phi).tobytes()
+                        == fo.apply_jx_evolution(state, phi).tobytes())
+        off = swap_pair(6, 2, 4).amps
+        off_imag = 1j * swap_pair(6, 1, 0, sign=0).amps
+        bad = np.eye(7, dtype=complex)
+        bad[3, 3] = complex(0.0, math.nan)
+        for amps, message in ((off, REFUSED), (off_imag, REFUSED), (bad, "finite amplitudes")):
+            for evolve in (amps, laid_out(amps)):
+                with pytest.raises(ValueError, match=message):
+                    fo.apply_jx_evolution(fo.FockTwoModeState(evolve, 6), 0.3)

@@ -149,6 +149,49 @@ class TestTwinBeamParams:
         with pytest.raises(ValueError):
             gc.TwinBeamParams.from_x(1.0)
 
+    def test_negative_r0_message(self):
+        # the r0 as a float, as in the message of every r0 check
+        with pytest.raises(ValueError, match=r"^squeezing parameter must be >= 0, got -1\.0$"):
+            gc.TwinBeamParams(-1)
+        with pytest.raises(ValueError, match=r"^squeezing parameter must be >= 0, got -1\.0$"):
+            fiber.evolve_variances(-1, 0.5, 1.0)
+
+    def test_epr_variances_come_from_the_one_helper(self):
+        for r0 in (0, 0.3, 2):
+            assert gc.TwinBeamParams(r0).epr_variances == gc._epr_variances(r0)
+            assert gc.TwinBeamParams(r0).r0 == float(r0)
+
+
+class TestValueTypes:
+    """The parameter, state and result types are immutable named tuples."""
+
+    @pytest.mark.parametrize("value, field", [
+        (gc.TwinBeamParams(0.5), "r0"),
+        (gc.NoiseParams(1.0), "nbar"),
+        (gc.TwinBeamFamilyState(0.5, 0.2), "Sigma_minus_sq"),
+        (gc.TwinBeamFamilyState(0.5, 0.2), "mean"),
+        (gc.SeparabilityResult(True, 0.3), "witness"),
+        (fiber.OUSimulation(0.5, 0.2, 10), "n_samples"),
+    ])
+    def test_fields_cannot_be_set(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+        with pytest.raises(AttributeError):
+            value.other = 0.0  # no instance dict either
+
+    def test_noise_check(self):
+        with pytest.raises(ValueError, match=r"^nbar must be >= 0, got -2\.0$"):
+            gc.NoiseParams(-2)
+        assert gc.NoiseParams(1).nbar == 1.0 and type(gc.NoiseParams(1).nbar) is float
+
+    def test_channels_return_family_states(self):
+        s = gc.TwinBeamFamilyState(0.5, 0.25)
+        for out in (s.displaced(0.5 + 0.25j), s.with_noise(gc.NoiseParams(1.0), modes=1)):
+            assert type(out) is gc.TwinBeamFamilyState
+        assert s.displaced(0.5 + 0.25j) == gc.TwinBeamFamilyState(0.5, 0.25, 0.5 + 0.25j)
+        assert s.with_noise(gc.NoiseParams(1.0), modes=1) == gc.TwinBeamFamilyState(0.75, 0.5)
+        assert repr(gc.TwinBeamParams(0.5)) == "TwinBeamParams(r0=0.5)"
+
 
 VACUUM = gc.TwinBeamFamilyState(0.25, 0.25)
 

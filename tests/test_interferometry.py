@@ -216,6 +216,14 @@ class TestMZMinPhase:
         with pytest.raises(ValueError, match="below the leakage"):
             itf.mz_min_phase_numeric(1e-12, 0.5)
 
+    @pytest.mark.parametrize("x, expected", [
+        (0.3, "0x1.3f4c37e3a54ffp-3"), (0.6, "0x1.babdbb0e89e2dp-5"),
+        (0.9, "0x1.5dd90cdfddf00p-7"),
+    ])
+    def test_numeric_inversion_bytes_are_pinned(self, x, expected):
+        # pinned bytes, those of the concatenated per-sector survival sums
+        assert itf.mz_min_phase_numeric(0.01, x).hex() == expected
+
     @pytest.mark.parametrize("q_target, x", [
         (1e-4, 0.3), (0.01, 0.6), (0.05, 0.5), (0.3, 0.7), (0.5, 0.8),
     ])
