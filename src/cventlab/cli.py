@@ -9,9 +9,9 @@ A command is its options plus a row function ``row(g, seed)`` of one grid
 point ``g``, a dict of option values.  ``_table`` adds the common options and
 owns the run: seed, grid, rows, exit code of a failure, ``meta`` and output.
 
-This module imports no numpy; a grid axis is ``gaussian_core._linspace``.  The
-modules that load it are imported inside the rows that use them, so
-``--version``, the help pages, an argument error and ``fiber`` run without it.
+This module imports no numpy; a grid axis is ``gaussian_core._linspace``.
+Only the rows that need it load it, so ``--version``, help, argument errors,
+``fiber``, ``discriminate`` and ``crypto errors`` run without it.
 """
 
 from __future__ import annotations

@@ -8,17 +8,20 @@ minimal covering arc Delta of the phases alone: the polygon contains the
 origin (exact discrimination) iff Delta >= pi, and otherwise the nearest
 point is the midpoint of the chord closing the arc, at r = cos(Delta/2).
 
-Wolfe's minimum-norm-point algorithm finds the same point from the
-eigenvalues, without the covering arc.  It is the oracle
-brute_force_min_overlap of the closed form, and gives the probe weights.
+Wolfe's minimum-norm-point algorithm, the oracle brute_force_min_overlap,
+finds the same point and the probe weights from the eigenvalues without the
+covering arc.  Scalar math; only optimal_probe_weights imports numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,12 @@ def covering_arc(phases: tuple[float, ...]) -> float:
     """
     if len(phases) == 1:
         return 0.0
-    p = np.sort(np.asarray(phases))
-    gaps = np.diff(np.concatenate([p, [p[0] + 2.0 * math.pi]]))
-    largest = int(gaps.argmax())
+    p = sorted(phases)
+    gaps = [b - a for a, b in zip(p, p[1:] + [p[0] + 2.0 * math.pi])]
+    largest = max(range(len(gaps)), key=gaps.__getitem__)  # the first maximum
     if largest == len(gaps) - 1:
-        return float(p[-1] - p[0])
-    return float(2.0 * math.pi - gaps[largest])
+        return p[-1] - p[0]
+    return 2.0 * math.pi - gaps[largest]
 
 
 def _origin_distance(delta: float) -> float:
@@ -109,11 +112,13 @@ def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:
     closes the covering arc; for r = 0 it stops at a chord or triangle
     holding the origin, one of the many optimal probes.
     """
-    return _min_norm_weights(np.asarray(polygon.phases))
+    import numpy as np  # here, so that the closed form and the oracle load no numpy
+    corral, weights, _ = _min_norm_point(polygon.phases)
+    return np.bincount(corral, weights, minlength=len(polygon.phases))  # 0 off the corral
 
 
-def _min_norm_weights(phases: np.ndarray) -> np.ndarray:
-    """Simplex weights of the point of conv{e^{i gamma_j}} nearest the origin.
+def _min_norm_point(phases: tuple[float, ...]) -> tuple[list[int], list[float], complex]:
+    """Corral, simplex weights and point of conv{e^{i gamma_j}} nearest the origin.
 
     Wolfe's minimum-norm-point algorithm (Math. Programming 11, 128 (1976)),
     with its minor cycle in closed form on the unit circle: a chord's affine
@@ -122,15 +127,15 @@ def _min_norm_weights(phases: np.ndarray) -> np.ndarray:
     <= 0 does not hold the origin and drops the vertex of most negative
     weight; if that is the new point, the cycle makes no progress.  A major
     cycle that does not make |x|^2 strictly smaller is roundoff, and ends the
-    search.
+    search.  The point is the weighted sum over the corral alone.
     """
-    points = np.exp(1j * phases)
+    points = [cmath.exp(1j * p) for p in phases]
     corral, weights = [0], [1.0]
     x = points[0]
     x_sq = x.real * x.real + x.imag * x.imag
     while len(corral) < 3:
-        dots = points.real * x.real + points.imag * x.imag
-        j = int(np.argmin(dots))
+        dots = [pt.real * x.real + pt.imag * x.imag for pt in points]
+        j = min(range(len(dots)), key=dots.__getitem__)  # the first minimum
         if j in corral or dots[j] >= x_sq:
             break
         members, lam = corral + [j], [0.5, 0.5]
@@ -152,9 +157,7 @@ def _min_norm_weights(phases: np.ndarray) -> np.ndarray:
         if y_sq >= x_sq:
             break
         corral, weights, x, x_sq = members, lam, y, y_sq
-    w = np.zeros(len(phases))
-    w[corral] = weights
-    return w
+    return corral, weights, x
 
 
 def brute_force_min_overlap(spectrum: EigenphaseSpectrum, n_samples: int = 100_000) -> float:
@@ -165,8 +168,7 @@ def brute_force_min_overlap(spectrum: EigenphaseSpectrum, n_samples: int = 100_0
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    phases = np.asarray(spectrum.phases)
-    return float(abs(_min_norm_weights(phases) @ np.exp(1j * phases)))
+    return abs(_min_norm_point(spectrum.phases)[2])
 
 
 def copies_for_exact(polygon: PolygonK) -> int | None:

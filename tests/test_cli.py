@@ -96,6 +96,9 @@ THREAD_PROBE_ARGS = [
     ["estimate", "--x", "0.9", "--nbar-t", "0.5", "--range", "nbar_t=0:1.5:7"],
     ["interfere", "--x", "0.5", "--phi", "0.3", "--q0", "0.01", "--gamma-star", "10"],
     ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"],
+    # the two columns once fed by a BLAS call: r at r = 0, and Eve's oracle
+    ["discriminate", "--phases", "0,2.1,4.2"],
+    ["crypto", "errors", "--x", "0.9", "--a", "6", "--kappa", "1"],
 ] + [["interfere", "--x", x, "--phi", phi]
      for x in ("0.5", "0.8", "0.9", "0.94") for phi in ("0.05", "0.3", "1.1")]
 
@@ -614,6 +617,17 @@ class TestConsistencyColumns:
         row = parse_csv(out.output)[0]
         assert abs(float(row["eve_diff"])) < 1e-8
         assert row["eve_uniform_key"] == "0.5"
+
+    def test_crypto_errors_eve_oracle_to_the_last_bits(self):
+        # the 1-D S+ rule agrees with erfc to about an ulp of 1, deep tail included
+        out = run_cli(["crypto", "errors", "--x", "0.5", "--range", "x=0.1:0.9:2",
+                       "--range", "a=0:6:7", "--range", "kappa=0.2:5:3"])
+        assert out.exit_code == 0, out.output
+        rows = parse_csv(out.stdout)
+        assert len(rows) == 42
+        for row in rows:
+            assert abs(float(row["eve_diff"])) <= 1e-15, row
+            assert float(row["eve_gaussian_key_oracle"]) >= 0.0, row
 
     def test_fiber_scan_agreement(self):
         out = run_cli(["fiber", "--m", "0.5", "--n", "2"])

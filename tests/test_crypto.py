@@ -1,6 +1,7 @@
 """Tests for the twin-beam secret-key protocol."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -215,23 +216,38 @@ class TestEveBounds:
         asym = crypto.eve_error_gaussian_key_asymptote(a, kappa)
         assert asym == pytest.approx(exact, rel=0.05)
 
+    @staticmethod
+    def mp_erf(a, kappa):
+        with mpmath.workdps(40):
+            return mpmath.erf(mpmath.mpf(a) / mpmath.sqrt(mpmath.mpf(kappa)))
+
     def test_splus_numeric_matches_erf(self):
-        # the grid reaches a / sqrt(kappa) = 0 ... 45, where the integrand is
-        # far narrower than a box scaled by a alone
-        for a in (0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0):
-            for kappa in (0.05, 0.2, 1.0, 3.0, 10.0):
-                assert crypto.splus_numeric(a, kappa) == pytest.approx(
-                    math.erf(a / math.sqrt(kappa)), rel=0, abs=1e-12
-                )
+        # b = a / sqrt(kappa) runs from 0 through the cap at 7 to inf; the
+        # S+ sum never exceeds 1, so Eve's oracle is never negative
+        for a in (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 45.0, 1e200):
+            for kappa in (0.05, 0.2, 1.0, 3.0, 10.0, 1e-300):
+                s_plus = crypto.splus_numeric(a, kappa)
+                assert abs(s_plus - self.mp_erf(a, kappa)) <= 1e-15, (a, kappa)
+                assert s_plus <= 1.0
 
     @pytest.mark.parametrize("a, kappa", [
         (0.5, 1e308), (0.5, 1e-320), (1e200, 1.0), (1e200, 1e-320), (1e-200, 1e308),
     ])
     def test_splus_numeric_at_extremes(self, a, kappa):
         # in units of sqrt(kappa) no step overflows, and warnings are errors here
-        assert crypto.splus_numeric(a, kappa) == pytest.approx(
-            math.erf(a / math.sqrt(kappa)), rel=0, abs=1e-13
-        )
+        assert abs(crypto.splus_numeric(a, kappa) - self.mp_erf(a, kappa)) <= 1e-15
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: crypto.splus_numeric(-1.0, 1.0), "a must be >= 0, got -1.0"),
+        (lambda: crypto.splus_numeric(0.5, 0.0), "kappa_key must be > 0, got 0.0"),
+        (lambda: crypto.splus_numeric(0.5, -1.0), "kappa_key must be > 0, got -1.0"),
+        (lambda: crypto.eve_error_gaussian_key_asymptote(0.0, 1.0), "a must be > 0, got 0.0"),
+        (lambda: crypto.eve_error_gaussian_key_asymptote(1.0, 0.0),
+         "kappa_key must be > 0, got 0.0"),
+    ])
+    def test_eve_oracles_refuse_out_of_range(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestSecurity:

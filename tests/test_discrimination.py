@@ -1,5 +1,6 @@
 """Tests for minimum-error unitary discrimination via eigenphase geometry."""
 
+import cmath
 import math
 import time
 
@@ -191,6 +192,86 @@ class TestBruteForce:
             assert time.monotonic() - start < 1.0
             assert r_bf == pytest.approx(disc.build_polygon(s).r, abs=1e-8)
             check_weights(s)
+
+
+def np_covering_arc(phases):
+    """The covering arc by numpy's sort, diff and argmax: the reference of the list version."""
+    if len(phases) == 1:
+        return 0.0
+    p = np.sort(np.asarray(phases))
+    gaps = np.diff(np.concatenate([p, [p[0] + 2.0 * math.pi]]))
+    largest = int(gaps.argmax())
+    if largest == len(gaps) - 1:
+        return float(p[-1] - p[0])
+    return float(2.0 * math.pi - gaps[largest])
+
+
+def np_min_norm(phases):
+    """Wolfe's loop on numpy arrays (np.exp points, argmin): weights and |w @ points|."""
+    phases = np.asarray(phases)
+    points = np.exp(1j * phases)
+    corral, weights = [0], [1.0]
+    x = points[0]
+    x_sq = x.real * x.real + x.imag * x.imag
+    while len(corral) < 3:
+        dots = points.real * x.real + points.imag * x.imag
+        j = int(np.argmin(dots))
+        if j in corral or dots[j] >= x_sq:
+            break
+        members, lam = corral + [j], [0.5, 0.5]
+        if len(corral) == 2:
+            a, b = corral
+            arcs = (phases[j] - phases[b], phases[a] - phases[j], phases[b] - phases[a])
+            sines = [math.sin(t) for t in arcs]
+            total = math.fsum(sines)
+            outside = [k for k in range(3) if sines[k] * total <= 0.0]
+            if not outside:
+                lam = [t / total for t in sines]
+            elif 2 in outside:
+                break
+            else:
+                drop = max(outside, key=lambda k: abs(sines[k]))
+                members = [corral[1 - drop], j]
+        y = sum(w * points[i] for w, i in zip(lam, members))
+        y_sq = y.real * y.real + y.imag * y.imag
+        if y_sq >= x_sq:
+            break
+        corral, weights, x, x_sq = members, lam, y, y_sq
+    w = np.zeros(len(phases))
+    w[corral] = weights
+    return w, float(abs(w @ points))
+
+
+def random_spectra(rng, count):
+    """1 to 50 phases; every third spectrum in up to 3 clusters of spread 1e-12 to 1."""
+    for i in range(count):
+        k = int(rng.integers(1, 51))
+        if i % 3:
+            yield spectrum(*rng.uniform(0, 2 * math.pi, k))
+            continue
+        centres = rng.uniform(0, 2 * math.pi, rng.integers(1, 4))
+        spread = 10.0 ** rng.uniform(-12, 0)
+        yield spectrum(*(centres[:, None] + spread * rng.uniform(size=(len(centres), k))).ravel())
+
+
+class TestPurePythonGeometry:
+    """The list geometry gives numpy's bits: arcs and weights always, r wherever r > 1e-8."""
+
+    @pytest.mark.parametrize("family", ["random", "clustered"])
+    def test_matches_the_numpy_reference(self, family):
+        rng = np.random.default_rng(43)
+        spectra = (random_spectra(rng, 1500) if family == "random"
+                   else clustered_spectra(rng, 500))
+        for s in spectra:
+            p = disc.build_polygon(s)
+            assert p.delta == np_covering_arc(s.phases), s.phases
+            ref_w, ref_r = np_min_norm(s.phases)
+            assert disc.optimal_probe_weights(p).tobytes() == ref_w.tobytes(), s.phases
+            r = disc.brute_force_min_overlap(s)
+            corral, weights, _ = disc._min_norm_point(s.phases)
+            assert r == abs(sum(w * cmath.exp(1j * s.phases[i]) for w, i in zip(weights, corral)))
+            if r > 1e-8 or ref_r > 1e-8:
+                assert r == ref_r, s.phases
 
 
 def mp_polygon_distance(phases):

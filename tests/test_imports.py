@@ -3,11 +3,11 @@
 scipy is a test-only dependency.  Every CLI call is a fresh process, and
 importing scipy costs more than the rest of the package together.  numpy
 about doubles the time of a run that does not use it, so ``import cventlab``,
-``--version``, every help page, a refused argument and ``fiber`` (scalar math
-only, with or without ``--range``) load none of it; the other commands load
-it inside their rows.  Each
-check runs in a fresh interpreter so the modules loaded by other tests do not
-leak in.
+``--version``, every help page, a refused argument, and the scalar-math
+commands ``fiber`` (with or without ``--range``), ``discriminate`` and
+``crypto errors`` load none of it; the other commands load it inside their
+rows.  Each check runs in a fresh interpreter so the modules loaded by other
+tests do not leak in.
 """
 
 import json
@@ -46,6 +46,8 @@ else:
 """
 
 FIBER_GOLDEN = ["fiber", "--gamma", "1", "--m", "0.5", "--n", "2"]
+DISCRIMINATE_GOLDEN = ["discriminate", "--phases", "0,1.5708", "--samples", "20000"]
+CRYPTO_ERRORS = ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"]
 
 SCIPY_FREE_COMMANDS = [
     ["--version"],
@@ -54,8 +56,8 @@ SCIPY_FREE_COMMANDS = [
     ["estimate", "--x", "0.5", "--trials", "20000", "--format", "json"],
     ["estimate", "--x", "0.9", "--nbar-t", "0.5", "--range", "nbar_t=0:1.5:7"],
     ["interfere", "--x", "0.5", "--phi", "0.3", "--q0", "0.01", "--gamma-star", "10"],
-    ["crypto", "errors", "--x", "0.7", "--a", "0.5", "--kappa", "1.0"],
-    ["discriminate", "--phases", "0,1.5708", "--samples", "20000"],
+    CRYPTO_ERRORS,
+    DISCRIMINATE_GOLDEN,
 ]
 
 # library oracles that no CLI command reaches
@@ -70,6 +72,8 @@ NUMPY_FREE_COMMANDS = [
     ["--version"],
     FIBER_GOLDEN,
     ["fiber", "--m", "0.5", "--n", "2", "--range", "m=0.25:1:4"],
+    DISCRIMINATE_GOLDEN,
+    CRYPTO_ERRORS,
     *([*command.split(), "--help"] for command in (
         "", "estimate", "discriminate", "interfere", "crypto", "crypto errors",
         "crypto simulate", "fiber")),
