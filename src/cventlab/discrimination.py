@@ -101,7 +101,9 @@ def spread_formula_error(delta: float) -> float:
     r = cos(delta/2) for every spectrum, so the exact error is that of r^2
     (min_error_probability); both routes are kept and reported side by side.
     """
-    return helstrom_error(_origin_distance(delta) ** 4)
+    # r^4 correctly rounded: integer true division rounds once, with no libm pow
+    n, d = _origin_distance(delta).as_integer_ratio()
+    return helstrom_error(n**4 / d**4)
 
 
 def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:

@@ -46,11 +46,14 @@ class ConditionalVariances:
 
 
 def conditional_variance(setting: EstimationSetting) -> ConditionalVariances:
-    """sigma2^2 = Delta_x^2 + 2 nbar_T (twin-beam), sigma1^2 = 1 + nbar_T (vacuum)."""
-    return ConditionalVariances(
-        entangled=heterodyne_variance(setting.x) + 2.0 * setting.nbar_T,
-        unentangled=1.0 + setting.nbar_T,
-    )
+    """sigma2^2 = Delta_x^2 + 2 nbar_T (twin-beam), sigma1^2 = 1 + nbar_T (vacuum).
+
+    Raises OverflowError where sigma2^2 is past the float range.
+    """
+    entangled = heterodyne_variance(setting.x) + 2.0 * setting.nbar_T
+    if not math.isfinite(entangled):
+        raise OverflowError("sigma2^2 = Delta_x^2 + 2 nbar_T is past the float range")
+    return ConditionalVariances(entangled=entangled, unentangled=1.0 + setting.nbar_T)
 
 
 def entanglement_convenient(setting: EstimationSetting) -> bool:

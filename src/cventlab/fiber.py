@@ -38,6 +38,13 @@ def _log1p_over_2m(a: float, M: float) -> float:
     return math.log1p(ratio) if math.isfinite(ratio) else math.log(a) - math.log(2.0 * M)
 
 
+def _finite_time(t: float, log_term: float) -> float:
+    """The time t = log_term / Gamma, refused where it overflows although log_term does not."""
+    if math.isinf(t) and math.isfinite(log_term):
+        raise OverflowError("t_s = log(...)/Gamma is past the float range")
+    return t
+
+
 def evolve_variances(r0: float, M: float, tau: float) -> gaussian_core.TwinBeamFamilyState:
     """The twin-beam after rescaled time tau in the fibers, as its EPR variances."""
     if not tau >= 0:
@@ -76,7 +83,8 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
     """Unrescaled threshold t_s = (1/Gamma) log(1 - (N - sqrt(N(N+2)))/(2M)).
 
     Equivalent to the rescaled form through N - sqrt(N(N+2)) = e^{-2 r0} - 1;
-    tends to separability_time_large_n for large N.  Diverges for M = 0.
+    tends to separability_time_large_n for large N.  Diverges for M = 0;
+    raises OverflowError where a finite log over Gamma overflows.
     """
     if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
@@ -86,16 +94,21 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
         raise ValueError(f"M must be >= 0, got {M}")
     # N - sqrt(N(N+2)) without its cancellation and without overflow in N(N+2)
     gap = -2.0 * N / (N + math.sqrt(N) * math.sqrt(N + 2.0))
-    return (1.0 / Gamma) * _log1p_over_2m(-gap, M)
+    log_term = _log1p_over_2m(-gap, M)
+    return _finite_time((1.0 / Gamma) * log_term, log_term)
 
 
 def separability_time_large_n(Gamma: float, M: float) -> float:
-    """Large-N limit t_s -> (1/Gamma) log(1 + 1/(2M)); diverges for M = 0."""
+    """Large-N limit t_s -> (1/Gamma) log(1 + 1/(2M)); diverges for M = 0.
+
+    Raises OverflowError where a finite log over Gamma overflows.
+    """
     if not Gamma > 0:
         raise ValueError(f"Gamma must be > 0, got {Gamma}")
     if not M >= 0:
         raise ValueError(f"M must be >= 0, got {M}")
-    return _log1p_over_2m(1.0, M) / Gamma
+    log_term = _log1p_over_2m(1.0, M)
+    return _finite_time(log_term / Gamma, log_term)
 
 
 def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float | None:

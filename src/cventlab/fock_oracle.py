@@ -23,9 +23,8 @@ at offset p (p + 1) / 2 of two flat read-only arrays, w as intp and v as
 float64, so sectors 0 ... top take 8 (top + 1)(top + 2) bytes: 97,680 B at
 d_max = 109, 0.33 MB up to D_MAX_CAP (the cap of default_d_max), and up to
 any d at most 8 (d + 1)(d + 2), about half the 16 (d + 1)^2 bytes of the
-state that occupies them.  A sector is diagonalized the first time it is
-occupied, and an unoccupied one never: its slot holds v = 0.  The table is
-reallocated once per evolution that needs a new sector or a higher top.
+state that occupies them.  An evolution of a higher top appends the
+sectors up to it, each diagonalized once; a twin-beam occupies all of them.
 An evolution runs over the prefix up to its top sector; as w holds
 integers, it takes its phases from one table of exp(i phi k), and the sums
 over i are numpy's fixed-order reduceat over the per-sector segments, not a
@@ -118,41 +117,29 @@ def _sector(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SectorTable:
-    """(w, v) of every sector occupied so far, sector p at offset p (p + 1) / 2.
+    """(w, v) of the sectors 0 ... top diagonalized so far, sector p at offset p (p + 1) / 2.
 
-    One object for the process; growing it rebinds its arrays, never the
-    module's name.  ``kept`` marks the sectors diagonalized, ``starts`` holds
-    the offsets; all four arrays are read-only.
+    One object for the process; growing it appends sectors and rebinds its
+    arrays, never the module's name.  ``starts`` holds the offsets; all three
+    arrays are read-only.
     """
 
     def __init__(self):
-        self.kept = np.zeros(0, dtype=bool)
         self.starts = np.zeros(0, dtype=np.intp)
         self.w = np.zeros(0, dtype=np.intp)
         self.v = np.zeros(0)
 
-    def prefix(self, occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(w, v, starts) of the sectors 0 ... occupied[-1], every occupied one filled."""
-        top = int(occupied[-1])
-        if top >= self.kept.size or not self.kept[occupied].all():
-            self._fill(occupied)
+    def prefix(self, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, v, starts) of the sectors 0 ... top, diagonalizing those not yet held."""
+        if top >= self.starts.size:
+            w, v = zip(*(_sector(p) for p in range(self.starts.size, top + 1)))
+            p = np.arange(top + 1)
+            grown = p * (p + 1) // 2, np.concatenate((self.w, *w)), np.concatenate((self.v, *v))
+            for a in grown:
+                a.flags.writeable = False
+            self.starts, self.w, self.v = grown
         end = (top + 1) * (top + 2) // 2
         return self.w[:end], self.v[:end], self.starts[: top + 1]
-
-    def _fill(self, occupied: np.ndarray) -> None:
-        size = max(self.kept.size, int(occupied[-1]) + 1)
-        p = np.arange(size)
-        starts = p * (p + 1) // 2
-        kept = np.zeros(size, dtype=bool)
-        w = np.zeros(size * (size + 1) // 2, dtype=np.intp)
-        v = np.zeros(w.size)
-        kept[: self.kept.size], w[: self.w.size], v[: self.v.size] = self.kept, self.w, self.v
-        for q in occupied[~kept[occupied]].tolist():
-            w[starts[q]: starts[q] + q + 1], v[starts[q]: starts[q] + q + 1] = _sector(q)
-        kept[occupied] = True
-        for a in (kept, starts, w, v):
-            a.flags.writeable = False
-        self.kept, self.starts, self.w, self.v = kept, starts, w, v
 
 
 _TABLE = _SectorTable()
@@ -180,7 +167,7 @@ def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
     occupied = np.flatnonzero(diag)
     if occupied.size == 0:
         return out
-    w, v, starts = _TABLE.prefix(occupied)
+    w, v, starts = _TABLE.prefix(int(occupied[-1]))
     top = 2 * int(occupied[-1])  # the largest |w| there
     with np.errstate(over="raise", invalid="raise"):  # a phi w past the float range raises
         phases = np.exp(1j * phi * np.arange(-top, top + 1.0))  # exp(i phi k), |k| <= top

@@ -351,6 +351,11 @@ class TestErrorHandling:
             "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=10",
         ("interfere", "--x", "0.5", "--phi", "1e308"):
             "interfere at x=0.5, phi=1e+308, q0=0.01, gamma_star=10",
+        # a finite closed form past the float range, before any sum could overflow
+        ("estimate", "--x", "0.5", "--nbar-t", "1e308", "--trials", "1"):
+            "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=1",
+        ("fiber", "--gamma", "1e-320", "--m", "0.5", "--n", "2"):
+            "fiber at gamma=9.99988867183e-321, m=0.5, n=2",
     }
 
     @pytest.mark.filterwarnings("error")
@@ -603,6 +608,18 @@ class TestConsistencyColumns:
         assert out.exit_code == 0, out.output
         row = json.loads(out.output)["rows"][0]
         assert abs(row["kappa_diff"]) < 1e-10
+
+    @pytest.mark.parametrize("x", ["0.5", "0.9", "0.94"])
+    def test_interfere_oracle_agreement_over_generic_phases(self, x):
+        # the phases are exp(i fl(phi k)), whose rounding grows with phi; a
+        # round phi such as 1e8 makes phi k exact and hides it, so the grid's
+        # points carry low-order bits.  The worst here reads about 1e-9
+        out = run_cli(["interfere", "--x", x, "--phi", "1", "--format", "json",
+                       "--range", "phi=10000.3:9999999.7:100"])
+        assert out.exit_code == 0, out.output
+        rows = json.loads(out.output)["rows"]
+        assert len(rows) == 100
+        assert max(abs(row["kappa_diff"]) for row in rows) < 1e-8
 
     def test_interfere_gamma_star_just_above_one(self):
         # the acceptance threshold q0 (gamma* - 1)^2 / (a + b)^2 is 2.5e-19 here,

@@ -45,6 +45,13 @@ class TestConditionalVariances:
         assert v.entangled == pytest.approx(1 / 3 + 0.6, rel=1e-12)
         assert v.unentangled == pytest.approx(1.3, rel=1e-12)
 
+    def test_past_the_float_range_raises(self):
+        # 2 nbar_T overflows although nbar_T is finite; the largest finite one passes
+        with pytest.raises(OverflowError, match="past the float range"):
+            est.conditional_variance(est.EstimationSetting(x=0.5, nbar_T=1e308))
+        v = est.conditional_variance(est.EstimationSetting(x=0.5, nbar_T=8e307))
+        assert v.entangled == 1.6e308
+
 
 class TestConvenienceThreshold:
     def test_closed_form(self):

@@ -69,6 +69,17 @@ class TestSeparabilityTime:
     def test_zero_temperature_never_separable(self):
         assert fiber.separability_time_rescaled(0.0, 1.0) == math.inf
         assert fiber.separability_time(1.0, 0.0, 2.0) == math.inf
+        # inf from the log term itself, at any Gamma
+        assert fiber.separability_time(1e-320, 0.0, 2.0) == math.inf
+        assert fiber.separability_time_large_n(1e-320, 0.0) == math.inf
+
+    def test_finite_log_over_a_tiny_gamma_raises(self):
+        # inf is reserved for M = 0; a finite log term over Gamma past the float range raises
+        for t in (lambda: fiber.separability_time(1e-320, 0.5, 2.0),
+                  lambda: fiber.separability_time_large_n(1e-320, 0.5)):
+            with pytest.raises(OverflowError, match="past the float range"):
+                t()
+        assert fiber.separability_time(1e-300, 0.5, 2.0) == pytest.approx(6.03456102602e299)
 
     def test_threshold_is_quarter_crossing(self):
         m, r0 = 0.7, 1.1

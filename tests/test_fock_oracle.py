@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from cventlab import cli
 from cventlab import fock_oracle as fo
@@ -36,6 +37,20 @@ class TestTwinBeamFock:
         marginal = np.sum(np.abs(s.amps) ** 2, axis=1)
         n = np.arange(31)
         assert np.allclose(marginal, (1 - x * x) * x ** (2 * n), atol=1e-15)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(0.0, 1.0, exclude_max=True), d=st.integers(0, 400))
+    @example(x=0.0, d=400)
+    @example(x=1e-300, d=400)  # x^2 underflows: |0, 0> alone
+    @example(x=0.1, d=400)  # x^p underflows at p = 324
+    @example(x=np.nextafter(1.0, 0.0), d=400)
+    def test_occupies_a_prefix(self, x, d):
+        # what the sector table rests on: the nonzero diagonal entries of a
+        # twin-beam are |p, p> for p = 0 ... k, for some k, with no holes
+        state = fo.twin_beam_fock(x, d)
+        occupied = np.flatnonzero(state.amps.diagonal()).tolist()
+        assert occupied == list(range(len(occupied))) and occupied
+        assert np.count_nonzero(state.amps) == len(occupied)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -358,13 +373,8 @@ def table(monkeypatch):
     return fresh
 
 
-def kept_sectors(table):
-    """The sectors p whose (w, v) the table holds."""
-    return np.flatnonzero(table.kept).tolist()
-
-
 def table_arrays(table):
-    return table.kept, table.starts, table.w, table.v
+    return table.starts, table.w, table.v
 
 
 @pytest.fixture
@@ -391,7 +401,7 @@ class TestEigensystemMemo:
         # a random diagonal state occupies every sector p <= d = 13
         state = diagonal_state(13, 21)
         fresh = fo.apply_jx_evolution(state, 0.7)
-        assert kept_sectors(table) == list(range(14))
+        assert table.starts.size == 14
         assert eigh_sizes == list(range(1, 15))
         eigh_sizes.clear()
         memoized = fo.apply_jx_evolution(state, 0.7)
@@ -434,53 +444,46 @@ class TestEigensystemMemo:
 
     def test_kept_sectors_live_in_one_process_cache(self, eigh_sizes):
         # the module's own table, which the other tests swap for a fresh one:
-        # one object, which diagonalizes only the sectors it did not yet hold
+        # one object, which diagonalizes only the sectors past its end
         table = fo._TABLE
-        before = table.kept.copy()
+        before = table.starts.size
         state = fo.twin_beam_fock(0.6, fo.default_d_max(0.6))
         first = fo.apply_jx_evolution(state, 0.2)
         assert np.array_equal(fo.apply_jx_evolution(state, 0.2), first)
         assert fo._TABLE is table
-        added = [p + 1 for p in range(state.d_max + 1) if p >= before.size or not before[p]]
-        assert sorted(eigh_sizes) == added
-        assert table.kept[: state.d_max + 1].all()
+        assert eigh_sizes == [p + 1 for p in range(before, state.d_max + 1)]
+        assert table.starts.size == max(before, state.d_max + 1)
 
     def test_blocks_past_the_cap_are_diagonalized_where_occupied(self, table, eigh_sizes):
         # the sectors p = 3, 7, 200, 201 and 206 are occupied, two of them past
-        # the cap of default_d_max: each is kept, and diagonalized once
+        # the cap of default_d_max: the table holds 0 ... 206, each diagonalized once
         cap = fo.D_MAX_CAP
         ps = (3, 7, cap, cap + 1, cap + 6)
         state = diagonal_state(cap + 6, 5, ps)
         first = fo.apply_jx_evolution(state, 0.3)
-        assert kept_sectors(table) == list(ps)
-        assert eigh_sizes == [p + 1 for p in ps]
+        assert table.starts.size == cap + 7
+        assert eigh_sizes == list(range(1, cap + 8))
         eigh_sizes.clear()
         again = fo.apply_jx_evolution(state, 0.3)
         assert eigh_sizes == []
-        assert np.count_nonzero(table.kept) == len(ps)
         assert np.array_equal(again, first)
-        # the slots of the unoccupied sectors hold v = 0
-        filled = np.zeros(table.v.size, dtype=bool)
-        for p in ps:
-            filled[table.starts[p]: table.starts[p] + p + 1] = True
-        assert not table.v[~filled].any()
-        # and each entry is a_p D_p, with D_p from a fresh eigensystem
+        # each entry is a_p D_p, with D_p from a fresh eigensystem
         a = state.amps.diagonal()
         for p in ps:
             w, v = fo._sector(p)
             assert again[p] == pytest.approx(a[p] * np.sum(v * np.exp(0.3j * w)), abs=1e-13)
 
-    @pytest.mark.parametrize("p", [7, fo.D_MAX_CAP + 6, 2 * fo.D_MAX_CAP + 1,
-                                   2 * fo.D_MAX_CAP + 6])
+    @pytest.mark.parametrize("p", [7, fo.D_MAX_CAP + 6])
     def test_eigensystem_is_read_only(self, table, eigh_sizes, p):
-        # |p, p> alone, at d = p, below and past the cap: the sector is kept,
-        # and diagonalized once over two evolutions
+        # |p, p> alone, at d = p, below and past the cap: the sectors 0 ... p
+        # are held, each diagonalized once over two evolutions
         state = diagonal_state(p, p, [p])
         fo.apply_jx_evolution(state, 0.3)
+        w = table.w
         fo.apply_jx_evolution(state, -0.3)
-        assert kept_sectors(table) == [p]
-        assert eigh_sizes == [p + 1]
-        for a in (*table_arrays(table), *table.prefix(np.array([p]))):
+        assert table.w is w  # not reallocated
+        assert eigh_sizes == list(range(1, table.starts.size + 1)) == list(range(1, p + 2))
+        for a in (*table_arrays(table), *table.prefix(p)):
             with pytest.raises(ValueError):
                 a[0] = 0
 
@@ -527,18 +530,19 @@ class TestSectorLayout:
         out = fo.apply_jx_evolution(state, 0.5)
         assert np.array_equal(out, np.zeros(12))
         assert eigh_sizes == []
-        assert table.kept.size == table.w.size == 0
+        assert table.starts.size == table.w.size == 0
 
     def test_layout_is_cached_and_read_only(self, table):
-        # |6, 6> alone: sector 6 at offset 21, the slots of sectors 0 ... 5 empty
+        # |6, 6> alone: the sectors 0 ... 6 back to back, sector 6 at offset 21
         state = diagonal_state(6, 6, [6])
         fo.apply_jx_evolution(state, 0.3)
         w, v = table.w, table.v
         fo.apply_jx_evolution(state, 0.3)
         assert table.w is w and table.v is v  # not reallocated
         assert w.size == v.size == 28 and table.starts.tolist() == [0, 1, 3, 6, 10, 15, 21]
-        assert np.array_equal(w[21:], fo._sector(6)[0]) and np.array_equal(v[21:], fo._sector(6)[1])
-        assert not w[:21].any() and not v[:21].any()
+        for p, start in enumerate(table.starts.tolist()):
+            assert np.array_equal(w[start: start + p + 1], fo._sector(p)[0])
+            assert np.array_equal(v[start: start + p + 1], fo._sector(p)[1])
         for a in table_arrays(table):
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -549,10 +553,10 @@ class TestSectorLayout:
         state = diagonal_state(24, 4, (0, 3, 7, 10, 18))
         fo.apply_jx_evolution(state, 0.3)
         assert kept_bytes(table) == 8 * 19 * 20 <= state.amps.nbytes / 2
-        # the lone |406, 406>: 8 (d + 1)(d + 2) bytes, about half the state's
-        state = diagonal_state(406, 406, [406])
+        # the lone |206, 206>: 8 (d + 1)(d + 2) bytes, about half the state's
+        state = diagonal_state(206, 206, [206])
         fo.apply_jx_evolution(state, 0.3)
-        assert kept_bytes(table) == 8 * 407 * 408 <= state.amps.nbytes / 2 + 8 * 407
+        assert kept_bytes(table) == 8 * 207 * 208 <= state.amps.nbytes / 2 + 8 * 207
 
     def test_stream_truncations_take_under_2_mb(self, table):
         # the benchmark's interfere truncations share the sectors of the largest, d = 109
@@ -616,37 +620,51 @@ def per_sector_evolution(state, phi):
 
 
 def bit_identity_states():
-    """Twin-beams at their default d_max, the holes state and the lone |406, 406>."""
+    """Twin-beams at their default d_max, the holes state and the lone |206, 206>."""
     states = [fo.twin_beam_fock(x, fo.default_d_max(x)) for x in (0.0, 0.1, 0.5, 0.9, 0.94)]
     states.append(diagonal_state(24, 4, (0, 3, 7, 10, 18)))
-    states.append(diagonal_state(406, 406, [406]))
+    states.append(diagonal_state(fo.D_MAX_CAP + 6, 206, [fo.D_MAX_CAP + 6]))
     return states
 
 
 PHASES = [0.0, 1e-9, 0.3, -1.3, 1e3, -7.7e5]
 
 
+@pytest.fixture(scope="class")
+def evolved_in_both_orders():
+    """(states, {phi: evolved diagonals}) for each growth order, one fresh table per order.
+
+    Each state is evolved at every phase right after the table grows to it, by
+    one sector at a time going up, and at once to the top going down.
+    """
+    states = bit_identity_states()
+    evolved = {phi: [] for phi in PHASES}
+    with pytest.MonkeyPatch.context() as patch:
+        for order in (range(len(states)), range(len(states))[::-1]):
+            patch.setattr(fo, "_TABLE", fo._SectorTable())
+            for i in order:
+                for phi in PHASES:
+                    evolved[phi].append((states[i], fo.apply_jx_evolution(states[i], phi)))
+    return evolved
+
+
 class TestPrefixTable:
     """The prefix table gives the bytes of a per-sector evaluation, in any growth order."""
 
     @pytest.mark.parametrize("phi", PHASES)
-    def test_bit_identical_to_per_sector_sums(self, monkeypatch, phi):
-        states = bit_identity_states()
-        for order in (states, states[::-1]):  # growing by one sector, and filling holes
-            monkeypatch.setattr(fo, "_TABLE", fo._SectorTable())
-            for state in order:
-                got = fo.apply_jx_evolution(state, phi)
-                assert got.tobytes() == per_sector_evolution(state, phi).tobytes()
+    def test_bit_identical_to_per_sector_sums(self, evolved_in_both_orders, phi):
+        for state, got in evolved_in_both_orders[phi]:
+            assert got.tobytes() == per_sector_evolution(state, phi).tobytes()
 
     def test_occupied_sectors_diagonalized_once_in_any_order(self, table, eigh_sizes):
+        # the highest state first: every sector up to its top at once, then none
         states = bit_identity_states()
         for phi in PHASES:
             for state in states[::-1]:
                 fo.apply_jx_evolution(state, phi)
-        occupied = sorted({p for state in states
-                           for p in np.flatnonzero(state.amps.diagonal()).tolist()})
-        assert kept_sectors(table) == occupied
-        assert sorted(eigh_sizes) == [p + 1 for p in occupied]
+        top = max(int(np.flatnonzero(state.amps.diagonal())[-1]) for state in states)
+        assert table.starts.size == top + 1
+        assert eigh_sizes == list(range(1, top + 2))
 
     @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided", "reversed"])
     def test_any_memory_layout_evolves_and_refuses_alike(self, layout):
