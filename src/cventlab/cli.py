@@ -277,7 +277,7 @@ def interfere(g, seed):
     p_zero = itf.mz_zero_count_probability(g["x"], g["phi"], d)
     probe = fock_oracle.twin_beam_fock(g["x"], d)
     evolved = fock_oracle.apply_jx_evolution(probe, g["phi"])
-    kappa = abs(fock_oracle.overlap(probe.amps.diagonal(), evolved))
+    kappa = abs(fock_oracle.overlap(probe.diag, evolved))
     kappa_oracle = kappa * kappa
     phi_min = (
         itf.min_detectable_phase_ideal(g["q0"], g["gamma_star"], n_mean)

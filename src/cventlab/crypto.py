@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from cventlab.discrimination import helstrom_error
-from cventlab.gaussian_core import _BLOCK, TwinBeamParams
+from cventlab.gaussian_core import _BLOCK, TwinBeamParams, _schmidt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,8 +39,7 @@ class ProtocolConfig:
     kappa_key: float
 
     def __post_init__(self):
-        if not 0.0 <= self.x < 1.0:
-            raise ValueError(f"x must be in [0, 1), got {self.x}")
+        _schmidt(self.x)
         if not self.a >= 0:
             raise ValueError(f"a must be >= 0, got {self.a}")
         if not self.kappa_key > 0:
@@ -49,8 +48,7 @@ class ProtocolConfig:
 
 def receiver_variance(x: float) -> float:
     """Per-quadrature heterodyne receiver variance sigma_x^2 = (1 - x^2)/2."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"x must be in [0, 1), got {x}")
+    x = _schmidt(x)
     return 0.5 * (1.0 - x * x)
 
 
@@ -274,7 +272,7 @@ def uniform_key_eigenvalue_demo(
     mu, vec = np.linalg.eigh(np.diag(root, 1) + np.diag(root, -1))
     y = ((-1.0) ** (n // 2))[:, None] * vec
     flip = ((-1.0) ** n)[:, None] * y
-    c = np.diagonal(fock_oracle.twin_beam_fock(x, d_max).amps).real
+    c = fock_oracle.twin_beam_fock(x, d_max).diag.real
     # flat Fock indices p dim + q, even p + q first; lag p - q indexes the phase table
     p, q = np.divmod(np.arange(dim * dim), dim)
     order = np.argsort((p + q) % 2, kind="stable")

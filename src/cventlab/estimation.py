@@ -19,8 +19,7 @@ from cventlab import gaussian_core
 
 def heterodyne_variance(x: float) -> float:
     """Clean twin-beam heterodyne complex variance Delta_x^2 = (1-x)/(1+x)."""
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"Schmidt parameter must be in [0, 1), got {x}")
+    x = gaussian_core._schmidt(x)
     return (1.0 - x) / (1.0 + x)
 
 
@@ -33,8 +32,7 @@ class EstimationSetting:
     alpha: complex = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.x < 1.0:
-            raise ValueError(f"x must be in [0, 1), got {self.x}")
+        gaussian_core._schmidt(self.x)
         if not self.nbar_T >= 0:
             raise ValueError(f"nbar_T must be >= 0, got {self.nbar_T}")
 

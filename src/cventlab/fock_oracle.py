@@ -1,13 +1,13 @@
 """Truncated two-mode Fock-space engine, used as an independent oracle.
 
-States are stored as a (d_max+1) x (d_max+1) complex amplitude matrix with
-entry (p, q) = <p, q|psi>.  The beam-mixing evolution exp(i phi J) with
-J = a^dag b + a b^dag conserves the total photon number n and commutes with
-the swap of the two modes (it is 2 J_x in the Schwinger picture).  It
-evolves only diagonal states sum_p a_p |p, p>, every twin-beam among them:
-the block n = 2p holds one entry of such a state, |p, p>, and exp(i phi J)
-keeps it in the p + 1 symmetric combinations of the |k, 2p-k>, the block's
-swap-symmetric sector, on which J is a small symmetric tridiagonal matrix.
+A state is sum_p a_p |p, p>, p = 0 ... d_max, held as its vector of
+amplitudes a_p; every twin-beam is one.  The beam-mixing evolution
+exp(i phi J) with J = a^dag b + a b^dag conserves the total photon number n
+and commutes with the swap of the two modes (it is 2 J_x in the Schwinger
+picture).  The block n = 2p holds one entry of such a state, |p, p>, and
+exp(i phi J) keeps it in the p + 1 symmetric combinations of the |k, 2p-k>,
+the block's swap-symmetric sector, on which J is a small symmetric
+tridiagonal matrix.
 
 Every reader of an evolved state (the zero-difference probability, the
 overlap with a twin-beam probe) reads only its diagonal, so that is what the
@@ -21,14 +21,13 @@ it is the same at every d_max.
 are kept for the process in one prefix table: sector p's p + 1 entries sit
 at offset p (p + 1) / 2 of two flat read-only arrays, w as intp and v as
 float64, so sectors 0 ... top take 8 (top + 1)(top + 2) bytes: 97,680 B at
-d_max = 109, 0.33 MB up to D_MAX_CAP (the cap of default_d_max), and up to
-any d at most 8 (d + 1)(d + 2), about half the 16 (d + 1)^2 bytes of the
-state that occupies them.  An evolution of a higher top appends the
-sectors up to it, each diagonalized once; a twin-beam occupies all of them.
-An evolution runs over the prefix up to its top sector; as w holds
-integers, it takes its phases from one table of exp(i phi k), and the sums
-over i are numpy's fixed-order reduceat over the per-sector segments, not a
-BLAS product, so LAPACK's eigh is the only library call in the oracle.
+d_max = 109, 0.33 MB up to D_MAX_CAP (the cap of default_d_max) and 8 MB up
+to D_MAX_LIMIT.  An evolution of a higher top appends the sectors up to it,
+each diagonalized once; a twin-beam occupies all of them.  An evolution
+runs over the prefix up to its top sector; as w holds integers, it takes its
+phases from one table of exp(i phi k), and the sums over i are numpy's
+fixed-order reduceat over the per-sector segments, not a BLAS product, so
+LAPACK's eigh is the only library call in the oracle.
 
 The J normalization (no factor 1/2 in front of a^dag b + a b^dag) is the one
 under which the twin-beam survival probability equals
@@ -39,39 +38,45 @@ overlap tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from cventlab.gaussian_core import _schmidt
 
 _SQRT2 = math.sqrt(2.0)
 
 D_MAX_CAP = 200  # the cap of default_d_max
+D_MAX_LIMIT = 1000  # the largest d_max of twin_beam_fock: its sectors take 8 MB and ~1 min
 
 
-@dataclass(frozen=True)
-class FockTwoModeState:
-    """Two-mode state truncated at d_max photons per mode."""
+class FockTwoModeState(NamedTuple("FockTwoModeState", [("diag", np.ndarray)])):
+    """sum_p a_p |p, p>, p <= d_max, as a read-only copy of its finite amplitudes a_p."""
 
-    amps: np.ndarray
-    d_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (self.d_max + 1, self.d_max + 1):
-            raise ValueError(
-                f"amps must be {(self.d_max + 1, self.d_max + 1)}, got {amps.shape}"
-            )
-        object.__setattr__(self, "amps", amps)
+    def __new__(cls, diag) -> "FockTwoModeState":
+        diag = np.array(diag, dtype=complex)
+        if diag.ndim != 1 or diag.size == 0:
+            raise ValueError(f"amplitudes a_p must be nonempty and 1-D, got shape {diag.shape}")
+        if not np.isfinite(diag).all():
+            raise ValueError("the Fock oracle holds states with finite amplitudes only")
+        diag.flags.writeable = False
+        return super().__new__(cls, diag)
 
+    @property
+    def d_max(self) -> int:
+        return self.diag.size - 1
 
-def _check_schmidt(x: float) -> None:
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"Schmidt parameter must be in [0, 1), got {x}")
+    @property
+    def amps(self) -> np.ndarray:
+        """The (d_max+1) x (d_max+1) matrix of the <p, q|psi>, built on each call."""
+        return np.diag(self.diag)
 
 
 def default_d_max(x: float, tail_tol: float = 1e-10, cap: int = D_MAX_CAP) -> int:
     """Smallest truncation with twin-beam tail x^{2(d_max+1)} below tail_tol."""
-    _check_schmidt(x)
+    x = _schmidt(x)
     if x == 0.0:
         return 0
     d = math.ceil(math.log(tail_tol) / (2.0 * math.log(x))) - 1
@@ -79,13 +84,11 @@ def default_d_max(x: float, tail_tol: float = 1e-10, cap: int = D_MAX_CAP) -> in
 
 
 def twin_beam_fock(x: float, d_max: int) -> FockTwoModeState:
-    """Twin-beam |x>> = sqrt(1-x^2) sum_p x^p |p, p>, truncated at d_max."""
-    _check_schmidt(x)
-    if d_max < 0:
-        raise ValueError(f"d_max must be >= 0, got {d_max}")
-    amps = np.zeros((d_max + 1, d_max + 1), dtype=complex)
-    amps.reshape(-1)[:: d_max + 2] = math.sqrt(1.0 - x * x) * x ** np.arange(d_max + 1)
-    return FockTwoModeState(amps, d_max)
+    """Twin-beam |x>> = sqrt(1-x^2) sum_p x^p |p, p>, truncated at d_max <= D_MAX_LIMIT."""
+    x = _schmidt(x)
+    if not 0 <= d_max <= D_MAX_LIMIT:
+        raise ValueError(f"d_max must be in [0, {D_MAX_LIMIT}], got {d_max}")
+    return FockTwoModeState(math.sqrt(1.0 - x * x) * x ** np.arange(d_max + 1))
 
 
 def _sector_generator(p: int) -> np.ndarray:
@@ -148,21 +151,11 @@ _TABLE = _SectorTable()
 def apply_jx_evolution(state: FockTwoModeState, phi: float) -> np.ndarray:
     """The diagonal <p, p|exp(i phi (a^dag b + a b^dag))|psi>, p = 0 ... d_max.
 
-    The state must be diagonal, sum_p a_p |p, p>, as every twin-beam is, with
-    finite amplitudes; any other raises ValueError.  Entry p is a_p D_p, with
-    D_p the survival amplitude of |p, p> in its whole symmetric sector, so
-    no truncation enters it.  A phi whose product with an eigenvalue
-    overflows raises FloatingPointError.
+    Entry p is a_p D_p, with D_p the survival amplitude of |p, p> in its
+    whole symmetric sector, so no truncation enters it.  A phi whose product
+    with an eigenvalue overflows raises FloatingPointError.
     """
-    amps = state.amps
-    # every real and imaginary part as one float array: a view at any order
-    # and sign of the strides, a copy where the amplitudes are not contiguous
-    parts = amps.ravel(order="K").view(np.float64)
-    if not np.isfinite(parts).all():
-        raise ValueError("the Fock oracle evolves states with finite amplitudes only")
-    diag = amps.diagonal()
-    if np.count_nonzero(parts) != np.count_nonzero(diag.real) + np.count_nonzero(diag.imag):
-        raise ValueError("the Fock oracle evolves diagonal states sum_p a_p |p, p> only")
+    diag = state.diag
     out = np.zeros_like(diag)
     occupied = np.flatnonzero(diag)
     if occupied.size == 0:

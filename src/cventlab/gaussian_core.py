@@ -36,6 +36,14 @@ def _squeezing(r0: float) -> float:
     return r0
 
 
+def _schmidt(x: float) -> float:
+    """x as a float, checked to be in [0, 1)."""
+    x = float(x)
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"Schmidt parameter must be in [0, 1), got {x}")
+    return x
+
+
 def _epr_variances(r0: float) -> tuple[float, float]:
     """(Sigma_plus_sq, Sigma_minus_sq) = (e^{2 r0}/4, e^{-2 r0}/4) of a twin-beam, r0 checked."""
     r0 = _squeezing(r0)
@@ -63,10 +71,7 @@ class TwinBeamParams(NamedTuple("TwinBeamParams", [("r0", float)])):
 
     @classmethod
     def from_x(cls, x: float) -> "TwinBeamParams":
-        x = float(x)
-        if not 0.0 <= x < 1.0:
-            raise ValueError(f"Schmidt parameter must be in [0, 1), got {x}")
-        return cls(math.atanh(x))
+        return cls(math.atanh(_schmidt(x)))
 
     @classmethod
     def from_mean_photons(cls, N: float) -> "TwinBeamParams":

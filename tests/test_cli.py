@@ -356,6 +356,8 @@ class TestErrorHandling:
             "estimate at x=0.5, nbar_t=1e+308, alpha=1, trials=1",
         ("fiber", "--gamma", "1e-320", "--m", "0.5", "--n", "2"):
             "fiber at gamma=9.99988867183e-321, m=0.5, n=2",
+        # a Gamma whose inverse overflows, with a log term too large for the time as well
+        ("fiber", "--gamma", "1e-310", "--m", "0.5", "--n", "2"): "fiber at gamma=1e-310, m=0.5, n=2",
     }
 
     @pytest.mark.filterwarnings("error")
@@ -389,8 +391,36 @@ class TestErrorHandling:
         assert out.stderr == ("numerical failure: discriminate at phases=0,5e-324: "
                               "cannot convert float infinity to integer\n")
 
+    def test_subnormal_gamma_with_a_finite_time(self):
+        # 1/Gamma overflows at Gamma = 1e-310, but neither time does
+        mpmath = pytest.importorskip("mpmath")
+        out = run_cli(["fiber", "--gamma", "1e-310", "--m", "1e10", "--n", "1e-20",
+                       "--format", "json"])
+        assert out.exit_code == 0
+        (row,) = json.loads(out.stdout)["rows"]
+        with mpmath.workdps(50):
+            n = mpmath.mpf(1e-20)
+            exact = mpmath.log(1 - (n - mpmath.sqrt(n * (n + 2))) / 2e10) / 1e-310
+            assert abs(row["t_s"] - exact) <= 1e-15 * exact
+        assert row["t_s_large_N"] == pytest.approx(5e299, rel=1e-10)
+
+    @pytest.mark.parametrize("args", [
+        ["--x", "0.5", "--d-max", "100000"],
+        ["--x", "0.9", "--d-max", "100000"],
+        ["--x", "0.5", "--range", "d_max=1001:100000:2"],
+    ])
+    def test_d_max_past_the_limit_is_a_bad_argument(self, args):
+        # refused before any sector is diagonalized: the sectors up to where
+        # x^p underflows (p = 1,074 at x = 0.5, 7,060 at x = 0.9) would take
+        # minutes to hours
+        out = run_cli(["interfere", *args])
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert "\nError: Invalid value: d_max must be in [0, 1000], got " in out.stderr
+        assert "Traceback" not in out.output
+
     def test_out_of_memory_is_a_numerical_failure(self, monkeypatch):
-        # what --d-max 100000 meets, without allocating its 149 GiB
+        # a MemoryError in a row, without allocating the 149 GiB it names
         def unable(x, d_max):
             raise MemoryError("Unable to allocate 149. GiB")
 
@@ -532,7 +562,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("args, message", [
         (["fiber", "--m", "0.5", "--n", "0"], "N must be > 0"),
         (["fiber", "--m", "-1", "--n", "2"], "M must be >= 0"),
-        (["estimate", "--x", "1.0"], "x must be in [0, 1)"),
+        (["estimate", "--x", "1.0"], "Schmidt parameter must be in [0, 1)"),
         (["estimate", "--x", "0.5", "--trials", "0"], "n_trials must be >= 1"),
         (["crypto", "errors", "--x", "0.7", "--kappa", "0"], "kappa_key must be > 0"),
         (["crypto", "simulate", "--x", "0.8", "--bits", "0"], "n_bits must be >= 1"),

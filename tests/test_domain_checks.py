@@ -5,9 +5,10 @@ import re
 
 import pytest
 
-from cventlab import crypto, estimation, fiber, gaussian_core, interferometry
+from cventlab import crypto, estimation, fiber, fock_oracle, gaussian_core, interferometry
 
 NAN = math.nan
+SCHMIDT = "Schmidt parameter must be in [0, 1), got nan"
 
 # (call, the message of its domain check), one per check that a NaN once passed
 CASES = {
@@ -16,6 +17,14 @@ CASES = {
     "TwinBeamParams.from_mean_photons-N": (
         lambda: gaussian_core.TwinBeamParams.from_mean_photons(NAN),
         "mean photon number must be >= 0, got nan"),
+    # the one Schmidt-parameter check, gaussian_core._schmidt, at each of its callers
+    "TwinBeamParams.from_x-x": (lambda: gaussian_core.TwinBeamParams.from_x(NAN), SCHMIDT),
+    "heterodyne_variance-x": (lambda: estimation.heterodyne_variance(NAN), SCHMIDT),
+    "EstimationSetting-x": (lambda: estimation.EstimationSetting(NAN), SCHMIDT),
+    "ProtocolConfig-x": (lambda: crypto.ProtocolConfig(x=NAN, a=0.5, kappa_key=1.0), SCHMIDT),
+    "receiver_variance-x": (lambda: crypto.receiver_variance(NAN), SCHMIDT),
+    "default_d_max-x": (lambda: fock_oracle.default_d_max(NAN), SCHMIDT),
+    "twin_beam_fock-x": (lambda: fock_oracle.twin_beam_fock(NAN, 5), SCHMIDT),
     "NoiseParams-nbar": (lambda: gaussian_core.NoiseParams(NAN), "nbar must be >= 0, got nan"),
     "EstimationSetting-nbar_T": (lambda: estimation.EstimationSetting(0.5, nbar_T=NAN),
                                  "nbar_T must be >= 0, got nan"),

@@ -81,6 +81,14 @@ class TestSeparabilityTime:
                 t()
         assert fiber.separability_time(1e-300, 0.5, 2.0) == pytest.approx(6.03456102602e299)
 
+    @pytest.mark.parametrize("gamma", [2.0 ** -1022, 2.0 ** -1024, 1e-310, 5e-324])
+    def test_subnormal_gamma_with_a_finite_time(self, gamma):
+        # 1/Gamma overflows below 2^-1024, where the time is log/Gamma instead
+        m, n = 1e10, 1e-20
+        with mpmath.workdps(50):
+            exact = mpmath.log(1 - (n - mpmath.sqrt(mpmath.mpf(n) * (n + 2))) / (2 * m)) / gamma
+            assert abs(fiber.separability_time(gamma, m, n) - exact) <= 1e-15 * exact
+
     def test_threshold_is_quarter_crossing(self):
         m, r0 = 0.7, 1.1
         tau_s = fiber.separability_time_rescaled(m, r0)

@@ -14,15 +14,13 @@ from cventlab import interferometry as itf
 
 
 def norm_sq(state):
-    return float(np.sum(np.abs(state.amps) ** 2))
+    return float(np.sum(np.abs(state.diag) ** 2))
 
 
 class TestTwinBeamFock:
     def test_x_zero_is_vacuum(self):
         s = fo.twin_beam_fock(0.0, 5)
-        expected = np.zeros((6, 6))
-        expected[0, 0] = 1.0
-        assert np.allclose(s.amps, expected)
+        assert np.array_equal(s.diag, [1, 0, 0, 0, 0, 0])
         assert norm_sq(s) == 1.0
 
     def test_tail_geometric(self):
@@ -48,7 +46,7 @@ class TestTwinBeamFock:
         # what the sector table rests on: the nonzero diagonal entries of a
         # twin-beam are |p, p> for p = 0 ... k, for some k, with no holes
         state = fo.twin_beam_fock(x, d)
-        occupied = np.flatnonzero(state.amps.diagonal()).tolist()
+        occupied = np.flatnonzero(state.diag).tolist()
         assert occupied == list(range(len(occupied))) and occupied
         assert np.count_nonzero(state.amps) == len(occupied)
 
@@ -57,6 +55,38 @@ class TestTwinBeamFock:
             fo.twin_beam_fock(1.0, 5)
         with pytest.raises(ValueError):
             fo.twin_beam_fock(0.5, -1)
+
+    def test_d_max_past_the_limit_is_refused(self, table, eigh_sizes):
+        # refused before any amplitude or sector is computed: the limit's own
+        # sectors take about a minute, and the cost grows about as d_max^4
+        for d in (fo.D_MAX_LIMIT + 1, 100_000):
+            with pytest.raises(ValueError, match=rf"d_max must be in \[0, 1000\], got {d}$"):
+                fo.twin_beam_fock(0.9, d)
+        assert fo.twin_beam_fock(1e-300, fo.D_MAX_LIMIT).d_max == fo.D_MAX_LIMIT
+        assert eigh_sizes == [] and table.starts.size == 0
+
+
+class TestState:
+    """A state is the read-only vector of its amplitudes a_p, checked once, when it is made."""
+
+    @pytest.mark.parametrize("amps", [0.5, [], [[1.0]], np.eye(3), np.zeros((2, 2, 2))])
+    def test_refuses_all_but_a_nonempty_vector(self, amps):
+        with pytest.raises(ValueError, match=REFUSED):
+            fo.FockTwoModeState(amps)
+
+    def test_diag_is_a_read_only_copy(self):
+        given = np.array([0.6, 0.8j, 0.0])
+        state = fo.FockTwoModeState(given)
+        with pytest.raises(ValueError):
+            state.diag[0] = 0
+        given[0] = 1.0  # the caller's array stays its own, and writable
+        assert state.diag.tolist() == [0.6, 0.8j, 0.0] and state.diag.dtype == complex
+
+    def test_d_max_and_amps_are_derived(self):
+        state = fo.twin_beam_fock(0.5, 7)
+        assert state.d_max == state.diag.size - 1 == 7
+        assert np.array_equal(state.amps, np.diag(state.diag))
+        assert fo.FockTwoModeState([1.0]).d_max == 0
 
 
 class TestDefaultDmax:
@@ -82,33 +112,34 @@ class TestDefaultDmax:
                 call()
 
 
-REFUSED = r"diagonal states sum_p a_p \|p, p> only"
+# a matrix of amplitudes, even a diagonal one, is not a state: only the vector a_p is
+REFUSED = r"amplitudes a_p must be nonempty and 1-D"
 
 
 def diagonal_state(d, seed, ps=None):
     """A random diagonal state sum_p a_p |p, p> on the given p (default all p <= d), normalized."""
     rng = np.random.default_rng(seed)
     ps = np.arange(d + 1) if ps is None else np.asarray(ps)
-    amps = np.zeros((d + 1, d + 1), dtype=complex)
-    amps[ps, ps] = rng.normal(size=ps.size) + 1j * rng.normal(size=ps.size)
-    return fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+    a = np.zeros(d + 1, dtype=complex)
+    a[ps] = rng.normal(size=ps.size) + 1j * rng.normal(size=ps.size)
+    return fo.FockTwoModeState(a / np.linalg.norm(a))
 
 
-def subspace_state(d, seed):
-    """A random state of the twin-beam's invariant subspace (swap-symmetric, even n), normalized."""
+def subspace_amps(d, seed):
+    """The matrix of a random state of the twin-beam's invariant subspace (swap-symmetric, even n)."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(d + 1, d + 1)) + 1j * rng.normal(size=(d + 1, d + 1))
     amps = amps + amps.T
     amps[np.add.outer(np.arange(d + 1), np.arange(d + 1)) % 2 == 1] = 0.0
-    return fo.FockTwoModeState(amps / np.linalg.norm(amps), d)
+    return amps / np.linalg.norm(amps)
 
 
 def swap_pair(d, k, m, sign=1):
-    """|k, m> + sign |m, k>, truncated at d: |k, m> alone for sign 0."""
+    """The matrix of |k, m> + sign |m, k>, truncated at d: |k, m> alone for sign 0."""
     amps = np.zeros((d + 1, d + 1), dtype=complex)
     amps[k, m] += 1.0
     amps[m, k] += sign
-    return fo.FockTwoModeState(amps, d)
+    return amps
 
 
 def dense_block_evolution(state, phi):
@@ -137,46 +168,45 @@ def assert_matches_dense(state, phi):
     got = fo.apply_jx_evolution(state, phi)
     ref = dense_block_evolution(state, phi).diagonal()
     assert got.shape == (state.d_max + 1,)
-    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(state.amps)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(state.diag)
 
 
-def assert_evolved_or_refused(state, phi):
-    """A diagonal state matches the dense reference; any other is refused."""
-    if np.array_equal(state.amps, np.diag(np.diag(state.amps))):
-        assert_matches_dense(state, phi)
-    else:
-        with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(state, phi)
+def assert_evolved_or_refused(amps, phi):
+    """A diagonal matrix's diagonal evolves as the dense reference; no matrix is a state."""
+    if np.array_equal(amps, np.diag(np.diag(amps))):
+        assert_matches_dense(fo.FockTwoModeState(np.diag(amps)), phi)
+    with pytest.raises(ValueError, match=REFUSED):
+        fo.FockTwoModeState(amps)
 
 
 def survival(d, phi):
     """D_p, p = 0 ... d: the evolved diagonal of sum_p |p, p>."""
-    return fo.apply_jx_evolution(fo.FockTwoModeState(np.eye(d + 1), d), phi)
+    return fo.apply_jx_evolution(fo.FockTwoModeState(np.ones(d + 1)), phi)
 
 
 class TestJxEvolution:
     def test_phi_zero_identity(self):
         s = fo.twin_beam_fock(0.7, 20)
         out = fo.apply_jx_evolution(s, 0.0)
-        assert np.allclose(out, s.amps.diagonal(), atol=1e-14)
+        assert np.allclose(out, s.diag, atol=1e-14)
 
     def test_single_photon_block(self):
-        # |1,0> is off the diagonal: refused
+        # |1,0> is off the diagonal: no state holds it
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(swap_pair(2, 1, 0, sign=0), 0.37)
+            fo.FockTwoModeState(swap_pair(2, 1, 0, sign=0))
 
     def test_half_swap_at_pi_over_two(self):
         # exp(i pi/2 J) maps |k, m> to i^(k+m) |m, k>, so |p, p> to (-1)^p |p, p>
         d = 10
-        a = diagonal_state(d, 17, range(d // 2 + 1)).amps.diagonal()
-        out = fo.apply_jx_evolution(fo.FockTwoModeState(np.diag(a), d), math.pi / 2)
+        a = diagonal_state(d, 17, range(d // 2 + 1)).diag
+        out = fo.apply_jx_evolution(fo.FockTwoModeState(a), math.pi / 2)
         assert np.allclose(out, (-1.0) ** np.arange(d + 1) * a, atol=1e-14)
 
     def test_norm_conserved_random_state(self):
         # |exp(i phi w)| = 1, so the evolved state's norm is sum_p |a_p|^2 sum_i v_i,
         # from the kept (w, v) of the occupied sectors alone
         for d in (12, 13, 40):
-            a = diagonal_state(d, 3, range(d // 2 + 1)).amps.diagonal()
+            a = diagonal_state(d, 3, range(d // 2 + 1)).diag
             evolved = sum(abs(a[p]) ** 2 * fo._sector(p)[1].sum() for p in range(d + 1))
             assert evolved == pytest.approx(1.0, abs=1e-12)
 
@@ -185,7 +215,7 @@ class TestJxEvolution:
         state = diagonal_state(4, 7, [2])  # |2,2>, total n = 4
         out = fo.apply_jx_evolution(state, 0.8)
         assert np.flatnonzero(out).tolist() == [2]
-        assert abs(out[2]) < 0.9 * abs(state.amps[2, 2])  # within the block it does move
+        assert abs(out[2]) < 0.9 * abs(state.diag[2])  # within the block it does move
 
     def test_unitarity_composition(self):
         # <U(-a) s | U(b) t> = <s | U(a + b) t>: U(a)^dag = U(-a) and U(a) U(b)
@@ -194,7 +224,7 @@ class TestJxEvolution:
         d, a, b = 14, 0.9, -0.35
         s, t = diagonal_state(d, 8, range(8)), diagonal_state(d, 9, range(8))
         lhs = np.sum(np.conj(dense_block_evolution(s, -a)) * dense_block_evolution(t, b))
-        rhs = fo.overlap(s.amps.diagonal(), fo.apply_jx_evolution(t, a + b))
+        rhs = fo.overlap(s.diag, fo.apply_jx_evolution(t, a + b))
         assert lhs == pytest.approx(rhs, abs=1e-13)
         assert abs(rhs) > 0.01
 
@@ -213,43 +243,47 @@ class TestJxEvolution:
 
 
 class TestSubspace:
-    """The evolution's domain: finite diagonal states sum_p a_p |p, p>."""
+    """The evolution's domain, finite diagonal states sum_p a_p |p, p>, is the type's.
+
+    A state is made from its vector a_p alone, so no state off the diagonal
+    exists to evolve: the matrix of one is refused when the state is made.
+    """
 
     def test_last_bit_of_asymmetry_is_refused(self):
-        amps = fo.twin_beam_fock(0.5, 6).amps.copy()
+        amps = fo.twin_beam_fock(0.5, 6).amps
         amps[0, 2], amps[2, 0] = np.nextafter(0.25, 1.0), 0.25
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
+            fo.FockTwoModeState(amps)
 
     def test_subnormal_odd_n_pair_is_refused(self):
-        amps = fo.twin_beam_fock(0.5, 6).amps.copy()
+        amps = fo.twin_beam_fock(0.5, 6).amps
         amps[1, 2] = amps[2, 1] = 5e-324
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
+            fo.FockTwoModeState(amps)
 
     def test_pair_of_the_twin_beams_block_is_refused(self):
         # |2,0> + |0,2> lies in the subspace exp(i phi J) keeps, but off the diagonal
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(swap_pair(2, 2, 0), 0.3)
+            fo.FockTwoModeState(swap_pair(2, 2, 0))
 
     @pytest.mark.parametrize("d", [2, 13, 40])
     def test_random_subspace_state_is_refused(self, d):
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(subspace_state(d, d), 0.3)
+            fo.FockTwoModeState(subspace_amps(d, d))
 
     def test_evolved_state_is_refused(self):
         # the whole evolved twin-beam, which the dense reference gives, is off the diagonal
         evolved = dense_block_evolution(fo.twin_beam_fock(0.5, 8), 0.3)
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(fo.FockTwoModeState(evolved, 8), -0.3)
+            fo.FockTwoModeState(evolved)
 
     @pytest.mark.parametrize("value", [math.nan, complex(0.5, math.nan), math.inf])
     def test_non_finite_amplitude_is_refused(self, value):
-        # on the diagonal, so the message names the value, not the shape
-        amps = fo.twin_beam_fock(0.5, 6).amps.copy()
-        amps[1, 1] = value
+        # when the state is made, so no evolution ever meets one
+        a = np.array(fo.twin_beam_fock(0.5, 6).diag)
+        a[1] = value
         with pytest.raises(ValueError, match="finite amplitudes only"):
-            fo.apply_jx_evolution(fo.FockTwoModeState(amps, 6), 0.3)
+            fo.FockTwoModeState(a)
 
 
 class TestSwapSectorKernel:
@@ -267,19 +301,19 @@ class TestSwapSectorKernel:
     @pytest.mark.parametrize("p, q", [(1, 0), (3, 0), (4, 1), (2, 0), (5, 1), (3, 1)])
     def test_pure_swap_sectors(self, p, q, sign):
         # |p,q> +- |q,p>, p != q, lies in one sector of the block n = p + q,
-        # symmetric or not, even n or odd, and always off the diagonal: refused
+        # symmetric or not, even n or odd, and always off the diagonal: no state
         assert_evolved_or_refused(swap_pair(5, p, q, sign), 0.45)
 
     @pytest.mark.parametrize("n", [4, 5, 10, 11])
     def test_single_block_odd_and_even_n(self, n):
         # block n alone: its diagonal entry |n/2, n/2> is evolved for even n;
-        # an odd n has none, and a symmetric state on it is refused
+        # an odd n has none, and a symmetric state on it is no state
         rng = np.random.default_rng(n)
         amps = np.zeros((n + 1, n + 1), dtype=complex)
         k = np.arange(n + 1) if n % 2 else np.array([n // 2])
         v = rng.normal(size=k.size) + 1j * rng.normal(size=k.size)
         amps[k, n - k] = v + v[::-1]
-        assert_evolved_or_refused(fo.FockTwoModeState(amps, n), 0.8)
+        assert_evolved_or_refused(amps, 0.8)
 
     def test_twin_beam(self):
         x = 0.9
@@ -289,9 +323,8 @@ class TestSwapSectorKernel:
         # an antisymmetric A has a zero diagonal and nothing but off-diagonal entries
         rng = np.random.default_rng(9)
         a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        state = fo.FockTwoModeState((a - a.T) / np.linalg.norm(a - a.T), 9)
         with pytest.raises(ValueError, match=REFUSED):
-            fo.apply_jx_evolution(state, 0.6)
+            fo.FockTwoModeState((a - a.T) / np.linalg.norm(a - a.T))
 
     def test_one_block_beyond_the_truncation(self):
         # |7, 7> alone: block n = 14 of d = 8 keeps only k = 6..8 of its 15
@@ -305,12 +338,12 @@ class TestSwapSectorKernel:
         # the vacuum at d = 20: sector 0 alone is occupied and diagonalized
         state = fo.twin_beam_fock(0.0, 20)
         out = fo.apply_jx_evolution(state, 0.9)
-        assert np.array_equal(out, state.amps.diagonal())
+        assert np.array_equal(out, state.diag)
         assert eigh_sizes == [1]
 
     def test_d_zero(self):
         # the vacuum block n = 0 has J = 0
-        state = fo.FockTwoModeState(np.array([[0.6 - 0.8j]]), 0)
+        state = fo.FockTwoModeState([0.6 - 0.8j])
         assert_matches_dense(state, 0.9)
         assert np.array_equal(fo.apply_jx_evolution(state, 0.9), [0.6 - 0.8j])
 
@@ -318,12 +351,12 @@ class TestSwapSectorKernel:
 class TestOverlap:
     def test_self_overlap(self):
         s = fo.twin_beam_fock(0.5, 25)
-        a = s.amps.diagonal()
+        a = s.diag
         assert fo.overlap(a, a).real == pytest.approx(norm_sq(s), rel=1e-12)
 
     def test_conjugate_symmetry(self):
         s = fo.twin_beam_fock(0.5, 20)
-        a, b = s.amps.diagonal(), fo.apply_jx_evolution(s, 0.4)
+        a, b = s.diag, fo.apply_jx_evolution(s, 0.4)
         assert fo.overlap(a, b) == pytest.approx(np.conj(fo.overlap(b, a)), abs=1e-14)
 
     def test_closed_form_survival(self):
@@ -332,25 +365,24 @@ class TestOverlap:
         N = 2 * x * x / (1 - x * x)
         s = fo.twin_beam_fock(x, fo.default_d_max(x, 1e-14, cap=300))
         evolved = fo.apply_jx_evolution(s, phi)
-        got = abs(fo.overlap(s.amps.diagonal(), evolved)) ** 2
+        got = abs(fo.overlap(s.diag, evolved)) ** 2
         expected = 1.0 / (1.0 + N * (N + 2.0) * math.sin(phi) ** 2)
         assert got == pytest.approx(expected, abs=1e-10)
 
     def test_dmax_mismatch(self):
         with pytest.raises(ValueError, match="d_max mismatch: 5 != 6"):
-            fo.overlap(fo.twin_beam_fock(0.3, 5).amps.diagonal(),
-                       fo.twin_beam_fock(0.3, 6).amps.diagonal())
+            fo.overlap(fo.twin_beam_fock(0.3, 5).diag, fo.twin_beam_fock(0.3, 6).diag)
 
 
 class TestZeroDifferenceProbability:
     def test_unevolved_twin_beam(self):
         s = fo.twin_beam_fock(0.5, 40)
-        assert fo.zero_difference_probability(s.amps.diagonal()) == pytest.approx(
+        assert fo.zero_difference_probability(s.diag) == pytest.approx(
             norm_sq(s), rel=1e-12
         )
 
     def test_vacuum(self):
-        assert fo.zero_difference_probability(fo.twin_beam_fock(0.0, 3).amps.diagonal()) == 1.0
+        assert fo.zero_difference_probability(fo.twin_beam_fock(0.0, 3).diag) == 1.0
 
     def test_small_phase_leading_coefficient(self):
         # P(d=0) = 1 - N(N+2) phi^2 + O(phi^4)
@@ -468,7 +500,7 @@ class TestEigensystemMemo:
         assert eigh_sizes == []
         assert np.array_equal(again, first)
         # each entry is a_p D_p, with D_p from a fresh eigensystem
-        a = state.amps.diagonal()
+        a = state.diag
         for p in ps:
             w, v = fo._sector(p)
             assert again[p] == pytest.approx(a[p] * np.sum(v * np.exp(0.3j * w)), abs=1e-13)
@@ -496,12 +528,12 @@ class TestGroupBoundaries:
     def test_one_occupied_sector_in_an_empty_group(self, n, sign):
         # +-|p, p>, n = 2p, the only sector occupied among its neighbours
         # (p = 8, 9, 15); an odd n has no diagonal entry, and its pair
-        # |k, n-k> +- |n-k, k> is refused
+        # |k, n-k> +- |n-k, k> is no state
         if n % 2 == 0:
-            state = fo.FockTwoModeState(sign * swap_pair(20, n // 2, n // 2, 0).amps, 20)
+            amps = sign * swap_pair(20, n // 2, n // 2, 0)
         else:
-            state = swap_pair(20, n // 2 - 3, n // 2 + 4, sign)
-        assert_evolved_or_refused(state, 0.45)
+            amps = swap_pair(20, n // 2 - 3, n // 2 + 4, sign)
+        assert_evolved_or_refused(amps, 0.45)
 
     def test_groups_with_holes(self):
         # the sectors 0, 3, 7, 10 and 18, with empty ones between them, the
@@ -526,7 +558,7 @@ class TestSectorLayout:
     """The prefix table: sector p's (w, v) at offset p (p + 1) / 2, 16 bytes an entry, read-only."""
 
     def test_zero_state_calls_eigh_zero_times(self, table, eigh_sizes):
-        state = fo.FockTwoModeState(np.zeros((12, 12)), 11)
+        state = fo.FockTwoModeState(np.zeros(12))
         out = fo.apply_jx_evolution(state, 0.5)
         assert np.array_equal(out, np.zeros(12))
         assert eigh_sizes == []
@@ -549,11 +581,11 @@ class TestSectorLayout:
 
     def test_sparse_state_takes_at_most_half_its_bytes(self, table):
         # the sectors 0, 3, 7, 10 and 18 at d = 24: the prefix up to 18,
-        # 8 (top + 1)(top + 2) bytes, against the state's 16 (d + 1)^2
+        # 8 (top + 1)(top + 2) bytes, against the 16 (d + 1)^2 of its dense matrix
         state = diagonal_state(24, 4, (0, 3, 7, 10, 18))
         fo.apply_jx_evolution(state, 0.3)
         assert kept_bytes(table) == 8 * 19 * 20 <= state.amps.nbytes / 2
-        # the lone |206, 206>: 8 (d + 1)(d + 2) bytes, about half the state's
+        # the lone |206, 206>: 8 (d + 1)(d + 2) bytes, about half the matrix's
         state = diagonal_state(206, 206, [206])
         fo.apply_jx_evolution(state, 0.3)
         assert kept_bytes(table) == 8 * 207 * 208 <= state.amps.nbytes / 2 + 8 * 207
@@ -579,7 +611,7 @@ class TestSectorGenerator:
     @pytest.mark.parametrize("n", range(9))
     def test_shape_is_the_sector_size(self, n, even):
         # J on the symmetric sector of an even block n = 2p is (p+1) x (p+1);
-        # |0, n> +- |n, 0> is off the diagonal and refused for every n > 0
+        # |0, n> +- |n, 0> is off the diagonal, no state, for every n > 0
         # (at n = 0 it is 2 |0, 0>, or zero for the minus sign: both diagonal)
         if even and n % 2 == 0:
             assert fo._sector_generator(n // 2).shape == (n // 2 + 1, n // 2 + 1)
@@ -604,7 +636,7 @@ def per_sector_evolution(state, phi):
     The same phase table, products and per-sector reduceat as the kernel,
     without the prefix table.
     """
-    diag = state.amps.diagonal()
+    diag = state.diag
     out = np.zeros_like(diag)
     occupied = np.flatnonzero(diag)
     if occupied.size == 0:
@@ -662,36 +694,37 @@ class TestPrefixTable:
         for phi in PHASES:
             for state in states[::-1]:
                 fo.apply_jx_evolution(state, phi)
-        top = max(int(np.flatnonzero(state.amps.diagonal())[-1]) for state in states)
+        top = max(int(np.flatnonzero(state.diag)[-1]) for state in states)
         assert table.starts.size == top + 1
         assert eigh_sizes == list(range(1, top + 2))
 
     @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided", "reversed"])
     def test_any_memory_layout_evolves_and_refuses_alike(self, layout):
-        def laid_out(amps):
-            if layout == "transposed":  # the same state where it is diagonal
-                return amps.T
+        # a 1-D view at any stride or sign of it, such as the diagonal of a
+        # matrix in either order, makes the state of the same bytes
+        def laid_out(a):
+            if layout == "transposed":
+                return np.diag(a).T.diagonal()
             if layout == "fortran":
-                return np.asfortranarray(amps)
+                return np.asfortranarray(np.diag(a)).diagonal()
             if layout == "strided":
-                wide = np.zeros((amps.shape[0], 2 * amps.shape[1]), dtype=complex)
-                wide[:, ::2] = amps
-                return wide[:, ::2]
-            return amps[::-1, ::-1].copy()[::-1, ::-1]
+                wide = np.zeros(2 * a.size, dtype=complex)
+                wide[::2] = a
+                return wide[::2]
+            return a[::-1].copy()[::-1]
 
         evolved = [diagonal_state(24, 4, (0, 3, 7, 10, 18)), fo.twin_beam_fock(0.5, 16),
                    diagonal_state(13, 21)]
         for state in evolved:
-            moved = fo.FockTwoModeState(laid_out(state.amps), state.d_max)
-            assert not moved.amps.flags.c_contiguous
+            given = laid_out(state.diag)
+            assert not given.flags.c_contiguous
+            moved = fo.FockTwoModeState(given)
+            assert moved.diag.tobytes() == state.diag.tobytes()
             for phi in (0.3, -1.3):
                 assert (fo.apply_jx_evolution(moved, phi).tobytes()
                         == fo.apply_jx_evolution(state, phi).tobytes())
-        off = swap_pair(6, 2, 4).amps
-        off_imag = 1j * swap_pair(6, 1, 0, sign=0).amps
-        bad = np.eye(7, dtype=complex)
-        bad[3, 3] = complex(0.0, math.nan)
-        for amps, message in ((off, REFUSED), (off_imag, REFUSED), (bad, "finite amplitudes")):
-            for evolve in (amps, laid_out(amps)):
-                with pytest.raises(ValueError, match=message):
-                    fo.apply_jx_evolution(fo.FockTwoModeState(evolve, 6), 0.3)
+        bad = np.ones(7, dtype=complex)
+        bad[3] = complex(0.0, math.nan)
+        for given in (bad, laid_out(bad)):
+            with pytest.raises(ValueError, match="finite amplitudes only"):
+                fo.FockTwoModeState(given)
