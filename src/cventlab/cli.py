@@ -5,9 +5,12 @@ seed; sweep syntax ``--range key=start:stop:steps`` expands a scalar
 parameter into a grid with one row per point.  Where an independent oracle
 exists, its value and the difference from the closed form are extra columns.
 
-A command is its options plus a row function ``row(g, seed)`` of one grid
-point ``g``, a dict of option values.  ``_table`` adds the common options and
-owns the run: seed, grid, rows, exit code of a failure, ``meta`` and output.
+A command is a table of its options plus a row function ``row(g, seed)`` of
+one grid point ``g``, a dict of option values.  One parser reads every
+command line against those tables, and ``_run`` owns the rest: seed, grid,
+rows, exit code of a failure, ``meta`` and output.  A refused command line
+raises ``UsageError``, which the console script prints as a usage line, a
+help hint and ``Error: ...``, and exits 2 on.
 
 This module imports no numpy; a grid axis is ``gaussian_core._linspace``.
 Only the rows that need it load it, so ``--version``, help, argument errors,
@@ -17,15 +20,13 @@ Only the rows that need it load it, so ``--version``, help, argument errors,
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
 import math
 import os
 import sys
-
-import click
+from typing import Callable, NamedTuple
 
 from cventlab import __version__
 from cventlab import fiber as fiber_mod
@@ -34,37 +35,338 @@ from cventlab import interferometry as itf
 
 DEFAULT_SEED = 20020521  # documented default; override with --seed or CVENTLAB_SEED
 SEED_ENV_VAR = "CVENTLAB_SEED"
-_SEED = click.IntRange(min=0)  # the values of --seed and CVENTLAB_SEED alike
 # the most points of a --range grid; its rows are all kept until output, at
 # about 1.5 kB each in CSV and 3.8 kB in JSON, so at most about 0.4 GB
 _MAX_POINTS = 10**5
+_WIDTH = 78  # of a help page: 80 columns less a margin of 2, on any terminal
 
+
+class UsageError(SystemExit):
+    """A refused command line: exit code 2, shown on stderr by the console script.
+
+    It is a SystemExit, as a numerical failure's exit 1 is, so that a caller
+    in the same process reads every exit code from ``code``.  ``head`` is
+    what stderr shows above ``Error: <message>``: the usage line and help
+    hint of the command refused, or "" for a malformed option.  A bare group
+    has no message, and its head is its help page.
+    """
+
+    exit_code = 2
+
+    def __init__(self, message: str, head: str | None = None):
+        super().__init__(self.exit_code)
+        self.message = message
+        self.head = head
+
+    def show(self) -> None:
+        error = f"Error: {self.message}\n" if self.message else ""
+        sys.stderr.write((self.head or "") + error)
+
+
+class Option(NamedTuple):
+    """``--flag VALUE`` of a command, read into ``name``.
+
+    ``type`` is float, int, str, ``_seed`` or a tuple of choices, which
+    converts or admits a value; a flag of type None takes no value.
+    A ``default`` other than None is shown on the help page.
+    """
+
+    flag: str
+    name: str
+    type: object
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+
+class Command(NamedTuple):
+    """A table command: its options, its own then the common ones, and its row
+    function ``row(g, seed, **inputs)``."""
+
+    path: tuple[str, ...]
+    params: tuple[Option, ...]
+    row: Callable
+
+
+def _seed(text: str) -> int:
+    """The value of --seed and of CVENTLAB_SEED alike: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer range.") from None
+    if value < 0:
+        raise ValueError(f"{value} is not in the range x>=0.")
+    return value
+
+
+_RANGE = Option("--range", "ranges", str,
+                help="Sweep a parameter over a linear grid; may be repeated.")
+_COMMON = (
+    _RANGE,
+    Option("--seed", "seed", _seed,
+           help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR} overrides)."),
+    Option("--output", "output", str, "-", help="Output path, or - for stdout."),
+    Option("--format", "fmt", ("csv", "json"), "csv", help="Output format."),
+)
+_HELP = Option("--help", "help", None, help="Show this message and exit.")
+_VERSION = Option("--version", "version", None, help="Show the version and exit.")
+_METAVARS = {float: "FLOAT", int: "INTEGER", str: "TEXT", _seed: "INTEGER RANGE"}
+
+_COMMANDS: dict[tuple[str, ...], Command] = {}
+_GROUPS = {
+    (): "Closed-form results of the toolkit, each next to its oracle value.",
+    ("crypto",): "Twin-beam secret-key communication.",
+}
+
+
+def _command(path: str, *options: Option):
+    """Register the row function below as the command ``path`` with ``options``."""
+
+    def register(row) -> Command:
+        command = Command(tuple(path.split()), options + _COMMON, row)
+        _COMMANDS[command.path] = command
+        return command
+
+    return register
+
+
+# -- reading a command line ----------------------------------------------------
+
+def main(args=None, prog_name: str | None = None, standalone_mode: bool = True):
+    """Run ``cventlab ARGS``; ``args`` defaults to ``sys.argv[1:]``.
+
+    Returns None once the output is written, and a numerical failure exits 1
+    through SystemExit.  A refused command line raises UsageError; in
+    standalone mode, as in the console script, it is shown and exits 2.
+    """
+    prog = prog_name or os.path.basename(sys.argv[0])
+    args = list(sys.argv[1:] if args is None else args)
+    if not standalone_mode:
+        return _dispatch(prog, args)
+    try:
+        _dispatch(prog, args)
+    except UsageError as exc:
+        exc.show()
+        sys.exit(exc.exit_code)
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit 1 quietly, and point stdout at
+        # devnull so that the interpreter's flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+def _dispatch(prog: str, args: list[str]) -> None:
+    """Walk the groups down to a command, then read and run it."""
+    path: tuple[str, ...] = ()
+    try:
+        while path in _GROUPS:
+            if not args:
+                raise UsageError("", _help_page(prog, path) + "\n")
+            given, args = _scan(args, _options(path), False)
+            if given:  # --help or --version, the first given
+                print(_help_page(prog, path) if given[0][0] is _HELP
+                      else f"{prog}, version {__version__}")
+                return
+            if not args:
+                raise UsageError("Missing command.")
+            children = _children(path)
+            if args[0] not in children:
+                raise _no_such("command", args[0], children)
+            path, args = path + (args[0],), args[1:]
+        command = _COMMANDS[path]
+        given, extra = _scan(args, _options(path), True)
+        if any(option is _HELP for option, _ in given):
+            print(_help_page(prog, path))
+            return
+        values = _values(command, given)
+        if extra:
+            raise UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} "
+                             f"({' '.join(extra)})")
+        _run(command, values)
+    except UsageError as exc:
+        if exc.head is None:
+            exc.head = (f"{_usage(prog, path)}\n"
+                        f"Try '{' '.join((prog, *path))} --help' for help.\n\n")
+        raise
+
+
+def _scan(args: list[str], options, interspersed: bool):
+    """The (option, text) pairs given in ``args``, in order, and the other args.
+
+    A command's options may come after its other args; a group's end at its
+    command name, and ``--`` ends either.  An unknown option, a missing value
+    and a value given to a flag are refused.
+    """
+    by_flag = {option.flag: option for option in options}
+    given, rest = [], []
+    tokens = iter(args)
+    for arg in tokens:
+        if arg == "--":
+            break
+        if arg[:1] != "-" or arg == "-":
+            rest.append(arg)
+            if not interspersed:
+                break
+            continue
+        flag, eq, text = arg.partition("=")
+        option = by_flag.get(flag)
+        if option is None:
+            if arg[:2] == "--":
+                raise _no_such("option", flag, by_flag)
+            raise UsageError(f"No such option {arg[:2]!r}.")
+        if option.type is None:
+            if eq:
+                raise UsageError(f"Option {flag!r} does not take a value.", "")
+            text = None
+        elif not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"Option {flag!r} requires an argument.", "")
+        given.append((option, text))
+    return given, rest + list(tokens)
+
+
+def _no_such(kind: str, name: str, known) -> UsageError:
+    from difflib import get_close_matches
+
+    near = sorted(get_close_matches(name, known))
+    message = f"No such {kind} {name!r}."
+    if len(near) == 1:
+        message += f" Did you mean {near[0]!r}?"
+    elif near:
+        message += f" (Did you mean one of: {', '.join(map(repr, near))}?)"
+    return UsageError(message)
+
+
+def _values(command: Command, given) -> dict:
+    """Each option's value: the given ones converted in the order first given, then defaults.
+
+    The last value of an option wins, except for --range, which keeps them all.
+    """
+    texts = {}
+    for option, text in given:
+        texts[option] = texts.get(option, ()) + (text,) if option is _RANGE else text
+    values = {}
+    for option in [*texts, *(o for o in command.params if o not in texts)]:
+        if option in texts:
+            try:
+                values[option.name] = _convert(option, texts[option])
+            except ValueError as exc:
+                raise UsageError(f"Invalid value for '{option.flag}': {exc}") from None
+        elif option.required:
+            raise UsageError(f"Missing option '{option.flag}'.")
+        else:
+            values[option.name] = option.default
+    return values
+
+
+def _convert(option: Option, text):
+    """``text`` as a value of ``option``; a ValueError says why not."""
+    kind = option.type
+    if kind is str:
+        return text
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        raise ValueError(f"{text!r} is not one of {', '.join(map(repr, kind))}.")
+    try:
+        return kind(text)
+    except ValueError:
+        if kind is _seed:
+            raise
+        name = "float" if kind is float else "integer"
+        raise ValueError(f"{text!r} is not a valid {name}.") from None
+
+
+# -- help pages ------------------------------------------------------------------
+
+def _options(path: tuple[str, ...]) -> tuple[Option, ...]:
+    """The options of a group or command, --help last."""
+    if path in _COMMANDS:
+        return (*_COMMANDS[path].params, _HELP)
+    return (_VERSION, _HELP) if path == () else (_HELP,)
+
+
+def _children(path: tuple[str, ...]) -> list[str]:
+    n = len(path)
+    return sorted({p[n] for p in (*_GROUPS, *_COMMANDS) if len(p) > n and p[:n] == path})
+
+
+def _doc(path: tuple[str, ...]) -> str:
+    return _GROUPS[path] if path in _GROUPS else _COMMANDS[path].row.__doc__
+
+
+def _usage(prog: str, path: tuple[str, ...]) -> str:
+    tail = " COMMAND [ARGS]..." if path in _GROUPS else ""
+    return f"Usage: {' '.join((prog, *path))} [OPTIONS]{tail}"
+
+
+def _help_page(prog: str, path: tuple[str, ...]) -> str:
+    """The help page of a group or command: usage, docstring, options and commands."""
+    import textwrap
+
+    def rows(pairs) -> str:
+        width = min(max(len(first) for first, _ in pairs), 30)
+        return "\n".join(textwrap.fill(second, _WIDTH, initial_indent=f"  {first:<{width}}  ",
+                                       subsequent_indent=" " * (width + 4))
+                         for first, second in pairs)
+
+    sections = [_usage(prog, path),
+                textwrap.fill(_doc(path), _WIDTH, initial_indent="  ", subsequent_indent="  "),
+                "Options:\n" + rows([_help_row(option) for option in _options(path)])]
+    if path in _GROUPS:
+        children = _children(path)
+        limit = _WIDTH - 6 - max(map(len, children))
+        sections.append("Commands:\n" + rows([
+            (name, textwrap.shorten(_doc(path + (name,)), limit, placeholder="...",
+                                    break_on_hyphens=False))
+            for name in children]))
+    return "\n\n".join(sections)
+
+
+def _help_row(option: Option) -> tuple[str, str]:
+    kind = option.type
+    if option is _RANGE:
+        metavar = "KEY=START:STOP:STEPS"
+    elif isinstance(kind, tuple):
+        metavar = f"[{'|'.join(kind)}]"
+    else:
+        metavar = _METAVARS.get(kind, "")  # none for a flag
+    extra = [f"default: {option.default}"] if option.default is not None else []
+    if kind is _seed:
+        extra.append("x>=0")
+    if option.required:
+        extra.append("required")
+    text = f"{option.help}  [{'; '.join(extra)}]".lstrip() if extra else option.help
+    return f"{option.flag} {metavar}".rstrip(), text
+
+
+# -- running a command -------------------------------------------------------------
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
     try:
-        return _SEED.convert(env, None, None)
-    except click.BadParameter:
-        raise click.BadParameter(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
+        return _seed(env)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
 
 
 def _finite(name: str, value):
     """The value itself, unless it is a float nan or +-inf (a bad argument)."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise click.BadParameter(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {value}")
     return value
 
 
-def _grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
+def _grid(params: dict, ranges: tuple[str, ...], int_keys: set[str]) -> list[dict]:
     """Cartesian product of the swept parameters, in the order given.
 
-    Each point holds all of ``params`` in their order, as ints for an int option.
-    A grid of more than ``_MAX_POINTS`` points is refused before any is computed.
+    Each point holds all of ``params`` in their order, as ints for the
+    ``int_keys``.  A grid of more than ``_MAX_POINTS`` points is refused
+    before any is computed.
     """
-    int_keys = {p.name for p in click.get_current_context().command.params
-                if isinstance(p.type, click.types.IntParamType)}
     axes = {}
     size = 1
     for spec in ranges:
@@ -75,19 +377,17 @@ def _grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
             if steps < 0:
                 raise ValueError(steps)
         except ValueError:
-            raise click.BadParameter(
-                f"range must look like key=start:stop:steps, got {spec!r}"
-            )
+            raise ValueError(f"range must look like key=start:stop:steps, got {spec!r}") from None
         if steps == 0:
-            raise click.BadParameter(f"range {spec!r} has no points")
+            raise ValueError(f"range {spec!r} has no points")
         key = key.strip()
         if key not in params:
-            raise click.BadParameter(f"unknown sweep key {key!r}")
+            raise ValueError(f"unknown sweep key {key!r}")
         if key in axes:
-            raise click.BadParameter(f"sweep key {key!r} is given twice")
+            raise ValueError(f"sweep key {key!r} is given twice")
         size *= steps
         if size > _MAX_POINTS:
-            raise click.BadParameter(
+            raise ValueError(
                 f"range {spec!r} is too large: the grid has {size} points, "
                 f"more than {_MAX_POINTS}")
         _finite(key, start)  # linspace would start an infinite span with 0 inf = nan
@@ -96,7 +396,7 @@ def _grid(params: dict, ranges: tuple[str, ...]) -> list[dict]:
         if key in int_keys:
             for value in values:
                 if not value.is_integer():
-                    raise click.BadParameter(f"{key} takes integers, got {value}")
+                    raise ValueError(f"{key} takes integers, got {value}")
             values = [int(value) for value in values]
         axes[key] = values
     for key, value in params.items():
@@ -136,77 +436,55 @@ def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
         ]
         text = json.dumps({"meta": meta, "rows": clean_rows}, indent=2) + "\n"
     if output == "-":
-        click.echo(text, nl=False, file=sys.stdout)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise click.BadParameter(f"{exc.strerror}: {output!r}", param_hint="'--output'")
+            raise UsageError(f"Invalid value for '--output': {exc.strerror}: {output!r}") from None
 
 
-def _table(command: str):
-    """Make ``row(g, seed, **inputs)`` the callback of the table ``command``.
+def _run(command: Command, values: dict) -> None:
+    """Seed, grid, rows, exit code of a failure, ``meta`` and output of ``command``.
 
     The options of string type, which a linspace cannot sweep, are the
     ``inputs``: each row gets them as given, and a numerical failure names
     them instead of the grid point.
     """
-
-    def decorate(row):
-        @click.option("--range", "ranges", multiple=True, metavar="KEY=START:STOP:STEPS",
-                      help="Sweep a parameter over a linear grid; may be repeated.")
-        @click.option("--seed", type=_SEED, default=None,
-                      help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR} overrides).")
-        @click.option("--output", default="-", show_default=True,
-                      help="Output path, or - for stdout.")
-        @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                      show_default=True, help="Output format.")
-        @functools.wraps(row)
-        def run(fmt, output, seed, ranges, **options):
-            seed = _resolve_seed(seed)
-            # declared order, not the command line's, which is the order of options
-            declared = [p for p in click.get_current_context().command.params
-                        if p.name in options]
-            inputs = {p.name: options[p.name] for p in declared
-                      if isinstance(p.type, click.types.StringParamType)}
-            params = {p.name: options[p.name] for p in declared if p.name not in inputs}
-            rows = []
-            try:
-                for g in _grid(params, ranges):
-                    rows.append(row(g, seed, **inputs))
-            except (ArithmeticError, MemoryError, itf.TruncationError,
-                    gaussian_core.NonPhysicalStateError) as exc:
-                # the text names neither the command nor the input it failed at
-                shown = ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items()
-                                  if v is not None)
-                click.echo(f"numerical failure: {command} at {shown}: {exc}", file=sys.stderr)
-                sys.exit(1)
-            except ValueError as exc:  # the library's domain checks on its arguments
-                raise click.BadParameter(str(exc)) from exc
-            meta = {"command": command, "seed": seed, "params": params,
-                    "n_rows": len(rows), "version": __version__}
-            _emit(rows, meta, fmt, output)
-
-        return run
-
-    return decorate
+    own = command.params[:-len(_COMMON)]
+    inputs = {o.name: values[o.name] for o in own if o.type is str}
+    params = {o.name: values[o.name] for o in own if o.type is not str}
+    int_keys = {o.name for o in own if o.type is int}
+    name = "-".join(command.path)
+    rows = []
+    try:
+        seed = _resolve_seed(values["seed"])
+        for g in _grid(params, values["ranges"] or (), int_keys):
+            rows.append(command.row(g, seed, **inputs))
+    except (ArithmeticError, MemoryError, itf.TruncationError,
+            gaussian_core.NonPhysicalStateError) as exc:
+        # the text names neither the command nor the input it failed at
+        shown = ", ".join(f"{k}={_fmt(v)}" for k, v in (inputs or g).items() if v is not None)
+        print(f"numerical failure: {name} at {shown}: {exc}", file=sys.stderr)
+        sys.exit(1)
+    except ValueError as exc:  # the grid's, the seed's and the library's domain checks
+        raise UsageError(f"Invalid value: {exc}") from exc
+    meta = {"command": name, "seed": seed, "params": params,
+            "n_rows": len(rows), "version": __version__}
+    _emit(rows, meta, values["fmt"], values["output"])
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Closed-form results of the toolkit, each next to its oracle value."""
+# -- the commands ------------------------------------------------------------------
 
-
-@main.command()
-@click.option("--x", type=float, required=True, help="Probe Schmidt parameter.")
-@click.option("--nbar-t", "nbar_t", type=float, default=0.0, show_default=True,
-              help="Total Gaussian channel noise.")
-@click.option("--alpha", type=float, default=1.0, show_default=True,
-              help="True displacement amplitude (real).")
-@click.option("--trials", type=int, default=100_000, show_default=True)
-@_table("estimate")
+@_command(
+    "estimate",
+    Option("--x", "x", float, required=True, help="Probe Schmidt parameter."),
+    Option("--nbar-t", "nbar_t", float, 0.0, help="Total Gaussian channel noise."),
+    Option("--alpha", "alpha", float, 1.0, help="True displacement amplitude (real)."),
+    Option("--trials", "trials", int, 100_000),
+)
 def estimate(g, seed):
     """Displacement estimation: twin-beam vs vacuum probe variances."""
     from cventlab import estimation as est
@@ -227,20 +505,22 @@ def estimate(g, seed):
     }
 
 
-@main.command()
-@click.option("--phases", required=True,
-              help="Comma-separated eigenphases of U2^dag U1, in radians.")
-@click.option("--samples", type=int, default=100_000, show_default=True,
-              help="Unused: the exact minimum-norm-point oracle draws no "
-                   "samples (must be >= 1).")
-@_table("discriminate")
+@_command(
+    "discriminate",
+    Option("--phases", "phases", str, required=True,
+           help="Comma-separated eigenphases of U2^dag U1, in radians."),
+    Option("--samples", "samples", int, 100_000,
+           help="Unused: the exact minimum-norm-point oracle draws no samples (must be >= 1)."),
+)
 def discriminate(g, seed, phases):
     """Minimum-error discrimination of two unitaries from their eigenphases."""
     from cventlab import discrimination as disc
     try:
-        phase_list = tuple(_finite("--phases", float(p)) for p in phases.split(","))
+        phase_list = tuple(float(p) for p in phases.split(","))
     except ValueError:
-        raise click.BadParameter(f"--phases must be comma-separated floats, got {phases!r}")
+        raise ValueError(f"--phases must be comma-separated floats, got {phases!r}") from None
+    for p in phase_list:
+        _finite("--phases", p)
     spectrum = disc.EigenphaseSpectrum(phase_list)
     polygon = disc.build_polygon(spectrum)
     r_bf = disc.brute_force_min_overlap(spectrum, g["samples"])
@@ -257,16 +537,14 @@ def discriminate(g, seed, phases):
     }
 
 
-@main.command()
-@click.option("--x", type=float, required=True, help="Twin-beam Schmidt parameter.")
-@click.option("--phi", type=float, default=0.1, show_default=True,
-              help="Perturbation phase.")
-@click.option("--q0", type=float, default=0.01, show_default=True,
-              help="False-alarm probability (ideal scheme).")
-@click.option("--gamma-star", type=float, default=10.0, show_default=True,
-              help="Acceptance ratio (ideal scheme).")
-@click.option("--d-max", type=int, default=None, help="Fock truncation override.")
-@_table("interfere")
+@_command(
+    "interfere",
+    Option("--x", "x", float, required=True, help="Twin-beam Schmidt parameter."),
+    Option("--phi", "phi", float, 0.1, help="Perturbation phase."),
+    Option("--q0", "q0", float, 0.01, help="False-alarm probability (ideal scheme)."),
+    Option("--gamma-star", "gamma_star", float, 10.0, help="Acceptance ratio (ideal scheme)."),
+    Option("--d-max", "d_max", int, help="Fock truncation override."),
+)
 def interfere(g, seed):
     """Phase detection: ideal NP scheme and Mach-Zehnder zero-count scheme."""
     from cventlab import fock_oracle
@@ -296,18 +574,12 @@ def interfere(g, seed):
     }
 
 
-@main.group()
-def crypto():
-    """Twin-beam secret-key communication."""
-
-
-@crypto.command("errors")
-@click.option("--x", type=float, required=True)
-@click.option("--a", type=float, default=0.5, show_default=True,
-              help="Symbol amplitude (z1 = a, z0 = -a).")
-@click.option("--kappa", type=float, default=1.0, show_default=True,
-              help="Gaussian key variance.")
-@_table("crypto-errors")
+@_command(
+    "crypto errors",
+    Option("--x", "x", float, required=True),
+    Option("--a", "a", float, 0.5, help="Symbol amplitude (z1 = a, z0 = -a)."),
+    Option("--kappa", "kappa", float, 1.0, help="Gaussian key variance."),
+)
 def crypto_errors(g, seed):
     """Closed-form error probabilities for Bob and Eve."""
     from cventlab import crypto as crypto_mod
@@ -330,12 +602,13 @@ def crypto_errors(g, seed):
     }
 
 
-@crypto.command("simulate")
-@click.option("--x", type=float, required=True)
-@click.option("--a", type=float, default=0.5, show_default=True)
-@click.option("--kappa", type=float, default=1.0, show_default=True)
-@click.option("--bits", type=int, default=100_000, show_default=True)
-@_table("crypto-simulate")
+@_command(
+    "crypto simulate",
+    Option("--x", "x", float, required=True),
+    Option("--a", "a", float, 0.5),
+    Option("--kappa", "kappa", float, 1.0),
+    Option("--bits", "bits", int, 100_000),
+)
 def crypto_simulate(g, seed):
     """Monte Carlo of the binary protocol against the closed forms."""
     from cventlab import crypto as crypto_mod
@@ -357,16 +630,13 @@ def crypto_simulate(g, seed):
     }
 
 
-@main.command()
-@click.option("--gamma", type=float, default=1.0, show_default=True,
-              help="Fiber damping rate.")
-@click.option("--m", type=float, required=True,
-              help="Background thermal photons M.")
-@click.option("--n", type=float, default=None,
-              help="Twin-beam mean photon number N (alternative to --r0).")
-@click.option("--r0", type=float, default=None,
-              help="Twin-beam squeezing parameter (alternative to --n).")
-@_table("fiber")
+@_command(
+    "fiber",
+    Option("--gamma", "gamma", float, 1.0, help="Fiber damping rate."),
+    Option("--m", "m", float, required=True, help="Background thermal photons M."),
+    Option("--n", "n", float, help="Twin-beam mean photon number N (alternative to --r0)."),
+    Option("--r0", "r0", float, help="Twin-beam squeezing parameter (alternative to --n)."),
+)
 def fiber(g, seed):
     """Separability threshold of a twin-beam in noisy fibers."""
     # per grid point, so that sweeping the option not given is caught too

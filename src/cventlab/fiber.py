@@ -38,10 +38,10 @@ def _log1p_over_2m(a: float, M: float) -> float:
     return math.log1p(ratio) if math.isfinite(ratio) else math.log(a) - math.log(2.0 * M)
 
 
-def _finite_time(t: float, log_term: float) -> float:
-    """The time t = log_term / Gamma, refused where it overflows although log_term does not."""
+def _finite_time(name: str, t: float, log_term: float) -> float:
+    """The time ``name`` = log_term / Gamma, refused where it overflows but log_term does not."""
     if math.isinf(t) and math.isfinite(log_term):
-        raise OverflowError("t_s = log(...)/Gamma is past the float range")
+        raise OverflowError(f"{name} = log(...)/Gamma is past the float range")
     return t
 
 
@@ -99,7 +99,7 @@ def separability_time(Gamma: float, M: float, N: float) -> float:
     # of inputs; log/Gamma only where 1/Gamma overflows, below Gamma = 2^-1024
     inverse = 1.0 / Gamma
     t = inverse * log_term if math.isfinite(inverse) else log_term / Gamma
-    return _finite_time(t, log_term)
+    return _finite_time("t_s", t, log_term)
 
 
 def separability_time_large_n(Gamma: float, M: float) -> float:
@@ -112,7 +112,7 @@ def separability_time_large_n(Gamma: float, M: float) -> float:
     if not M >= 0:
         raise ValueError(f"M must be >= 0, got {M}")
     log_term = _log1p_over_2m(1.0, M)
-    return _finite_time(log_term / Gamma, log_term)
+    return _finite_time("t_s_large_N", log_term / Gamma, log_term)
 
 
 def scan_separability(r0: float, M: float, tau_max: float, steps: int) -> float | None:

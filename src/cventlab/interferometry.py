@@ -96,6 +96,7 @@ def mz_zero_count_probability(x: float, phi: float, d_max: int | None = None) ->
 
     Raises TruncationError when d_max is below default_d_max(x, 1e-10), the
     smallest truncation whose twin-beam tail x^{2(d_max+1)} is below 1e-10.
+    Its message suggests that d_max, and says when it is above D_MAX_LIMIT.
     """
     from cventlab import fock_oracle  # here, so that the closed forms load no numpy
     tail_tol = 1e-10
@@ -104,9 +105,11 @@ def mz_zero_count_probability(x: float, phi: float, d_max: int | None = None) ->
         d_max = min(suggested, fock_oracle.D_MAX_CAP)  # default_d_max(x, tail_tol)
     state = fock_oracle.twin_beam_fock(x, d_max)
     if d_max < suggested:
+        past = (f", above the largest d_max {fock_oracle.D_MAX_LIMIT}"
+                if suggested > fock_oracle.D_MAX_LIMIT else "")
         raise TruncationError(
             f"truncation tail {x ** (2 * (d_max + 1)):.3e} above {tail_tol:.1e}; "
-            f"suggested d_max >= {suggested}"
+            f"suggested d_max >= {suggested}{past}"
         )
     evolved = fock_oracle.apply_jx_evolution(state, phi)
     return fock_oracle.zero_difference_probability(evolved)

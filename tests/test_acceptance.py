@@ -265,9 +265,7 @@ class TestCriterion5Fiber:
 
 class TestCriterion6Determinism:
     def test_cli_byte_reproducible(self):
-        from click.testing import CliRunner
-
-        from cventlab import cli
+        from cli_runner import run_cli
 
         ok = True
         for args in (
@@ -277,9 +275,6 @@ class TestCriterion6Determinism:
             ["fiber", "--m", "0.5", "--n", "2", "--seed", "606",
              "--format", "json"],
         ):
-            runs = [
-                CliRunner().invoke(cli.main, args, catch_exceptions=False).stdout_bytes
-                for _ in range(2)
-            ]
+            runs = [run_cli(args).stdout_bytes for _ in range(2)]
             ok &= runs[0] == runs[1] and len(runs[0]) > 0
         report("6 determinism", ok)

@@ -13,16 +13,12 @@ import sys
 import weakref
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import run_cli
 
 from cventlab import cli, fock_oracle
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-
-def run_cli(args, env=None):
-    result = CliRunner().invoke(cli.main, args, env=env, catch_exceptions=False)
-    return result
+TESTS_DIR = pathlib.Path(__file__).parent
+GOLDEN_DIR = TESTS_DIR / "golden"
 
 
 def parse_csv(text):
@@ -104,10 +100,9 @@ THREAD_PROBE_ARGS = [
 
 THREAD_PROBE = """
 import json, sys
-from click.testing import CliRunner
-from cventlab import cli
+from cli_runner import run_cli
 for args in json.loads(sys.argv[1]):
-    result = CliRunner().invoke(cli.main, args, catch_exceptions=False)
+    result = run_cli(args)
     sys.stdout.write(f"{args} exit {result.exit_code}\\n{result.output}")
 """
 
@@ -116,7 +111,8 @@ def outputs_under_blas_threads(threads: int) -> str:
     """stdout of every THREAD_PROBE_ARGS command, in one fresh interpreter."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != cli.SEED_ENV_VAR}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(TESTS_DIR),
+                                                     env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
     proc = subprocess.run(
         [sys.executable, "-c", THREAD_PROBE, json.dumps(THREAD_PROBE_ARGS)],
@@ -682,6 +678,184 @@ class TestConsistencyColumns:
         assert abs(float(row["tau_diff"])) < 1e-8
 
 
+class TestCommandLine:
+    """The refusals, help pages and option syntax, with the bytes click printed."""
+
+    @staticmethod
+    def usage(path):
+        group = path in ("", "crypto")
+        command = " ".join(filter(None, ["cventlab", path]))
+        return (f"Usage: {command} [OPTIONS]{' COMMAND [ARGS]...' if group else ''}\n"
+                f"Try '{command} --help' for help.\n\n")
+
+    # (args, the command whose usage heads stderr or None for none, the error)
+    REFUSED = [
+        (["fiber", "--m", "abc"], "fiber",
+         "Invalid value for '--m': 'abc' is not a valid float."),
+        (["estimate", "--trials", "1.5"], "estimate",
+         "Invalid value for '--trials': '1.5' is not a valid integer."),
+        (["fiber", "--m", "0.5", "--n", "2", "--format", "xml"], "fiber",
+         "Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
+        (["crypto", "simulate", "--a", "0.5"], "crypto simulate", "Missing option '--x'."),
+        (["--bogus", "1"], "", "No such option '--bogus'."),
+        (["nosuch"], "", "No such command 'nosuch'."),
+        (["fiber", "--m"], None, "Option '--m' requires an argument."),
+        (["fiber", "--m", "0.5", "--n", "2", "extra"], "fiber",
+         "Got unexpected extra argument (extra)"),
+        (["fiber", "--m", "0.5", "--n", "2", "a", "b"], "fiber",
+         "Got unexpected extra arguments (a b)"),
+        (["crypto", "nosuch"], "crypto", "No such command 'nosuch'."),
+        (["fiber", "--help=1"], None, "Option '--help' does not take a value."),
+        (["fiber", "-m", "0.5"], "fiber", "No such option '-m'."),
+        (["estimate", "--trial", "5"], "estimate",
+         "No such option '--trial'. Did you mean '--trials'?"),
+        (["fiber", "--gama", "1", "--m", "0.5"], "fiber",
+         "No such option '--gama'. (Did you mean one of: '--gamma', '--m'?)"),
+        (["fibre"], "", "No such command 'fibre'. Did you mean 'fiber'?"),
+        (["fiber", "--m", "0.5", "--n", "2", "--seed", "abc"], "fiber",
+         "Invalid value for '--seed': 'abc' is not a valid integer range."),
+        # options are converted in the order first given, then checked for presence
+        (["fiber", "--seed", "-1", "--m", "abc"], "fiber",
+         "Invalid value for '--seed': -1 is not in the range x>=0."),
+        (["fiber", "--format", "xml"], "fiber",
+         "Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
+        (["fiber", "--", "--m", "0.5"], "fiber", "Missing option '--m'."),
+        (["--"], "", "Missing command."),
+    ]
+
+    @pytest.mark.parametrize("args, path, error", REFUSED, ids=[" ".join(c[0]) for c in REFUSED])
+    def test_refusal(self, args, path, error):
+        out = run_cli(args)
+        assert out.exit_code == 2
+        assert out.stdout == ""
+        assert out.stderr == ("" if path is None else self.usage(path)) + f"Error: {error}\n"
+
+    @pytest.mark.parametrize("args", [["--bogus", "1"], ["fiber", "--m"], [""]])
+    def test_refusal_in_process(self, args):
+        # outside the console script a refusal is raised, not printed
+        with pytest.raises(cli.UsageError) as refused:
+            cli.main(args, standalone_mode=False)
+        assert refused.value.exit_code == 2
+
+    def test_version(self):
+        out = run_cli(["--version"])
+        assert (out.exit_code, out.stdout_bytes, out.stderr) == (
+            0, b"cventlab, version 0.1.0\n", "")
+
+    @pytest.mark.parametrize("group", [[], ["crypto"]])
+    def test_bare_group_shows_its_help_on_stderr(self, group):
+        out = run_cli(group)
+        assert (out.exit_code, out.stdout) == (2, "")
+        assert out.stderr == run_cli([*group, "--help"]).stdout
+
+    @pytest.mark.parametrize("args", [
+        ["fiber", "--gamma=1", "--m", "0.5", "--n=2"],
+        ["fiber", "--n", "2", "--m", "3", "--gamma", "1", "--m", "0.5"],
+        ["fiber", "--gamma", "1", "--m", "0.5", "--n", "2", "--"],
+        ["--", "fiber", "--gamma", "1", "--m", "0.5", "--n", "2"],
+    ])
+    def test_option_syntax(self, args):
+        # --opt=value, a repeated option (the last wins, in the declared column
+        # order) and a closing --; the bytes of the fiber golden
+        assert run_cli(args).stdout_bytes == (GOLDEN_DIR / "fiber.csv").read_bytes()
+
+    def test_negative_value_after_its_option(self):
+        out = run_cli(["interfere", "--phi", "0.9", "--x=0.5", "--phi", "-0.3"])
+        assert out.stdout_bytes == (
+            b"x,phi,N,kappa_sq,kappa_sq_oracle,kappa_diff,phi_min_ideal,p_zero_count,q_phi_mz\n"
+            b"0.5,-0.3,0.666666666667,0.865608085369,0.865608085392,2.28776997346e-11,"
+            b"0.169776161311,0.891006054267,0.108993945733\n")
+
+    def test_help_before_any_conversion(self):
+        # --help wins over a bad value, as click's eager option does
+        out = run_cli(["fiber", "--m", "abc", "--help"])
+        assert out.exit_code == 0
+        assert out.stdout.startswith("Usage: cventlab fiber [OPTIONS]\n")
+
+    ROOT_HELP = """\
+Usage: cventlab [OPTIONS] COMMAND [ARGS]...
+
+  Closed-form results of the toolkit, each next to its oracle value.
+
+Options:
+  --version  Show the version and exit.
+  --help     Show this message and exit.
+
+Commands:
+  crypto        Twin-beam secret-key communication.
+  discriminate  Minimum-error discrimination of two unitaries from their...
+  estimate      Displacement estimation: twin-beam vs vacuum probe...
+  fiber         Separability threshold of a twin-beam in noisy fibers.
+  interfere     Phase detection: ideal NP scheme and Mach-Zehnder...
+"""
+
+    INTERFERE_HELP = """\
+Usage: cventlab interfere [OPTIONS]
+
+  Phase detection: ideal NP scheme and Mach-Zehnder zero-count scheme.
+
+Options:
+  --x FLOAT                     Twin-beam Schmidt parameter.  [required]
+  --phi FLOAT                   Perturbation phase.  [default: 0.1]
+  --q0 FLOAT                    False-alarm probability (ideal scheme).
+                                [default: 0.01]
+  --gamma-star FLOAT            Acceptance ratio (ideal scheme).  [default:
+                                10.0]
+  --d-max INTEGER               Fock truncation override.
+  --range KEY=START:STOP:STEPS  Sweep a parameter over a linear grid; may be
+                                repeated.
+  --seed INTEGER RANGE          RNG seed (default 20020521; env CVENTLAB_SEED
+                                overrides).  [x>=0]
+  --output TEXT                 Output path, or - for stdout.  [default: -]
+  --format [csv|json]           Output format.  [default: csv]
+  --help                        Show this message and exit.
+"""
+
+    @pytest.mark.parametrize("args, page", [([], ROOT_HELP), (["interfere"], INTERFERE_HELP)])
+    def test_help_page(self, args, page):
+        out = run_cli([*args, "--help"])
+        assert (out.exit_code, out.stdout, out.stderr) == (0, page, "")
+
+    @pytest.mark.parametrize("path", sorted(cli._COMMANDS), ids=" ".join)
+    def test_help_page_lists_every_option(self, path):
+        page = run_cli([*path, "--help"]).stdout
+        command = cli._COMMANDS[path]
+        assert page.startswith(f"Usage: cventlab {' '.join(path)} [OPTIONS]\n\n"
+                               f"  {command.row.__doc__}\n\nOptions:\n")
+        text = " ".join(page.split())  # the help texts, unwrapped
+        for option in command.params:
+            assert f"  {option.flag} " in page
+            assert " ".join(option.help.split()) in text
+            if option.default is not None:
+                assert f"[default: {option.default}]" in text
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # as under `| head`: the reader is gone before the table is written
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        script = "import sys; from cventlab.cli import main; sys.exit(main(prog_name='cventlab'))"
+        proc = subprocess.Popen([sys.executable, "-c", script, "fiber", "--m", "0.5", "--n", "2"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_overflow_names_the_time_that_overflows(self):
+        # t_s is about 1.4e300 here; only t_s_large_N = log 2 / Gamma overflows
+        out = run_cli(["fiber", "--gamma", "1e-310", "--m", "0.5", "--n", "1e-20"])
+        assert out.exit_code == 1
+        assert out.stderr == ("numerical failure: fiber at gamma=1e-310, m=0.5, n=1e-20: "
+                              "t_s_large_N = log(...)/Gamma is past the float range\n")
+
+    def test_truncation_past_the_d_max_limit(self):
+        # the suggested d_max would itself be refused, and the message says so
+        out = run_cli(["interfere", "--x", "0.999", "--phi", "0.3"])
+        assert out.exit_code == 1
+        assert out.stderr.endswith("suggested d_max >= 11507, above the largest d_max "
+                                   f"{fock_oracle.D_MAX_LIMIT}\n")
+
+
 class TestGoldenFiles:
     """The README examples must reproduce the committed outputs byte-for-byte."""
 
@@ -693,6 +867,12 @@ class TestGoldenFiles:
                                 "--bits", "20000", "--seed", "7"],
         "estimate.json": ["estimate", "--x", "0.5", "--trials", "20000",
                           "--format", "json"],
+        "estimate_sweep.csv": ["estimate", "--x", "0.9", "--nbar-t", "0.5",
+                               "--range", "nbar_t=0:1.5:7"],
+        "interfere.csv": ["interfere", "--x", "0.5", "--phi", "0.3", "--q0", "0.01",
+                          "--gamma-star", "10"],
+        "crypto_errors.csv": ["crypto", "errors", "--x", "0.7", "--a", "0.5",
+                              "--kappa", "1.0"],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

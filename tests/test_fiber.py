@@ -75,9 +75,10 @@ class TestSeparabilityTime:
 
     def test_finite_log_over_a_tiny_gamma_raises(self):
         # inf is reserved for M = 0; a finite log term over Gamma past the float range raises
-        for t in (lambda: fiber.separability_time(1e-320, 0.5, 2.0),
-                  lambda: fiber.separability_time_large_n(1e-320, 0.5)):
-            with pytest.raises(OverflowError, match="past the float range"):
+        # and the message names the time that overflows
+        for name, t in (("t_s", lambda: fiber.separability_time(1e-320, 0.5, 2.0)),
+                        ("t_s_large_N", lambda: fiber.separability_time_large_n(1e-320, 0.5))):
+            with pytest.raises(OverflowError, match=rf"^{name} = .* past the float range$"):
                 t()
         assert fiber.separability_time(1e-300, 0.5, 2.0) == pytest.approx(6.03456102602e299)
 

@@ -5,10 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from cli_runner import run_cli
 from hypothesis import example, given, settings, strategies as st
 
-from cventlab import cli
 from cventlab import fock_oracle as fo
 from cventlab import interferometry as itf
 
@@ -452,17 +451,14 @@ class TestEigensystemMemo:
 
     def test_interfere_row_diagonalizes_each_sector_once(self, table, eigh_sizes):
         # the row evolves the twin-beam twice: for P(d=0) and for the overlap
-        out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.9", "--phi", "0.3"],
-                                 catch_exceptions=False)
+        out = run_cli(["interfere", "--x", "0.9", "--phi", "0.3"])
         assert out.exit_code == 0
         # d_max = 109: the sectors p = 0 ... 109
         assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.9) == list(range(1, 111))
 
     def test_range_sweep_diagonalizes_each_sector_once(self, table, eigh_sizes):
         # five truncations, d = 16 ... 109, share the sectors of the smaller ones
-        out = CliRunner().invoke(cli.main, ["interfere", "--x", "0.5", "--phi", "0.3",
-                                            "--range", "x=0.5:0.9:5"],
-                                 catch_exceptions=False)
+        out = run_cli(["interfere", "--x", "0.5", "--phi", "0.3", "--range", "x=0.5:0.9:5"])
         assert out.exit_code == 0
         assert len(out.output.splitlines()) == 6
         assert sorted(eigh_sizes) == twin_beam_sector_sizes(0.9)

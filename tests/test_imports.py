@@ -1,13 +1,13 @@
-"""Import budget: no command or library oracle loads scipy; the cold path loads no numpy.
+"""Import budget: no command loads click or scipy; the cold path loads no numpy.
 
-scipy is a test-only dependency.  Every CLI call is a fresh process, and
-importing scipy costs more than the rest of the package together.  numpy
-about doubles the time of a run that does not use it, so ``import cventlab``,
-``--version``, every help page, a refused argument, and the scalar-math
-commands ``fiber`` (with or without ``--range``), ``discriminate`` and
-``crypto errors`` load none of it; the other commands load it inside their
-rows.  Each check runs in a fresh interpreter so the modules loaded by other
-tests do not leak in.
+scipy is a test-only dependency, and click is one only for the benchmark
+harness.  Every CLI call is a fresh process, and importing scipy costs more
+than the rest of the package together.  numpy about doubles the time of a
+run that does not use it, so ``import cventlab``, ``--version``, every help
+page, a refused argument, and the scalar-math commands ``fiber`` (with or
+without ``--range``), ``discriminate`` and ``crypto errors`` load none of it;
+the other commands load it inside their rows.  Each check runs in a fresh
+interpreter so the modules loaded by other tests do not leak in.
 """
 
 import json
@@ -35,11 +35,10 @@ assert code in (None, 0), code
 
 # a bad argument exits 2 with a usage error, as on the command line
 RUN_CLI_REFUSED = """
-import click
 from cventlab import cli
 try:
     cli.main({args!r}, standalone_mode=False)
-except click.UsageError as exc:
+except cli.UsageError as exc:
     assert exc.exit_code == 2, exc.exit_code
 else:
     raise AssertionError("not refused")
@@ -68,21 +67,36 @@ SCIPY_FREE_CALLS = [
     "interferometry.mz_min_phase_numeric(0.01, 0.6)",
 ]
 
+HELP_PAGES = [[*command.split(), "--help"] for command in (
+    "", "estimate", "discriminate", "interfere", "crypto", "crypto errors",
+    "crypto simulate", "fiber")]
+
 NUMPY_FREE_COMMANDS = [
     ["--version"],
     FIBER_GOLDEN,
     ["fiber", "--m", "0.5", "--n", "2", "--range", "m=0.25:1:4"],
     DISCRIMINATE_GOLDEN,
     CRYPTO_ERRORS,
-    *([*command.split(), "--help"] for command in (
-        "", "estimate", "discriminate", "interfere", "crypto", "crypto errors",
-        "crypto simulate", "fiber")),
+    *HELP_PAGES,
 ]
 
 NUMPY_FREE_REFUSALS = [
-    ["fiber", "--m", "abc"],  # click's conversion of an option
+    ["fiber", "--m", "abc"],  # the conversion of an option
     ["estimate", "--x", "nan"],  # the table's finiteness check of a grid point
     ["crypto", "simulate", "--a", "0.5"],  # a required option missing
+]
+
+# every kind of refusal the parser makes, and one of the table
+REFUSALS = [
+    *NUMPY_FREE_REFUSALS,
+    ["estimate", "--trials", "1.5"],
+    ["fiber", "--m", "0.5", "--n", "2", "--format", "xml"],
+    ["--bogus", "1"],
+    ["nosuch"],
+    ["fiber", "--m"],
+    ["fiber", "--m", "0.5", "--n", "2", "extra"],
+    ["fiber", "--gama", "1"],  # with its suggestions
+    [],
 ]
 
 
@@ -134,3 +148,18 @@ def test_probe_sees_numpy_loaded_in_a_row():
     # the estimate row draws samples: the probe must report numpy there
     args = ["estimate", "--x", "0.5", "--trials", "10"]
     assert "numpy" in modules_after(RUN_CLI.format(args=args), "numpy")
+
+
+def test_import_loads_no_click():
+    assert modules_after("import cventlab.cli", "click") == []
+
+
+def test_commands_load_no_click():
+    # --version, every help page and every README command, in one interpreter
+    body = "\n".join(RUN_CLI.format(args=args) for args in SCIPY_FREE_COMMANDS + HELP_PAGES)
+    assert modules_after(body, "click") == []
+
+
+def test_refusals_load_no_click():
+    body = "\n".join(RUN_CLI_REFUSED.format(args=args) for args in REFUSALS)
+    assert modules_after(body, "click") == []

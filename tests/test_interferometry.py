@@ -170,6 +170,14 @@ class TestMZZeroCount:
                                                       r"1\.0e-10; suggested d_max >= 16$"):
             itf.mz_zero_count_probability(0.5, 0.3, d_max=2)
 
+    @pytest.mark.parametrize("x, suggested", [(0.988, 953), (0.999, 11507)])
+    def test_truncation_message_says_when_its_d_max_is_past_the_limit(self, x, suggested):
+        # a d_max above D_MAX_LIMIT would itself be refused by twin_beam_fock
+        past = suggested > fock_oracle.D_MAX_LIMIT
+        tail = f", above the largest d_max {fock_oracle.D_MAX_LIMIT}" if past else ""
+        with pytest.raises(itf.TruncationError, match=rf"suggested d_max >= {suggested}{tail}$"):
+            itf.mz_zero_count_probability(x, 0.3)
+
     def test_frozen_oracle_value(self):
         # x = 0.5, phi = 0.05: regression pin of the truncated-Fock value
         got = itf.mz_zero_count_probability(0.5, 0.05)
