@@ -19,10 +19,8 @@ Only the rows that need it load it, so ``--version``, help, argument errors,
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
-import json
 import math
 import os
 import sys
@@ -419,7 +417,9 @@ def _fmt(value) -> str:
 
 
 def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
+    # csv and json are imported here, so --version, help and refusals load neither
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(rows[0].keys())
@@ -434,6 +434,7 @@ def _emit(rows: list[dict], meta: dict, fmt: str, output: str) -> None:
              for k, v in row.items()}
             for row in rows
         ]
+        import json
         text = json.dumps({"meta": meta, "rows": clean_rows}, indent=2) + "\n"
     if output == "-":
         sys.stdout.write(text)

@@ -20,8 +20,7 @@ build arrays import numpy; the closed forms and Eve's oracle are scalar math.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from cventlab.discrimination import helstrom_error
 from cventlab.gaussian_core import _BLOCK, TwinBeamParams, _schmidt
@@ -30,20 +29,19 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(NamedTuple("ProtocolConfig", [("x", float), ("a", float),
+                                                   ("kappa_key", float)])):
     """Binary-protocol parameters: symbols +-a on a twin-beam of parameter x."""
 
-    x: float
-    a: float
-    kappa_key: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _schmidt(self.x)
-        if not self.a >= 0:
-            raise ValueError(f"a must be >= 0, got {self.a}")
-        if not self.kappa_key > 0:
-            raise ValueError(f"kappa_key must be > 0, got {self.kappa_key}")
+    def __new__(cls, x: float, a: float, kappa_key: float) -> "ProtocolConfig":
+        _schmidt(x)
+        if not a >= 0:
+            raise ValueError(f"a must be >= 0, got {a}")
+        if not kappa_key > 0:
+            raise ValueError(f"kappa_key must be > 0, got {kappa_key}")
+        return super().__new__(cls, x, a, kappa_key)
 
 
 def receiver_variance(x: float) -> float:
@@ -73,7 +71,10 @@ def eve_error_uniform() -> float:
 
     The averaged state difference vanishes identically (group averaging of
     the displacement orbit); see uniform_key_eigenvalue_demo for a truncated
-    numeric illustration.
+    numeric illustration.  On a finite key disk the +-a bit states cancel
+    pairwise wherever the disks shifted by +a and by -a overlap, so only the
+    crescent-shaped rim where they do not contributes, and the difference
+    falls like the rim's size over the disk's.
     """
     return 0.5
 
@@ -113,8 +114,7 @@ def bob_heterodyne_error(x: float, a: float) -> float:
     return 0.5 * math.erfc(a / math.sqrt(2.0 * receiver_variance(x)))
 
 
-@dataclass(frozen=True)
-class SecurityMargin:
+class SecurityMargin(NamedTuple):
     secure: bool
     bob_err: float
     eve_err: float
@@ -160,8 +160,7 @@ def splus_numeric(a: float, kappa_key: float) -> float:
     return b * (0.5 + total) * (math.sqrt(math.pi) / 32.0)
 
 
-@dataclass(frozen=True)
-class ProtocolSimulation:
+class ProtocolSimulation(NamedTuple):
     bob_empirical_err: float
     eve_empirical_err: float
     n_bits: int
@@ -254,14 +253,22 @@ def uniform_key_eigenvalue_demo(
       point on the real axis adds u u^T.
     - psi_{-beta} = Omega psi_beta, Omega = (-1)^(p + q) the two-mode parity,
       and the grid is closed under negation, so {alpha - a} = -{alpha + a}.
-      The difference is then off-diagonal in parity, [[0, B], [B^T, 0]] with
+      The sum is then over S = {alpha + a} of P(beta) - P(-beta), and its
+      terms at beta and -beta cancel exactly when both lie in S.  Only the
+      rim {beta in S : -beta not in S} is kept, compared as floats: the
+      crescent where the disks shifted by +a and -a do not overlap.  Where 2a
+      is no lattice vector the rim is all of S; at a = 0 it is empty, and the
+      difference is exactly 0.  The rim is closed under conjugation too.
+    - The difference is off-diagonal in parity, [[0, B], [B^T, 0]] with
       B = (2/K) E diag(w) O^T: the columns are u and v over the Im beta >= 0
-      half of alpha + a (K of them, weight w = 1 on the axis, 2 off it),
-      and E, O are their even and odd rows.
+      half of the rim (weight w = 1 on the axis, 2 off it), and E, O are their
+      even and odd rows.  K stays the count of the whole grid.
 
     The eigenvalues of that matrix are +- the singular values of B.  With the
     thin QRs E = Q_e R_e and O = Q_o R_o the largest is
-    (2/K) sqrt(max eigvalsh(G G^T)), G = R_e diag(w) R_o^T, of order at most K.
+    (2/K) sqrt(max eigvalsh(G G^T)), G = R_e diag(w) R_o^T, of order at most
+    the rim's size: the cost follows the rim, not the disk, and the maxima
+    fall like the rim's size over K.
     """
     import numpy as np
     from cventlab import fock_oracle
@@ -285,11 +292,15 @@ def uniform_key_eigenvalue_demo(
         if np.count_nonzero(alpha) == 0:
             raise ValueError(f"radius {radius} holds no point of the grid of step "
                              f"{step} besides the origin")
-        beta = alpha[alpha.imag >= 0] + a
+        beta = alpha + a
+        beta = beta[(beta.imag >= 0) & ~np.isin(-beta, beta)]
+        if len(beta) == 0:
+            maxima.append(0.0)
+            continue
         mod, which = np.unique(np.abs(beta), return_inverse=True)
         ang = mod[:, None] * mu
         dc = ((y * np.cos(ang)[:, None, :] - flip * np.sin(ang)[:, None, :]) @ y.T) * c
-        dc = dc.reshape(len(mod), -1)[:, order][which]
+        dc = dc.reshape(len(mod), dim * dim)[:, order][which]
         turn = np.angle(beta)[:, None] * np.arange(-d_max, d_max + 1)
         pair = beta.imag > 0
         cols = np.concatenate([np.cos(turn)[:, lag] * dc,

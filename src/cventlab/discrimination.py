@@ -17,30 +17,28 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class EigenphaseSpectrum:
+class EigenphaseSpectrum(NamedTuple("EigenphaseSpectrum",
+                                   [("phases", tuple[float, ...])])):
     """Distinct eigenphases of U2^dag U1, reduced to [0, 2pi)."""
 
-    phases: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.phases) == 0:
+    def __new__(cls, phases: tuple[float, ...]) -> "EigenphaseSpectrum":
+        if len(phases) == 0:
             raise ValueError("spectrum must be nonempty")
-        if not all(math.isfinite(p) for p in self.phases):
-            raise ValueError(f"phases must be finite, got {self.phases}")
-        reduced = tuple(sorted({float(p) % (2.0 * math.pi) for p in self.phases}))
-        object.__setattr__(self, "phases", reduced)
+        if not all(math.isfinite(p) for p in phases):
+            raise ValueError(f"phases must be finite, got {phases}")
+        return super().__new__(
+            cls, tuple(sorted({float(p) % (2.0 * math.pi) for p in phases})))
 
 
-@dataclass(frozen=True)
-class PolygonK:
+class PolygonK(NamedTuple):
     """Convex polygon of unit-circle eigenvalues with its origin distance."""
 
     phases: tuple[float, ...]  # sorted, deduplicated

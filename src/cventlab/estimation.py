@@ -10,7 +10,7 @@ as x -> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,22 +23,21 @@ def heterodyne_variance(x: float) -> float:
     return (1.0 - x) / (1.0 + x)
 
 
-@dataclass(frozen=True)
-class EstimationSetting:
+class EstimationSetting(NamedTuple("EstimationSetting", [("x", float), ("nbar_T", float),
+                                                         ("alpha", complex)])):
     """Probe parameter x, total channel noise nbar_T, true amplitude alpha."""
 
-    x: float
-    nbar_T: float = 0.0
-    alpha: complex = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        gaussian_core._schmidt(self.x)
-        if not self.nbar_T >= 0:
-            raise ValueError(f"nbar_T must be >= 0, got {self.nbar_T}")
+    def __new__(cls, x: float, nbar_T: float = 0.0,
+                alpha: complex = 0.0) -> "EstimationSetting":
+        gaussian_core._schmidt(x)
+        if not nbar_T >= 0:
+            raise ValueError(f"nbar_T must be >= 0, got {nbar_T}")
+        return super().__new__(cls, x, nbar_T, alpha)
 
 
-@dataclass(frozen=True)
-class ConditionalVariances:
+class ConditionalVariances(NamedTuple):
     entangled: float  # sigma2^2
     unentangled: float  # sigma1^2
 
@@ -85,8 +84,7 @@ def _probe_state(setting: EstimationSetting, entangled: bool):
     return state
 
 
-@dataclass(frozen=True)
-class EstimationSimulation:
+class EstimationSimulation(NamedTuple):
     rms_entangled: float
     rms_unentangled: float
     n_trials: int

@@ -26,21 +26,27 @@ def dense_uniform_key_demo(x, a, radii=(1.5, 2.5, 3.5), grid_step=0.5, d_max=24)
     maxima = []
     for radius in radii:
         pts = np.arange(-radius, radius + grid_step / 2.0, grid_step)
-        acc = np.zeros((dim * dim, dim * dim), dtype=complex)
-        count = 0
-        for re in pts:
-            for im in pts:
-                if re * re + im * im > radius * radius:
-                    continue
-                alpha = complex(re, im)
-                u1 = (disp(alpha + a) @ tb).reshape(-1)
-                u0 = (disp(alpha - a) @ tb).reshape(-1)
-                acc += np.outer(u1, u1.conj()) - np.outer(u0, u0.conj())
-                count += 1
-        acc /= count
+        alphas = [complex(re, im) for re in pts for im in pts
+                  if re * re + im * im <= radius * radius]
+        # every grid point's two displaced states as columns, with no shortcut
+        u1 = np.stack([(disp(alpha + a) @ tb).reshape(-1) for alpha in alphas], axis=1)
+        u0 = np.stack([(disp(alpha - a) @ tb).reshape(-1) for alpha in alphas], axis=1)
+        acc = (u1 @ u1.conj().T - u0 @ u0.conj().T) / len(alphas)
         acc = (acc + acc.conj().T) / 2.0
         maxima.append(float(np.max(np.abs(np.linalg.eigvalsh(acc)))))
     return maxima
+
+
+def spy_factorizations(monkeypatch):
+    """Record (name, dtype, shape) of each np.linalg.qr and eigvalsh call."""
+    calls = []
+    for name in ("qr", "eigvalsh"):
+        def spy(arr, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, arr.dtype, arr.shape))
+            return _original(arr, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 class TestReceiverVariance:
@@ -115,15 +121,25 @@ class TestEveBounds:
         (0.3, 0.5, {"radii": (0.5,)}),
         # half-shifted grids: no point on either axis
         (0.3, 0.5, {"radii": (0.75, 1.25)}),
+        # 2a on the lattice of either grid, so +-beta pairs cancel and only
+        # the rim is factored (a = 0.5 on the default grid is the test above)
+        (0.3, 0.25, {}),
+        (0.3, 0.75, {}),
+        (0.3, 0.25, {"radii": (0.75, 1.25)}),
+        (0.3, 0.75, {"radii": (0.75, 1.25)}),
     ])
     def test_uniform_key_demo_matches_dense_reference_off_default(self, x, a, kwargs):
         got = crypto.uniform_key_eigenvalue_demo(x, a, **kwargs)
         expected = dense_uniform_key_demo(x, a, **kwargs)
         assert got == pytest.approx(expected, rel=0, abs=1e-13)
 
-    def test_uniform_key_demo_vanishes_without_symbols(self):
-        # a = 0: both bits are the same state, so the difference is 0
-        assert max(crypto.uniform_key_eigenvalue_demo(0.3, 0.0)) < 1e-13
+    def test_uniform_key_demo_vanishes_without_symbols(self, monkeypatch):
+        # a = 0: both bits are the same state, and every key point cancels
+        # against its negative, so the rim is empty and the difference is
+        # exactly 0, with no factorization
+        calls = spy_factorizations(monkeypatch)
+        assert crypto.uniform_key_eigenvalue_demo(0.3, 0.0) == [0.0, 0.0, 0.0]
+        assert calls == []
 
     @pytest.mark.parametrize("radius", [0.4, 0.9, 1.2, 1.7, 2.6])
     def test_key_grid_is_symmetric_at_any_radius(self, radius):
@@ -161,22 +177,24 @@ class TestEveBounds:
                                                       d_max=4)[0] > 0
 
     def test_uniform_key_demo_factors_real_arrays(self, monkeypatch):
-        # two real QRs of K columns and one real eigvalsh per radius, where a
-        # complex QR of the 2K displaced states would cost about 16 times more
-        calls = []
-        for name in ("qr", "eigvalsh"):
-            def spy(arr, *args, _name=name, _original=getattr(np.linalg, name),
-                    **kwargs):
-                calls.append((_name, arr.dtype, arr.shape))
-                return _original(arr, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, spy)
+        # two real QRs of the rim's columns and one real eigvalsh per radius,
+        # where a complex QR of the 2K displaced states would cost about 16
+        # times more
+        calls = spy_factorizations(monkeypatch)
         radii = (1.5, 2.5, 3.5)
-        crypto.uniform_key_eigenvalue_demo(0.3, 0.5, radii=radii)
-        assert [name for name, _, _ in calls] == ["qr", "qr", "eigvalsh"] * len(radii)
-        assert all(dtype == np.float64 for _, dtype, _ in calls)
-        columns = [shape[1] for name, _, shape in calls if name == "qr"]
-        assert columns == [len(crypto._key_grid(r, 0.5)) for r in radii for _ in "eo"]
+        for a, columns in (
+            # 2a = 1 is a lattice vector: the +-beta pairs inside both shifted
+            # disks cancel, and only the rim of 12/20/28 of the 29/81/149 stays
+            (0.5, (12, 20, 28)),
+            # no pair cancels: every point of the grid is factored
+            (1.3, tuple(len(crypto._key_grid(r, 0.5)) for r in radii)),
+        ):
+            calls.clear()
+            crypto.uniform_key_eigenvalue_demo(0.3, a, radii=radii)
+            assert [name for name, _, _ in calls] == ["qr", "qr", "eigvalsh"] * len(radii)
+            assert all(dtype == np.float64 for _, dtype, _ in calls)
+            assert [shape[1] for name, _, shape in calls if name == "qr"] == [
+                n for n in columns for _ in "eo"]
 
     # math.erf and scipy.special.erf agree to 2 ulp, at most 2**-52 below
     # erf = 1, which (1 - erf)/2 halves.  A relative bound alone cannot hold:

@@ -1,4 +1,4 @@
-"""Import budget: no command loads click or scipy; the cold path loads no numpy.
+"""Import budget: no command loads click, scipy or dataclasses; the cold path loads no numpy.
 
 scipy is a test-only dependency, and click is one only for the benchmark
 harness.  Every CLI call is a fresh process, and importing scipy costs more
@@ -6,8 +6,11 @@ than the rest of the package together.  numpy about doubles the time of a
 run that does not use it, so ``import cventlab``, ``--version``, every help
 page, a refused argument, and the scalar-math commands ``fiber`` (with or
 without ``--range``), ``discriminate`` and ``crypto errors`` load none of it;
-the other commands load it inside their rows.  Each check runs in a fresh
-interpreter so the modules loaded by other tests do not leak in.
+the other commands load it inside their rows.  The results are NamedTuples,
+so no command loads ``dataclasses`` (with ``inspect``, about 10 ms of a fresh
+process).  ``json`` and ``csv`` are loaded only to write a table, so
+``--version``, help pages and refusals load neither.  Each check runs in a
+fresh interpreter so the modules loaded by other tests do not leak in.
 """
 
 import json
@@ -20,10 +23,13 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
+# json is imported after the modules are listed, so the probe does not load it
 PROBE = """
-import json, sys
+import sys
 {body}
-loaded = sorted(m for m in sys.modules if m == {package!r} or m.startswith({package!r} + "."))
+loaded = sorted(m for m in sys.modules
+                if any(m == p or m.startswith(p + ".") for p in {packages!r}))
+import json
 print("\\nMODULES=" + json.dumps(loaded))
 """
 
@@ -100,12 +106,12 @@ REFUSALS = [
 ]
 
 
-def modules_after(body: str, package: str) -> list[str]:
-    """Run ``body`` in a fresh interpreter; return the modules of ``package`` it loaded."""
+def modules_after(body: str, *packages: str) -> list[str]:
+    """Run ``body`` in a fresh interpreter; return the modules of ``packages`` it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(body=body, package=package)],
+        [sys.executable, "-c", PROBE.format(body=body, packages=packages)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -163,3 +169,32 @@ def test_commands_load_no_click():
 def test_refusals_load_no_click():
     body = "\n".join(RUN_CLI_REFUSED.format(args=args) for args in REFUSALS)
     assert modules_after(body, "click") == []
+
+
+def test_commands_without_a_table_load_no_json_or_csv():
+    # --version, every help page and every refusal, in one interpreter
+    body = "\n".join([RUN_CLI.format(args=["--version"]),
+                      *(RUN_CLI.format(args=args) for args in HELP_PAGES),
+                      *(RUN_CLI_REFUSED.format(args=args) for args in REFUSALS)])
+    assert modules_after(body, "json", "csv") == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_probe_sees_the_output_format_loaded(fmt):
+    args = ["fiber", "--m", "0.5", "--n", "2", "--format", fmt]
+    assert fmt in modules_after(RUN_CLI.format(args=args), "json", "csv")
+
+
+def test_numpy_free_commands_load_no_dataclasses():
+    body = "\n".join([*(RUN_CLI.format(args=args) for args in NUMPY_FREE_COMMANDS),
+                      *(RUN_CLI_REFUSED.format(args=args) for args in REFUSALS)])
+    assert modules_after(body, "dataclasses") == []
+
+
+def test_commands_load_no_dataclasses_beyond_numpy():
+    # every README command, with the library modules whose results they
+    # print; whatever numpy itself loads is not the package's to remove
+    body = "\n".join(["import cventlab.crypto, cventlab.discrimination, cventlab.estimation",
+                      *(RUN_CLI.format(args=args) for args in SCIPY_FREE_COMMANDS)])
+    numpy_own = modules_after("import numpy.linalg, numpy.random", "dataclasses")
+    assert modules_after(body, "dataclasses") == numpy_own
