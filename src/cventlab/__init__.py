@@ -13,7 +13,6 @@ from cventlab.gaussian_core import (
     NoiseParams,
     make_twin_beam,
     heterodyne_mean_and_variance,
-    heterodyne_pdf,
     sample_heterodyne,
     ppt_separable,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "NoiseParams",
     "make_twin_beam",
     "heterodyne_mean_and_variance",
-    "heterodyne_pdf",
     "sample_heterodyne",
     "ppt_separable",
     "__version__",

@@ -592,7 +592,7 @@ def crypto_errors(g, seed):
         "a": g["a"],
         "kappa": g["kappa"],
         "bob_ideal": crypto_mod.bob_ideal_error(g["x"], -g["a"], g["a"]),
-        "coherent": crypto_mod.coherent_error(-g["a"], g["a"]),
+        "coherent": crypto_mod.bob_ideal_error(0.0, -g["a"], g["a"]),
         "bob_heterodyne": margin.bob_err,
         "eve_gaussian_key": eve,
         "eve_gaussian_key_oracle": eve_oracle,

@@ -7,14 +7,11 @@ not, and her best error probability is bounded by the erf formula obtained
 from the positive eigenvalues of the averaged state difference.
 
 The heterodyne receiver of this module follows the paper's closed form,
-sigma_x^2 = (1 - x^2)/2 per quadrature.  The complex-alphabet densities are
-read from the family state instead, at complex variance Delta_x^2 =
-(1 - x)/(1 + x): Bob's is heterodyne_pdf of make_twin_beam(...).displaced(z0),
-Eve's is that of the same state after with_noise(NoiseParams(kappa_key),
-modes=1), which adds kappa_key to Delta_x^2, and the key density is
-complex_gaussian_pdf(alpha, 0, kappa_key).  The two variances are the
-paper's, kept side by side rather than reconciled.  Only the functions that
-build arrays import numpy; the closed forms and Eve's oracle are scalar math.
+sigma_x^2 = (1 - x^2)/2 per quadrature, while the family state's heterodyne
+outcome has complex variance Delta_x^2 = (1 - x)/(1 + x).  The two variances
+are the paper's, kept side by side rather than reconciled.  Only the
+functions that build arrays import numpy; the closed forms and Eve's oracle
+are scalar math.
 """
 
 from __future__ import annotations
@@ -37,10 +34,7 @@ class ProtocolConfig(NamedTuple("ProtocolConfig", [("x", float), ("a", float),
 
     def __new__(cls, x: float, a: float, kappa_key: float) -> "ProtocolConfig":
         _schmidt(x)
-        if not a >= 0:
-            raise ValueError(f"a must be >= 0, got {a}")
-        if not kappa_key > 0:
-            raise ValueError(f"kappa_key must be > 0, got {kappa_key}")
+        _check_gaussian_key(a, kappa_key)
         return super().__new__(cls, x, a, kappa_key)
 
 
@@ -54,16 +48,11 @@ def bob_ideal_error(x: float, z0: complex, z1: complex) -> float:
     """Optimal-receiver error for displaced twin-beams.
 
     |<<z1|z0>>|^2 = exp(-|z0 - z1|^2 (1 + N)); for a large exponent the
-    error approaches exp(-|z0 - z1|^2 (1 + N)) / 4.
+    error approaches exp(-|z0 - z1|^2 (1 + N)) / 4.  At x = 0, N = 0 exactly,
+    and this is the error of the unentangled coherent-state encoding.
     """
     sep = abs(complex(z0) - complex(z1))  # sep * sep is inf past the float range, not an error
     return helstrom_error(math.exp(-sep * sep * (1.0 + TwinBeamParams.from_x(x).N)))
-
-
-def coherent_error(alpha0: complex, alpha1: complex) -> float:
-    """Optimal-receiver error for the unentangled coherent-state encoding."""
-    sep = abs(complex(alpha0) - complex(alpha1))
-    return helstrom_error(math.exp(-sep * sep))
 
 
 def eve_error_uniform() -> float:
@@ -90,18 +79,6 @@ def eve_error_gaussian_key(a: float, kappa_key: float) -> float:
     """Eve's optimal error against a Gaussian key: [1 - erf(a/sqrt(kappa))]/2 = erfc/2."""
     _check_gaussian_key(a, kappa_key)
     return 0.5 * math.erfc(a / math.sqrt(kappa_key))
-
-
-def eve_error_gaussian_key_asymptote(a: float, kappa_key: float) -> float:
-    """Large-a/sqrt(kappa) tail sqrt(kappa) exp(-a^2/kappa) / (2 a sqrt(pi))."""
-    if not a > 0:
-        raise ValueError(f"a must be > 0, got {a}")
-    _check_gaussian_key(a, kappa_key)
-    return (
-        math.sqrt(kappa_key)
-        / (2.0 * a * math.sqrt(math.pi))
-        * math.exp(-a * a / kappa_key)
-    )
 
 
 def bob_heterodyne_error(x: float, a: float) -> float:

@@ -10,17 +10,14 @@ point is the midpoint of the chord closing the arc, at r = cos(Delta/2).
 
 Wolfe's minimum-norm-point algorithm, the oracle brute_force_min_overlap,
 finds the same point and the probe weights from the eigenvalues without the
-covering arc.  Scalar math; only optimal_probe_weights imports numpy.
+covering arc.  Scalar math throughout; the module imports no numpy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 
 class EigenphaseSpectrum(NamedTuple("EigenphaseSpectrum",
@@ -104,19 +101,6 @@ def spread_formula_error(delta: float) -> float:
     return helstrom_error(n**4 / d**4)
 
 
-def optimal_probe_weights(polygon: PolygonK) -> np.ndarray:
-    """Probability weights over eigenvectors reaching the optimal overlap.
-
-    Wolfe's minimum-norm-point algorithm finds them for every spectrum.  For
-    r > 0 at most two weights are nonzero, on the ends of the chord that
-    closes the covering arc; for r = 0 it stops at a chord or triangle
-    holding the origin, one of the many optimal probes.
-    """
-    import numpy as np  # here, so that the closed form and the oracle load no numpy
-    corral, weights, _ = _min_norm_point(polygon.phases)
-    return np.bincount(corral, weights, minlength=len(polygon.phases))  # 0 off the corral
-
-
 def _min_norm_point(phases: tuple[float, ...]) -> tuple[list[int], list[float], complex]:
     """Corral, simplex weights and point of conv{e^{i gamma_j}} nearest the origin.
 
@@ -127,7 +111,8 @@ def _min_norm_point(phases: tuple[float, ...]) -> tuple[list[int], list[float], 
     <= 0 does not hold the origin and drops the vertex of most negative
     weight; if that is the new point, the cycle makes no progress.  A major
     cycle that does not make |x|^2 strictly smaller is roundoff, and ends the
-    search.  The point is the weighted sum over the corral alone.
+    search.  The point is the weighted sum over the corral alone; the weights
+    are an optimal probe, for r > 0 on the chord that closes the covering arc.
     """
     points = [cmath.exp(1j * p) for p in phases]
     corral, weights = [0], [1.0]
@@ -182,13 +167,3 @@ def copies_for_exact(polygon: PolygonK) -> int | None:
     if polygon.delta == 0.0:
         return None
     return max(1, math.ceil(math.pi / polygon.delta - 1e-12))
-
-
-def n_copy_spectrum(spectrum: EigenphaseSpectrum, n_copies: int) -> EigenphaseSpectrum:
-    """Explicit eigenphases of (U2^dag U1)^{(x) N}: all N-fold sums mod 2pi."""
-    if n_copies < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies}")
-    sums = {0.0}
-    for _ in range(n_copies):
-        sums = {(s + p) % (2.0 * math.pi) for s in sums for p in spectrum.phases}
-    return EigenphaseSpectrum(tuple(sums))

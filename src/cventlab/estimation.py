@@ -71,13 +71,8 @@ def _probe_state(setting: EstimationSetting, entangled: bool):
     picks up noise on both beams; the vacuum probe is a single-mode channel,
     so noise enters once (mode 1 only).
     """
-    if entangled:
-        params = gaussian_core.TwinBeamParams.from_x(setting.x)
-        state = gaussian_core.make_twin_beam(params)
-    else:
-        vac = gaussian_core.VACUUM_VAR
-        state = gaussian_core.TwinBeamFamilyState(vac, vac)
-    state = state.displaced(setting.alpha)
+    params = gaussian_core.TwinBeamParams.from_x(setting.x if entangled else 0.0)
+    state = gaussian_core.make_twin_beam(params).displaced(setting.alpha)
     if setting.nbar_T > 0:
         state = state.with_noise(gaussian_core.NoiseParams(setting.nbar_T),
                                  modes=2 if entangled else 1)

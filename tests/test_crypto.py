@@ -67,18 +67,19 @@ class TestIdealErrors:
     def test_bob_beats_coherent_strictly(self):
         for x in np.linspace(0.05, 0.95, 20):
             bob = crypto.bob_ideal_error(x, -0.5, 0.5)
-            coh = crypto.coherent_error(-0.5, 0.5)
+            coh = crypto.bob_ideal_error(0.0, -0.5, 0.5)
             assert bob < coh
 
     def test_equal_at_x_zero(self):
+        # the coherent-state encoding: |<alpha1|alpha0>|^2 = exp(-|alpha0 - alpha1|^2)
         assert crypto.bob_ideal_error(0.0, -0.5, 0.5) == pytest.approx(
-            crypto.coherent_error(-0.5, 0.5), rel=1e-12
+            (1 - math.sqrt(1 - math.exp(-1.0))) / 2, rel=1e-12
         )
 
     def test_helstrom_reference(self):
         # orthogonal limit: error -> 0; identical symbols: error 1/2
-        assert crypto.coherent_error(-10.0, 10.0) == pytest.approx(0.0, abs=1e-12)
-        assert crypto.coherent_error(1.0, 1.0) == 0.5
+        assert crypto.bob_ideal_error(0.0, -10.0, 10.0) == pytest.approx(0.0, abs=1e-12)
+        assert crypto.bob_ideal_error(0.0, 1.0, 1.0) == 0.5
 
     def test_exponent_includes_mean_photons(self):
         x, a = 0.6, 0.7
@@ -228,12 +229,6 @@ class TestEveBounds:
         # 2 sigma_x^2 = 1 at x = 0
         assert crypto.bob_heterodyne_error(0.0, b) == pytest.approx(expected, rel=1e-14, abs=0)
 
-    def test_asymptote(self):
-        a, kappa = 4.0, 1.0
-        exact = crypto.eve_error_gaussian_key(a, kappa)
-        asym = crypto.eve_error_gaussian_key_asymptote(a, kappa)
-        assert asym == pytest.approx(exact, rel=0.05)
-
     @staticmethod
     def mp_erf(a, kappa):
         with mpmath.workdps(40):
@@ -259,9 +254,6 @@ class TestEveBounds:
         (lambda: crypto.splus_numeric(-1.0, 1.0), "a must be >= 0, got -1.0"),
         (lambda: crypto.splus_numeric(0.5, 0.0), "kappa_key must be > 0, got 0.0"),
         (lambda: crypto.splus_numeric(0.5, -1.0), "kappa_key must be > 0, got -1.0"),
-        (lambda: crypto.eve_error_gaussian_key_asymptote(0.0, 1.0), "a must be > 0, got 0.0"),
-        (lambda: crypto.eve_error_gaussian_key_asymptote(1.0, 0.0),
-         "kappa_key must be > 0, got 0.0"),
     ])
     def test_eve_oracles_refuse_out_of_range(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -305,32 +297,6 @@ class TestAlphabetPdfs:
         _, eve_var = gaussian_core.heterodyne_mean_and_variance(eve_state(1 + 1j, 0.5, 0.7))
         assert bob_var == pytest.approx(1 / 3, rel=1e-12)
         assert eve_var == pytest.approx(1 / 3 + 0.7, rel=1e-12)
-
-    def test_pdfs_match_direct_formula(self):
-        z0, x, kappa = 0.4 - 0.9j, 0.6, 0.7
-        delta_sq = (1 - x) / (1 + x)
-        for z in (0.0, z0, 1.5 + 0.2j, -2j):
-            for state, v in ((bob_state(z0, x), delta_sq),
-                             (eve_state(z0, x, kappa), delta_sq + kappa)):
-                expected = math.exp(-abs(z - z0) ** 2 / v) / (math.pi * v)
-                assert gaussian_core.heterodyne_pdf(state, z) == pytest.approx(
-                    expected, rel=1e-14, abs=0)
-
-    def test_pdf_peaks_at_symbol(self):
-        bob = bob_state(1.0, 0.5)
-        _, bob_var = gaussian_core.heterodyne_mean_and_variance(bob)
-        assert gaussian_core.heterodyne_pdf(bob, 1.0) > gaussian_core.heterodyne_pdf(bob, 1.5)
-        assert gaussian_core.heterodyne_pdf(bob, 1.0) == pytest.approx(1 / (math.pi * bob_var))
-
-    def test_key_pdf_normalization(self):
-        kappa = 0.8
-        grid = np.linspace(-6, 6, 400)
-        vals = np.array(
-            [[gaussian_core.complex_gaussian_pdf(complex(re, im), 0.0, kappa) for im in grid]
-             for re in grid]
-        )
-        step = grid[1] - grid[0]
-        assert vals.sum() * step * step == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSimulation:

@@ -36,11 +36,6 @@ CASES = {
                                  "a must be >= 0, got nan"),
     "eve_error_gaussian_key-kappa_key": (lambda: crypto.eve_error_gaussian_key(0.5, NAN),
                                          "kappa_key must be > 0, got nan"),
-    "eve_error_gaussian_key_asymptote-a": (
-        lambda: crypto.eve_error_gaussian_key_asymptote(NAN, 1.0), "a must be > 0, got nan"),
-    "eve_error_gaussian_key_asymptote-kappa_key": (
-        lambda: crypto.eve_error_gaussian_key_asymptote(0.5, NAN),
-        "kappa_key must be > 0, got nan"),
     "splus_numeric-a": (lambda: crypto.splus_numeric(NAN, 1.0), "a must be >= 0, got nan"),
     "splus_numeric-kappa_key": (lambda: crypto.splus_numeric(0.5, NAN),
                                 "kappa_key must be > 0, got nan"),

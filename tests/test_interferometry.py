@@ -126,13 +126,6 @@ class TestMinDetectablePhaseIdeal:
         slope = np.polyfit(np.log(ns), np.log(phis), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.05)
 
-    def test_acceptance_probability(self):
-        # prior 1/2 with gamma* = 10 gives confidence 10/11
-        assert itf.acceptance_probability(0.5, 10.0) == pytest.approx(10 / 11, rel=1e-12)
-        assert itf.acceptance_probability(1.0, 10.0) == 1.0
-        with pytest.raises(ValueError):
-            itf.acceptance_probability(0.0, 10.0)
-
 
 class TestMZZeroCount:
     def test_phi_zero_no_false_alarm(self):
