@@ -7,25 +7,4 @@ unitaries, Neyman-Pearson interferometry, twin-beam secret-key communication,
 and entanglement degradation in active fibers.
 """
 
-from cventlab.gaussian_core import (
-    TwinBeamFamilyState,
-    TwinBeamParams,
-    NoiseParams,
-    make_twin_beam,
-    heterodyne_mean_and_variance,
-    sample_heterodyne,
-    ppt_separable,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "TwinBeamFamilyState",
-    "TwinBeamParams",
-    "NoiseParams",
-    "make_twin_beam",
-    "heterodyne_mean_and_variance",
-    "sample_heterodyne",
-    "ppt_separable",
-    "__version__",
-]

@@ -497,7 +497,7 @@ def estimate(g, seed):
         "nbar_T": g["nbar_t"],
         "sigma2_sq": v.entangled,
         "sigma1_sq": v.unentangled,
-        "convenient": est.entanglement_convenient(setting),
+        "convenient": v.entangled < v.unentangled,
         "threshold_nbar": est.convenience_threshold(g["x"]),
         "rms_entangled": sim.rms_entangled,
         "rms_unentangled": sim.rms_unentangled,

@@ -53,12 +53,6 @@ def conditional_variance(setting: EstimationSetting) -> ConditionalVariances:
     return ConditionalVariances(entangled=entangled, unentangled=1.0 + setting.nbar_T)
 
 
-def entanglement_convenient(setting: EstimationSetting) -> bool:
-    """True when the twin-beam probe beats the vacuum probe (sigma2^2 < sigma1^2)."""
-    v = conditional_variance(setting)
-    return v.entangled < v.unentangled
-
-
 def convenience_threshold(x: float) -> float:
     """Noise level nbar_T at which sigma2^2 = sigma1^2, i.e. 1 - Delta_x^2."""
     return 1.0 - heterodyne_variance(x)
@@ -74,8 +68,7 @@ def _probe_state(setting: EstimationSetting, entangled: bool):
     params = gaussian_core.TwinBeamParams.from_x(setting.x if entangled else 0.0)
     state = gaussian_core.make_twin_beam(params).displaced(setting.alpha)
     if setting.nbar_T > 0:
-        state = state.with_noise(gaussian_core.NoiseParams(setting.nbar_T),
-                                 modes=2 if entangled else 1)
+        state = state.with_noise(setting.nbar_T, modes=2 if entangled else 1)
     return state
 
 

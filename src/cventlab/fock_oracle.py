@@ -65,10 +65,6 @@ class FockTwoModeState(NamedTuple("FockTwoModeState", [("diag", np.ndarray)])):
         return super().__new__(cls, diag)
 
     @property
-    def d_max(self) -> int:
-        return self.diag.size - 1
-
-    @property
     def amps(self) -> np.ndarray:
         """The (d_max+1) x (d_max+1) matrix of the <p, q|psi>, built on each call."""
         return np.diag(self.diag)

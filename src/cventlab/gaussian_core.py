@@ -59,11 +59,6 @@ class TwinBeamParams(NamedTuple("TwinBeamParams", [("r0", float)])):
         return super().__new__(cls, _squeezing(r0))
 
     @property
-    def x(self) -> float:
-        """Schmidt parameter tanh(r0) of the photon-number expansion."""
-        return math.tanh(self.r0)
-
-    @property
     def N(self) -> float:
         """Total mean photon number 2 sinh^2(r0) = 2 x^2 / (1 - x^2)."""
         s = math.sinh(self.r0)
@@ -80,27 +75,6 @@ class TwinBeamParams(NamedTuple("TwinBeamParams", [("r0", float)])):
             raise ValueError(f"mean photon number must be >= 0, got {N}")
         return cls(math.asinh(math.sqrt(N / 2.0)))
 
-    @property
-    def epr_variances(self) -> tuple[float, float]:
-        """(Sigma_plus_sq, Sigma_minus_sq) = (e^{2 r0}/4, e^{-2 r0}/4) of the twin-beam."""
-        return _epr_variances(self.r0)
-
-
-class NoiseParams(NamedTuple("NoiseParams", [("nbar", float)])):
-    """Gaussian noise channel with complex-plane variance nbar.
-
-    nbar is the mean thermal photon number of the random-displacement
-    channel; each quadrature variance grows by nbar/2.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, nbar: float) -> "NoiseParams":
-        nbar = float(nbar)
-        if not nbar >= 0:
-            raise ValueError(f"nbar must be >= 0, got {nbar}")
-        return super().__new__(cls, nbar)
-
 
 class TwinBeamFamilyState(NamedTuple):
     """Twin-beam family state given by its EPR variances and heterodyne mean.
@@ -115,34 +89,38 @@ class TwinBeamFamilyState(NamedTuple):
     Sigma_minus_sq: float
     mean: complex = 0j
 
-    def is_bona_fide(self, tol: float = 1e-10) -> bool:
-        """Uncertainty condition: the symplectic eigenvalue is at least 1/4."""
+    def is_bona_fide(self) -> bool:
+        """Uncertainty condition: the symplectic eigenvalue is at least 1/4, up to 1e-10."""
         plus, minus = self.Sigma_plus_sq, self.Sigma_minus_sq
-        return min(plus, minus) > 0.0 and plus * minus >= VACUUM_VAR**2 - tol
+        return min(plus, minus) > 0.0 and plus * minus >= VACUUM_VAR**2 - 1e-10
 
     def displaced(self, alpha: complex) -> "TwinBeamFamilyState":
         """Displace mode 1 by alpha: the heterodyne mean shifts by alpha."""
         return self._replace(mean=self.mean + complex(alpha))
 
-    def with_noise(self, noise: NoiseParams, modes: int = 2) -> "TwinBeamFamilyState":
+    def with_noise(self, nbar: float, modes: int = 2) -> "TwinBeamFamilyState":
         """Gaussian noise channel on mode 1 (modes=1) or on both modes (modes=2).
 
-        Each noisy mode gains nbar/2 per quadrature, which adds nbar/4 to both
-        EPR variances.  Noise on one mode also adds a cross-covariance +-nbar/4
+        nbar >= 0 is the channel's mean thermal photon number.  Each noisy
+        mode gains nbar/2 per quadrature, which adds nbar/4 to both EPR
+        variances.  Noise on one mode also adds a cross-covariance +-nbar/4
         between the (x1 + x2, x1 - x2) and (y1 - y2, y1 + y2) pairs; it is
         dropped here, and no heterodyne statistic reads it, so for heterodyne
         the result is exact.
         """
+        nbar = float(nbar)
+        if not nbar >= 0:
+            raise ValueError(f"nbar must be >= 0, got {nbar}")
         if modes not in (1, 2):
             raise ValueError(f"modes must be 1 or 2, got {modes!r}")
-        added = modes * noise.nbar / 4.0
+        added = modes * nbar / 4.0
         return self._replace(Sigma_plus_sq=self.Sigma_plus_sq + added,
                              Sigma_minus_sq=self.Sigma_minus_sq + added)
 
 
 def make_twin_beam(params: TwinBeamParams) -> TwinBeamFamilyState:
     """Twin-beam state with EPR variances e^{+-2 r0}/4 on the rotated quadratures."""
-    return TwinBeamFamilyState(*params.epr_variances)
+    return TwinBeamFamilyState(*_epr_variances(params.r0))
 
 
 def heterodyne_mean_and_variance(state: TwinBeamFamilyState) -> tuple[complex, float]:

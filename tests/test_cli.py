@@ -721,6 +721,19 @@ class TestCommandLine:
          "Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
         (["fiber", "--", "--m", "0.5"], "fiber", "Missing option '--m'."),
         (["--"], "", "Missing command."),
+        # a domain check of a range spec or of the library: a bad argument too
+        (["estimate", "--x", "0.5", "--range", "x=0:0.5:0"], "estimate",
+         "Invalid value: range 'x=0:0.5:0' has no points"),
+        (["estimate", "--x", "0.5", "--range", "x=0:0.5:-2"], "estimate",
+         "Invalid value: range must look like key=start:stop:steps, got 'x=0:0.5:-2'"),
+        (["interfere", "--x", "0.5", "--q0", "-0.1"], "interfere",
+         "Invalid value: q0 must be in [0, 1], got -0.1"),
+        (["interfere", "--x", "0.5", "--q0", "1.5"], "interfere",
+         "Invalid value: q0 must be in [0, 1], got 1.5"),
+        (["interfere", "--x", "0.5", "--q0", "0"], "interfere",
+         "Invalid value: g(q0, gamma_star) = 0.0 outside (0, 1)"),
+        (["interfere", "--x", "0.5", "--gamma-star", "1"], "interfere",
+         "Invalid value: g(q0, gamma_star) = 0.0 outside (0, 1)"),
     ]
 
     @pytest.mark.parametrize("args, path, error", REFUSED, ids=[" ".join(c[0]) for c in REFUSED])

@@ -286,7 +286,7 @@ def bob_state(z0, x):
 
 def eve_state(z0, x, kappa):
     """Eve's outcome state: Bob's, with the key's noise of variance kappa on mode 1."""
-    return bob_state(z0, x).with_noise(gaussian_core.NoiseParams(kappa), modes=1)
+    return bob_state(z0, x).with_noise(kappa, modes=1)
 
 
 class TestAlphabetPdfs:

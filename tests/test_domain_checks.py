@@ -25,7 +25,8 @@ CASES = {
     "receiver_variance-x": (lambda: crypto.receiver_variance(NAN), SCHMIDT),
     "default_d_max-x": (lambda: fock_oracle.default_d_max(NAN), SCHMIDT),
     "twin_beam_fock-x": (lambda: fock_oracle.twin_beam_fock(NAN, 5), SCHMIDT),
-    "NoiseParams-nbar": (lambda: gaussian_core.NoiseParams(NAN), "nbar must be >= 0, got nan"),
+    "with_noise-nbar": (lambda: gaussian_core.TwinBeamFamilyState(0.25, 0.25).with_noise(NAN),
+                        "nbar must be >= 0, got nan"),
     "EstimationSetting-nbar_T": (lambda: estimation.EstimationSetting(0.5, nbar_T=NAN),
                                  "nbar_T must be >= 0, got nan"),
     "ProtocolConfig-a": (lambda: crypto.ProtocolConfig(x=0.5, a=NAN, kappa_key=1.0),
@@ -65,6 +66,10 @@ CASES = {
         lambda: interferometry.min_detectable_phase_ideal(0.01, 10.0, NAN),
         "N must be > 0, got nan"),
     "mz_min_phase-N": (lambda: interferometry.mz_min_phase(0.01, NAN), "N must be > 0, got nan"),
+    "mz_min_phase-target_q_phi": (lambda: interferometry.mz_min_phase(NAN, 10.0),
+                                  "target_q_phi must be in (0, 1), got nan"),
+    "mz_min_phase_numeric-target_q_phi": (lambda: interferometry.mz_min_phase_numeric(NAN, 0.5),
+                                          "target_q_phi must be in (0, 1), got nan"),
 }
 
 

@@ -64,13 +64,16 @@ class TestConvenienceThreshold:
 
     def test_x_zero_never_convenient(self):
         assert est.convenience_threshold(0.0) == 0.0
-        assert not est.entanglement_convenient(est.EstimationSetting(x=0.0))
+        v = est.conditional_variance(est.EstimationSetting(x=0.0))
+        assert not v.entangled < v.unentangled
 
     def test_switch_at_threshold(self):
         x = 0.8
         thr = est.convenience_threshold(x)
-        assert est.entanglement_convenient(est.EstimationSetting(x, thr - 1e-6))
-        assert not est.entanglement_convenient(est.EstimationSetting(x, thr + 1e-6))
+        below = est.conditional_variance(est.EstimationSetting(x, thr - 1e-6))
+        above = est.conditional_variance(est.EstimationSetting(x, thr + 1e-6))
+        assert below.entangled < below.unentangled
+        assert not above.entangled < above.unentangled
 
 
 class TestSimulation:

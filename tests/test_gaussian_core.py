@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from cventlab import fiber
+from cventlab import estimation, fiber
 from cventlab import gaussian_core as gc
 
 
@@ -122,13 +122,12 @@ def dense_ppt_witness(cov):
 class TestTwinBeamParams:
     def test_r0_zero(self):
         p = gc.TwinBeamParams(0.0)
-        assert p.x == 0.0 and p.N == 0.0
+        assert p.r0 == 0.0 and p.N == 0.0
 
     def test_consistency(self):
         for r0 in (0.1, 0.7, 1.3, 2.5):
-            p = gc.TwinBeamParams(r0)
-            assert p.x == pytest.approx(math.tanh(r0), rel=1e-12)
-            assert p.N == pytest.approx(2 * p.x**2 / (1 - p.x**2), rel=1e-12)
+            x = math.tanh(r0)
+            assert gc.TwinBeamParams(r0).N == pytest.approx(2 * x**2 / (1 - x**2), rel=1e-12)
         for x in np.linspace(0.0, 0.999, 2000):
             expected = 2 * x * x / (1 - x * x)
             assert gc.TwinBeamParams.from_x(x).N == pytest.approx(expected, rel=1e-12)
@@ -155,18 +154,13 @@ class TestTwinBeamParams:
         with pytest.raises(ValueError, match=r"^squeezing parameter must be >= 0, got -1\.0$"):
             fiber.evolve_variances(-1, 0.5, 1.0)
 
-    def test_epr_variances_come_from_the_one_helper(self):
-        for r0 in (0, 0.3, 2):
-            assert gc.TwinBeamParams(r0).epr_variances == gc._epr_variances(r0)
-            assert gc.TwinBeamParams(r0).r0 == float(r0)
-
 
 class TestValueTypes:
     """The parameter, state and result types are immutable named tuples."""
 
     @pytest.mark.parametrize("value, field", [
         (gc.TwinBeamParams(0.5), "r0"),
-        (gc.NoiseParams(1.0), "nbar"),
+        (estimation.EstimationSetting(0.5, 1.0), "nbar_T"),
         (gc.TwinBeamFamilyState(0.5, 0.2), "Sigma_minus_sq"),
         (gc.TwinBeamFamilyState(0.5, 0.2), "mean"),
         (gc.SeparabilityResult(True, 0.3), "witness"),
@@ -180,15 +174,15 @@ class TestValueTypes:
 
     def test_noise_check(self):
         with pytest.raises(ValueError, match=r"^nbar must be >= 0, got -2\.0$"):
-            gc.NoiseParams(-2)
-        assert gc.NoiseParams(1).nbar == 1.0 and type(gc.NoiseParams(1).nbar) is float
+            VACUUM.with_noise(-2)
+        assert VACUUM.with_noise(1) == gc.TwinBeamFamilyState(0.75, 0.75)
 
     def test_channels_return_family_states(self):
         s = gc.TwinBeamFamilyState(0.5, 0.25)
-        for out in (s.displaced(0.5 + 0.25j), s.with_noise(gc.NoiseParams(1.0), modes=1)):
+        for out in (s.displaced(0.5 + 0.25j), s.with_noise(1.0, modes=1)):
             assert type(out) is gc.TwinBeamFamilyState
         assert s.displaced(0.5 + 0.25j) == gc.TwinBeamFamilyState(0.5, 0.25, 0.5 + 0.25j)
-        assert s.with_noise(gc.NoiseParams(1.0), modes=1) == gc.TwinBeamFamilyState(0.75, 0.5)
+        assert s.with_noise(1.0, modes=1) == gc.TwinBeamFamilyState(0.75, 0.5)
         assert repr(gc.TwinBeamParams(0.5)) == "TwinBeamParams(r0=0.5)"
 
 
@@ -305,20 +299,19 @@ class TestDisplacement:
 class TestGaussianNoise:
     def test_identity_channel(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(0.3))
-        assert s.with_noise(gc.NoiseParams(0.0)) == s
+        assert s.with_noise(0.0) == s
 
     def test_composition_law_exact(self):
         s = gc.make_twin_beam(gc.TwinBeamParams(0.8))
         for modes in (1, 2):
-            once = s.with_noise(gc.NoiseParams(1.0), modes)
-            twice = s.with_noise(gc.NoiseParams(0.3), modes).with_noise(
-                gc.NoiseParams(0.7), modes)
+            once = s.with_noise(1.0, modes)
+            twice = s.with_noise(0.3, modes).with_noise(0.7, modes)
             for a, b in ((once.Sigma_plus_sq, twice.Sigma_plus_sq),
                          (once.Sigma_minus_sq, twice.Sigma_minus_sq)):
                 assert a == pytest.approx(b, rel=1e-15, abs=0)
 
     def test_vacuum_plus_one_photon(self):
-        out = VACUUM.with_noise(gc.NoiseParams(1.0), modes=1)
+        out = VACUUM.with_noise(1.0, modes=1)
         assert (out.Sigma_plus_sq, out.Sigma_minus_sq) == (0.5, 0.5)
         dense = dense_noise(dense_vacuum(), 1.0, 1).cov
         assert np.allclose(dense[:2, :2], 0.75 * np.eye(2))
@@ -338,12 +331,12 @@ class TestGaussianNoise:
 
     def test_mean_unchanged(self):
         s = VACUUM.displaced(1 + 1j)
-        assert s.with_noise(gc.NoiseParams(2.0)).mean == s.mean == 1 + 1j
+        assert s.with_noise(2.0).mean == s.mean == 1 + 1j
 
     def test_invalid_modes(self):
         for modes in (0, 3, "both"):
             with pytest.raises(ValueError):
-                VACUUM.with_noise(gc.NoiseParams(1.0), modes)
+                VACUUM.with_noise(1.0, modes)
 
     def test_heterodyne_matches_dense_reference(self):
         # noise on one mode also adds a +-nbar/4 cross-covariance between the
@@ -355,7 +348,7 @@ class TestGaussianNoise:
             alpha = complex(*rng.normal(size=2))
             for modes, dense_mode in ((1, 1), (2, "both")):
                 s = gc.make_twin_beam(gc.TwinBeamParams(r0)).displaced(alpha)
-                s = s.with_noise(gc.NoiseParams(nbar), modes)
+                s = s.with_noise(nbar, modes)
                 dense = dense_displacement(dense_twin_beam(r0), alpha, 1)
                 dense = dense_noise(dense, nbar, dense_mode)
                 mu, var = gc.heterodyne_mean_and_variance(s)
@@ -380,7 +373,7 @@ class TestHeterodyne:
 
     def test_noise_degraded_variance(self):
         s = gc.make_twin_beam(gc.TwinBeamParams.from_x(0.9))
-        s = s.with_noise(gc.NoiseParams(0.5), modes=2)
+        s = s.with_noise(0.5, modes=2)
         _, var = gc.heterodyne_mean_and_variance(s)
         assert var == pytest.approx(0.1 / 1.9 + 1.0, rel=1e-12)
 

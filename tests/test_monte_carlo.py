@@ -63,7 +63,7 @@ def _ou_reference(r0, M, tau, n, seed):
     decay_amp = math.exp(-gamma * tau / 2.0)
     kick_var = fiber._thermal_variance(gamma, tau)
     out = []
-    for sigma0_sq in gaussian_core.TwinBeamParams(r0).epr_variances:
+    for sigma0_sq in gaussian_core._epr_variances(r0):
         q0 = rng.normal(0.0, math.sqrt(sigma0_sq), size=n)
         q = decay_amp * q0 + rng.normal(0.0, math.sqrt(kick_var), size=n)
         out.append(math.fsum(q * q) / n)

@@ -8,6 +8,11 @@ an attribute; docstrings and type annotations are not code that runs, and a
 re-export in ``__init__`` is not a use.  A public function or class of
 ``src/cventlab`` that the walk misses is computed for nobody: it goes, moves
 into the tests, or sits in ``KEPT`` with its reason.
+
+A public method or property of a public class is read when its name appears
+as an attribute (``obj.name``, not a bare name) in the code the walk reaches
+or in ``perfbench``; one that is never read goes too.  The package itself
+binds only ``__version__``: callers import its modules.
 """
 
 import ast
@@ -39,6 +44,11 @@ def _code(node):
             if field not in ("annotation", "returns"):
                 children = value if isinstance(value, list) else [value]
                 stack.extend(c for c in children if isinstance(c, ast.AST))
+
+
+def _attributes(node):
+    """Attribute names that ``node``'s code reads, as in ``obj.name``."""
+    return {n.attr for n in _code(node) if isinstance(n, ast.Attribute)}
 
 
 def _names(node, strings=False):
@@ -80,14 +90,15 @@ def _roots(modules):
             if isinstance(node, ast.FunctionDef) and any(
                 isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_command"
                 for d in node.decorator_list)}
-    bench = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        bench |= _names(ast.parse(path.read_text()), strings=True)
-    return rows, bench
+    return rows, _names(_bench(), strings=True)
 
 
-def _unreached():
-    modules = _modules()
+def _bench():
+    return ast.Module([node for path in sorted((ROOT / "perfbench").glob("*.py"))
+                       for node in ast.parse(path.read_text()).body], [])
+
+
+def _reached(modules):
     defs = _definitions(modules)
     rows, bench = _roots(modules)
     reached, todo = set(), list(rows | bench)
@@ -98,6 +109,12 @@ def _unreached():
         reached.add(name)
         for node in defs[name]:
             todo.extend(_names(node) - reached)
+    return rows, defs, reached
+
+
+def _unreached():
+    modules = _modules()
+    rows, _, reached = _reached(modules)
     public = {node.name for tree in modules.values() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")}
@@ -119,3 +136,30 @@ def test_kept_names_exist_and_are_unreached():
     _, public, unreached = _unreached()
     assert set(KEPT) <= public
     assert set(KEPT) <= unreached
+
+
+def test_every_public_member_is_read():
+    modules = _modules()
+    _, defs, reached = _reached(modules)
+    read = _attributes(_bench())
+    for name in reached:
+        for node in defs[name]:
+            read |= _attributes(node)
+    members = {f"{cls.name}.{node.name}" for tree in modules.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert sorted(m for m in members if m.split(".")[1] not in read) == []
+
+
+def test_the_package_binds_only_its_version():
+    bound = set()
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert sorted(bound - {"__version__"}) == []
